@@ -12,6 +12,8 @@ from sqnreg.optimize import (
     ObjectiveSpec,
     SolveOptions,
     _Counters,
+    _cg_solve,
+    _make_metric_solve,
     _strong_wolfe,
     build_pyramid,
     gauss_seidel_sweep,
@@ -20,7 +22,7 @@ from sqnreg.optimize import (
     objective,
 )
 from sqnreg.oracles import fd_gradient
-from sqnreg.regularize import Diffusion, Elastic
+from sqnreg.regularize import Diffusion, Elastic, reg_hessian_apply
 
 from conftest import fd_instance, rng_for, stack_of
 
@@ -312,3 +314,56 @@ class TestSolvers:
         for fa, fb in zip(a.fields, b.fields):
             assert np.array_equal(fa.u, fb.u)
         assert [r.value for r in a.all_records()] == [r.value for r in b.all_records()]
+
+
+class TestMetricSolve:
+    @pytest.mark.parametrize("reg", [Diffusion(alpha=1e-2), Elastic(mu=1.0, lam=0.5, alpha=1e-2)])
+    def test_stack_apply_equals_per_field_loop_bitexact(self, reg):
+        rng = rng_for(21)
+        grid = GridSpec((10, 7), spacing=(0.1, 0.15))
+        q = rng.standard_normal((4, *grid.dims, 2))
+        opts = SolveOptions(cg_maxiter=30)
+        eps = opts.metric_eps_rel * reg.alpha
+
+        def per_field_apply_b(z):
+            out = np.empty_like(z)
+            for i in range(z.shape[0]):
+                out[i] = reg_hessian_apply(reg, grid, z[i])
+            return out + eps * z
+
+        want, _, _ = _cg_solve(per_field_apply_b, q, opts.cg_tol, opts.cg_maxiter)
+        got = _make_metric_solve(reg, grid, opts, _Counters())(q)
+        assert np.array_equal(got, want)
+
+    def test_cg_reports_iterations_and_residual(self):
+        rng = rng_for(22)
+        diag = rng.uniform(1.0, 3.0, size=(2, 6))
+        rhs = rng.standard_normal((2, 6))
+        x, iterations, residual = _cg_solve(lambda z: diag * z, rhs, 1e-12, 50)
+        assert 0 < iterations <= 12
+        assert residual <= 1e-12
+        assert np.allclose(x, rhs / diag, rtol=1e-10)
+        x, iterations, residual = _cg_solve(lambda z: diag * z, rhs, 1e-12, 2)
+        assert iterations == 2
+        assert residual > 1e-12
+        assert _cg_solve(lambda z: z, np.zeros((2, 3)), 1e-12, 5)[1:] == (0, 0.0)
+
+    def test_capped_metric_solves_are_counted(self):
+        stack = shifted_blob_stack((16, 16), [(0.0, 0.0), (0.04, -0.02)])
+        spec = ObjectiveSpec(SchattenQ(q=4.0), Diffusion(alpha=1e-3))
+        report = multilevel_solve(spec, stack, SolveOptions(maxiter=6, cg_maxiter=2))
+        assert report.metric_solves > 0
+        assert 0 < report.metric_solves_capped <= report.metric_solves
+
+    def test_identity_metric_groupwise_solve_descends(self):
+        stack = shifted_blob_stack((16, 16), [(0.0, 0.0), (0.04, -0.02), (-0.03, 0.02)])
+        spec = ObjectiveSpec(SchattenQ(q=4.0), Diffusion(alpha=1e-3))
+        opts = SolveOptions(levels=2, maxiter=15, metric="identity")
+        report = multilevel_solve(spec, stack, opts)
+        assert report.metric_solves == 0
+        for trace in report.traces:
+            values = [r.value for r in trace.records]
+            assert len(values) > 1
+            assert all(np.isfinite(values))
+            assert all(b < a for a, b in zip(values, values[1:]))
+            assert trace.terminations

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqnreg.errors import RegularizerError
-from sqnreg.grids import DisplacementField, GridSpec, zero_field
+from sqnreg.grids import DisplacementField, GridSpec, gradient_central_adjoint, zero_field
 from sqnreg.oracles import fd_gradient, relative_error
 from sqnreg.regularize import (
     Diffusion,
     Elastic,
+    _stack_value_grad,
     diffusion,
     elastic,
     reg_eval,
@@ -139,6 +140,13 @@ def test_reg_glo_sums_fields_and_is_permutation_invariant():
     assert np.array_equal(grads_p, grads[perm])
 
 
+def test_reg_glo_rejects_fields_on_different_grids():
+    g = grid16()
+    other = GridSpec((16, 16), spacing=(1.0 / 8, 1.0 / 16))
+    with pytest.raises(RegularizerError, match="share one grid"):
+        reg_glo([zero_field(g), zero_field(other)], Diffusion(alpha=0.1))
+
+
 def test_parameter_validation():
     with pytest.raises(RegularizerError):
         Diffusion(alpha=0.0)
@@ -146,3 +154,102 @@ def test_parameter_validation():
         Elastic(mu=0.0)
     with pytest.raises(RegularizerError):
         Elastic(mu=1.0, lam=-0.1)
+
+
+# ---------------------------------------------------------------------------
+# stack kernels against the per-field reference
+
+
+def _reference_value_grad(kind, grid, u):
+    """Single-field reference, one grid axis at a time through
+    ``np.moveaxis`` and ``np.gradient``.  The stack kernels must reproduce
+    it bit for bit."""
+    w = grid.cell_area
+    if isinstance(kind, Diffusion):
+        value = 0.0
+        grad = np.zeros_like(u)
+        for axis in range(2):
+            h = grid.spacing[axis]
+            f = np.moveaxis(u, axis, 0)
+            d = np.moveaxis((f[1:] - f[:-1]) / h, 0, axis)
+            value += float(np.sum(d**2))
+            e = np.moveaxis(d, axis, 0)
+            adj = np.zeros((grid.dims[axis], *e.shape[1:]))
+            adj[:-1] -= e / h
+            adj[1:] += e / h
+            grad += np.moveaxis(adj, 0, axis)
+        return 0.5 * kind.alpha * w * value, kind.alpha * w * grad
+    g = np.empty((*grid.dims, 2, 2))
+    for c in range(2):
+        g[..., c, 0], g[..., c, 1] = np.gradient(u[..., c], *grid.spacing)
+    strain = 0.5 * (g + np.swapaxes(g, -1, -2))
+    tr = np.trace(strain, axis1=-2, axis2=-1)
+    density = kind.mu * np.sum(strain**2, axis=(-2, -1)) + 0.5 * kind.lam * tr**2
+    sens = 2.0 * kind.mu * strain
+    sens[..., 0, 0] += kind.lam * tr
+    sens[..., 1, 1] += kind.lam * tr
+    sens *= kind.alpha * w
+    grad = np.empty_like(u)
+    for c in range(2):
+        grad[..., c] = gradient_central_adjoint(sens[..., c, :], grid)
+    return kind.alpha * w * float(np.sum(density)), grad
+
+
+STACK_KINDS = [Diffusion(alpha=0.37), Elastic(mu=1.3, lam=0.6, alpha=0.21)]
+
+
+def odd_grid():
+    return GridSpec((9, 7), origin=(0.2, -0.1), spacing=(0.45, 0.7))
+
+
+def random_stack(seed, grid, k=5):
+    rng = rng_for(seed)
+    scales = 10.0 ** rng.uniform(-3.0, 1.0, size=(k, 1, 1, 1))
+    return scales * rng.standard_normal((k, *grid.dims, 2))
+
+
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_stack_kernel_matches_per_field_reference_bitexact(kind):
+    g = odd_grid()
+    u = random_stack(5, g)
+    values, grads = _stack_value_grad(kind, g, u)
+    assert values.shape == (u.shape[0],)
+    hess = reg_hessian_apply(kind, g, u)
+    for k in range(u.shape[0]):
+        v_ref, g_ref = _reference_value_grad(kind, g, u[k])
+        assert values[k] == v_ref
+        assert np.array_equal(grads[k], g_ref)
+        assert np.array_equal(hess[k], g_ref)
+        v_one, g_one = reg_eval(kind, DisplacementField(g, u[k]))
+        assert v_one == v_ref
+        assert np.array_equal(g_one, g_ref)
+    value, grads_glo = reg_glo([DisplacementField(g, uk) for uk in u], kind)
+    assert np.array_equal(grads_glo, grads)
+    assert value == reg_glo([DisplacementField(g, uk) for uk in u[::-1]], kind)[0]
+
+
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_hessian_apply_single_field_equals_stack(kind):
+    g = odd_grid()
+    u = random_stack(6, g, k=3)
+    stacked = reg_hessian_apply(kind, g, u)
+    assert stacked.shape == u.shape
+    for k in range(u.shape[0]):
+        single = reg_hessian_apply(kind, g, u[k])
+        assert single.shape == (*g.dims, 2)
+        assert np.array_equal(single, stacked[k])
+    # any number of leading axes
+    nested = reg_hessian_apply(kind, g, u.reshape(3, 1, *g.dims, 2))
+    assert np.array_equal(nested.reshape(u.shape), stacked)
+
+
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_stack_kernel_permutation_equivariant_bitexact(kind):
+    g = odd_grid()
+    u = random_stack(7, g)
+    perm = [3, 0, 4, 2, 1]
+    values, grads = _stack_value_grad(kind, g, u)
+    values_p, grads_p = _stack_value_grad(kind, g, u[perm])
+    assert np.array_equal(values_p, values[perm])
+    assert np.array_equal(grads_p, grads[perm])
+    assert np.array_equal(reg_hessian_apply(kind, g, u[perm]), reg_hessian_apply(kind, g, u)[perm])
