@@ -108,18 +108,40 @@ PAIRWISE_KINDS = (SsdPair, NgfPair)
 GROUPWISE_KINDS = (SchattenQ, CorrDev, LogDet)
 
 
-@dataclass(frozen=True)
 class MeasureEval:
-    """Value and per-field displacement gradients of a measure on a stack."""
+    """Value and per-field displacement gradients of a measure on a stack.
 
-    value: float
-    grads: np.ndarray  # (K, m1, m2, 2)
-    subgradient: bool = False
-    svd: ThinSvd | None = None
+    The value and the subgradient flag come from the forward pass.  The
+    gradients (K, m1, m2, 2) come from the backward pass, which runs on the
+    first access of ``grads`` and reuses what the forward pass kept (warped
+    images, warp Jacobians, the spectrum); that state is dropped once the
+    gradients exist.  An evaluation whose gradients are never read never
+    pays for them.
+    """
+
+    def __init__(self, value: float, backward, subgradient: bool = False,
+                 svd: ThinSvd | None = None):
+        self.value = value
+        self.subgradient = subgradient
+        self.svd = svd
+        self._backward = backward
+        self._grads = None
+
+    @property
+    def grads(self) -> np.ndarray:
+        if self._grads is None:
+            self._grads = self._backward()
+            self._backward = None
+        return self._grads
 
 
 # ---------------------------------------------------------------------------
 # feature-matrix level measures
+#
+# Every groupwise measure is a function of the spectrum; its gradient with
+# respect to F is ``sqrt(w) * U diag(c) V^T`` for a coefficient vector c.  The
+# ``_*_coeffs`` functions return the value and c, and ``_sigma_combination``
+# assembles the gradient only when it is needed.
 
 
 def _sigma_combination(svd: ThinSvd, coeffs: np.ndarray) -> np.ndarray:
@@ -141,10 +163,11 @@ def sqn(fm, q):
     reports a near-degenerate top gap.
     """
     svd = thin_svd(fm)
-    return _sqn_from_svd(svd, q)
+    value, coeffs, flagged = _sqn_coeffs(svd, q)
+    return value, _sigma_combination(svd, coeffs), flagged
 
 
-def _sqn_from_svd(svd: ThinSvd, q):
+def _sqn_coeffs(svd: ThinSvd, q):
     k = svd.k
     sigma = svd.sigma
     if q == math.inf:
@@ -155,9 +178,8 @@ def _sqn_from_svd(svd: ThinSvd, q):
         # constant region) the value 0 is the measure's supremum and the zero
         # matrix is a valid subgradient; flag it so solvers can reject the
         # point instead of crashing
-        grad = _sigma_combination(svd, coeffs)
         flagged = bool(svd.gap_flags[0]) or not bool(svd.u_valid[0])
-        return value, grad, flagged
+        return value, coeffs, flagged
     value = float(k) - float(np.sum(sigma**q))
     coeffs = -q * sigma ** (q - 1.0)
     flagged = False
@@ -166,8 +188,7 @@ def _sqn_from_svd(svd: ThinSvd, q):
         # where the derivative is only a subgradient; drop those modes
         dropped = ~svd.u_valid
         flagged = bool(dropped.any())
-    grad = _sigma_combination(svd, coeffs)
-    return value, grad, flagged
+    return value, coeffs, flagged
 
 
 def corr_dev(fm, q) -> float:
@@ -185,12 +206,11 @@ def corr_dev(fm, q) -> float:
     return float(np.sum(np.abs(dev) ** q) ** (1.0 / q))
 
 
-def _corr_dev2_from_svd(svd: ThinSvd):
+def _corr_dev2_coeffs(svd: ThinSvd):
     dev = svd.eigenvalues - 1.0
     value = float(np.sum(dev**2))
     coeffs = 4.0 * svd.sigma * dev
-    grad = _sigma_combination(svd, coeffs)
-    return value, grad
+    return value, coeffs
 
 
 def logdet_total_correlation(fm, jitter: float = 0.0):
@@ -200,10 +220,11 @@ def logdet_total_correlation(fm, jitter: float = 0.0):
     matrix is numerically rank deficient.
     """
     svd = thin_svd(fm)
-    return _logdet_from_svd(svd, jitter)
+    value, coeffs = _logdet_coeffs(svd, jitter)
+    return value, _sigma_combination(svd, coeffs)
 
 
-def _logdet_from_svd(svd: ThinSvd, jitter: float):
+def _logdet_coeffs(svd: ThinSvd, jitter: float):
     if not np.isfinite(jitter) or jitter < 0:
         raise MeasureError(f"jitter must be nonnegative, got {jitter}")
     lam = svd.eigenvalues
@@ -213,22 +234,21 @@ def _logdet_from_svd(svd: ThinSvd, jitter: float):
         raise MeasureError("rank-deficient correlation: log-det undefined")
     value = float(np.sum(np.log(shifted)))
     coeffs = 2.0 * svd.sigma / shifted
-    grad = _sigma_combination(svd, coeffs)
-    return value, grad
+    return value, coeffs
 
 
 # ---------------------------------------------------------------------------
 # pairwise cores (cotangents with respect to warped intensities)
 
 
-def _ssd_core(a: Image, b: Image):
+def _ssd_forward(a: Image, b: Image):
     w = a.grid.cell_area
     diff = b.data - a.data
     value = 0.5 * w * float(np.sum(diff**2))
-    return value, -w * diff, w * diff
+    return value, lambda: (-w * diff, w * diff)
 
 
-def _ngf_core(a: Image, b: Image, eta_pt: float):
+def _ngf_forward(a: Image, b: Image, eta_pt: float):
     w = a.grid.cell_area
     ga = gradient_central(a)
     gb = gradient_central(b)
@@ -237,18 +257,23 @@ def _ngf_core(a: Image, b: Image, eta_pt: float):
     s = np.sum(ga * gb, axis=-1)
     r = s / (na * nb)
     value = 0.5 * w * float(np.sum(1.0 - r**2))
-    shared = w * r[..., None]
-    dga = -shared * (gb / (na * nb)[..., None] - (r / na**2)[..., None] * ga)
-    dgb = -shared * (ga / (na * nb)[..., None] - (r / nb**2)[..., None] * gb)
-    da = gradient_central_adjoint(dga, a.grid)
-    db = gradient_central_adjoint(dgb, b.grid)
-    return value, da, db
+
+    def backward():
+        shared = w * r[..., None]
+        dga = -shared * (gb / (na * nb)[..., None] - (r / na**2)[..., None] * ga)
+        dgb = -shared * (ga / (na * nb)[..., None] - (r / nb**2)[..., None] * gb)
+        da = gradient_central_adjoint(dga, a.grid)
+        db = gradient_central_adjoint(dgb, b.grid)
+        return da, db
+
+    return value, backward
 
 
-def _pair_core(kind, a: Image, b: Image):
+def _pair_forward(kind, a: Image, b: Image):
+    """Value of a pair term and a callable for its cotangents ``(da, db)``."""
     if isinstance(kind, SsdPair):
-        return _ssd_core(a, b)
-    return _ngf_core(a, b, kind.eta_pt)
+        return _ssd_forward(a, b)
+    return _ngf_forward(a, b, kind.eta_pt)
 
 
 def ssd_pair(ref: Image, moving: Image, field: DisplacementField):
@@ -269,7 +294,8 @@ def _one_sided_pair(kind, ref: Image, moving: Image, field: DisplacementField):
     if ref.grid != moving.grid:
         raise MeasureError("pair images must share one grid")
     warped, jac = warp_with_jacobian(moving, field)
-    value, _, db = _pair_core(kind, ref, warped)
+    value, backward = _pair_forward(kind, ref, warped)
+    _, db = backward()
     grad = db[..., None] * jac
     return value, grad
 
@@ -327,34 +353,44 @@ def _eval_pairwise(stack: ImageStack, fields, kind) -> MeasureEval:
     value = 0.0
     cots = [np.zeros(grid.dims) for _ in range(k)]
     for idx in range(1, k):
-        v, da, db = _pair_core(kind, warped[idx - 1], warped[idx])
+        v, backward = _pair_forward(kind, warped[idx - 1], warped[idx])
         value += v
+        da, db = backward()
         cots[idx - 1] += da
         cots[idx] += db
+    # eager: the solver's sequential chain is ``optimize._component_objective``,
+    # so nothing defers this stack-wide evaluation
     grads = np.stack([cots[i][..., None] * jacs[i] for i in range(k)])
-    return MeasureEval(value=float(value), grads=grads, subgradient=False, svd=None)
+    return MeasureEval(float(value), lambda: grads)
 
 
 def _eval_groupwise(stack: ImageStack, fields, kind) -> MeasureEval:
     kind = resolve_measure(kind, stack)
     fm, warped, jacs = assemble_with_chain(stack, fields, kind.feature)
     svd = thin_svd(fm)
+    negate = False
+    flagged = False
     if isinstance(kind, SchattenQ):
-        value, grad_f, flagged = _sqn_from_svd(svd, kind.q)
+        value, coeffs, flagged = _sqn_coeffs(svd, kind.q)
     elif isinstance(kind, CorrDev):
         if kind.q != 2.0:
             raise MeasureError(
                 "only the squared Schatten-2 correlation deviation has an"
                 " analytic gradient; use corr_dev for values at other q"
             )
-        value, grad_f = _corr_dev2_from_svd(svd)
-        value, grad_f = -value, -grad_f
-        flagged = False
+        value, coeffs = _corr_dev2_coeffs(svd)
+        value, negate = -value, True
     else:
-        value, grad_f = _logdet_from_svd(svd, kind.jitter)
-        flagged = False
-    grads = np.empty((stack.k, *stack.grid.dims, 2))
-    for idx in range(stack.k):
-        sens = feature_adjoint(kind.feature, warped[idx], grad_f[:, idx])
-        grads[idx] = sens[..., None] * jacs[idx]
-    return MeasureEval(value=float(value), grads=grads, subgradient=flagged, svd=svd)
+        value, coeffs = _logdet_coeffs(svd, kind.jitter)
+
+    def backward():
+        grad_f = _sigma_combination(svd, coeffs)
+        if negate:
+            grad_f = -grad_f
+        grads = np.empty((stack.k, *stack.grid.dims, 2))
+        for idx in range(stack.k):
+            sens = feature_adjoint(kind.feature, warped[idx], grad_f[:, idx])
+            grads[idx] = sens[..., None] * jacs[idx]
+        return grads
+
+    return MeasureEval(float(value), backward, flagged, svd)

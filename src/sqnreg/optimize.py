@@ -16,9 +16,23 @@ Hessian, applied to the whole stack at once, and ``eps = 1e-6 * alpha``.
 CG is truncated, not converged: at 64x64 it stops at ``cg_maxiter=200``
 with a relative residual of about 1.1, so the seed is a fixed polynomial in
 the metric rather than its inverse.  ``SolveReport.metric_solves_capped``
-counts the solves that stopped at the cap.  All inner products run through
-order-canonical accumulation, so solves are exactly invariant under
-permutations of the input stack.
+counts the solves that stopped at the cap.  CG allocates its vectors and
+the Hessian's scratch arrays once per solve and updates them in place.
+
+Line-search trials are value first.  An evaluation is split into a forward
+pass (warp, features, Gram matrix and ``eigh``, regularizer value), which
+gives the value and the subgradient flag, and a deferred backward pass
+(spectral gradient, feature adjoint, chain rule, regularizer gradient,
+projection), which reuses the forward state and runs only when the line
+search reads the slope of a trial that passed sufficient decrease, or when
+L-BFGS falls back to the best trial.  ``fevals`` counts evaluations and
+``gevals`` the gradients actually computed.  A trial whose forward pass
+raises a grid, feature, spectral or measure error, or whose value is not
+finite, is a rejected step: it counts as ``+inf`` and the line search
+shrinks the step (``SolveReport.rejected_trials``).
+
+All inner products run through order-canonical accumulation, so solves are
+exactly invariant under permutations of the input stack.
 """
 
 from __future__ import annotations
@@ -30,7 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .accum import block_dot, block_norm, mean_axis0, sorted_sum
-from .errors import ConfigError, OptimError
+from .errors import ConfigError, FeatureError, GridError, MeasureError, OptimError, SpectralError
 from .grids import DisplacementField, GridSpec, ImageStack, prolong, restrict_stack
 from .measures import (
     GROUPWISE_KINDS,
@@ -42,6 +56,9 @@ from .measures import (
 from .regularize import RegKind, reg_eval, reg_glo, reg_hessian_apply
 
 CONSTRAINTS = ("none", "fix_first", "zero_mean")
+
+# errors of a forward pass that make a line-search trial a rejected step
+TRIAL_ERRORS = (GridError, FeatureError, SpectralError, MeasureError)
 
 
 @dataclass(frozen=True)
@@ -139,6 +156,8 @@ class SolveReport:
     metric_solves: int = 0
     # metric solves whose CG hit ``cg_maxiter`` with the residual above ``cg_tol``
     metric_solves_capped: int = 0
+    # line-search trials that raised in their forward pass or had a non-finite value
+    rejected_trials: int = 0
 
     @property
     def final_value(self) -> float:
@@ -180,30 +199,49 @@ def _project_point(x: np.ndarray, constraint: str) -> np.ndarray:
     return x
 
 
-def objective(spec: ObjectiveSpec, stack: ImageStack, fields):
-    """Evaluate ``J`` and its per-field gradients under the chosen constraint.
+def objective_trial(spec: ObjectiveSpec, stack: ImageStack, fields):
+    """Forward pass of ``objective``: the value now, the gradients on demand.
 
-    ``fields`` may be a list of ``DisplacementField`` or a raw array of shape
-    (K, m1, m2, 2).  Returns ``(value, grads, subgradient_flag)``.
+    Returns ``(value, gradient, subgradient_flag)``, where ``gradient`` is a
+    zero-argument callable that runs the backward pass from the state the
+    forward pass kept and returns what ``objective`` returns as ``grads``,
+    bit for bit.
     """
     if isinstance(fields, np.ndarray):
         fields = _array_to_fields(stack.grid, fields)
     me = measure_eval(stack, list(fields), spec.measure)
     if spec.mode == "groupwise":
-        reg_value, reg_grads = reg_glo(fields, spec.regularizer)
+        reg_value, reg_gradient = reg_glo(fields, spec.regularizer, deferred=True)
     else:
         # the first image is the anchor of the sequential chain; it carries
-        # no regularization term of its own
-        reg_grads = np.zeros_like(me.grads)
+        # no regularization term of its own.  This objective is off the
+        # solve path (the solver minimizes ``_component_objective``), so it
+        # stays eager.
+        reg_grads = np.zeros((stack.k, *stack.grid.dims, 2))
         parts = []
         for k in range(1, stack.k):
             v, g = reg_eval(spec.regularizer, fields[k])
             parts.append(v)
             reg_grads[k] = g
         reg_value = sorted_sum(parts)
-    value = me.value + reg_value
-    grads = _project_gradient(me.grads + reg_grads, spec.constraint)
-    return value, grads, me.subgradient
+
+        def reg_gradient():
+            return reg_grads
+
+    def gradient():
+        return _project_gradient(me.grads + reg_gradient(), spec.constraint)
+
+    return me.value + reg_value, gradient, me.subgradient
+
+
+def objective(spec: ObjectiveSpec, stack: ImageStack, fields):
+    """Evaluate ``J`` and its per-field gradients under the chosen constraint.
+
+    ``fields`` may be a list of ``DisplacementField`` or a raw array of shape
+    (K, m1, m2, 2).  Returns ``(value, grads, subgradient_flag)``.
+    """
+    value, gradient, subgradient = objective_trial(spec, stack, fields)
+    return value, gradient(), subgradient
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +253,8 @@ def _cg_solve(apply_b, rhs: np.ndarray, tol: float, maxiter: int):
 
     Returns ``(x, iterations, residual)``: the number of completed CG
     updates and the final recursive residual norm relative to ``|rhs|``.
+    The vectors and one temporary are allocated once and updated in place;
+    ``apply_b`` may return the same array on every call.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -223,6 +263,7 @@ def _cg_solve(apply_b, rhs: np.ndarray, tol: float, maxiter: int):
     if rhs_norm == 0.0:
         return x, 0, 0.0
     p = r.copy()
+    tmp = np.empty_like(rhs)
     iterations = 0
     while iterations < maxiter:
         bp = apply_b(p)
@@ -230,14 +271,16 @@ def _cg_solve(apply_b, rhs: np.ndarray, tol: float, maxiter: int):
         if denom <= 0.0:
             break
         a = rs / denom
-        x += a * p
-        r -= a * bp
+        x += np.multiply(p, a, out=tmp)
+        r -= np.multiply(bp, a, out=tmp)
         iterations += 1
         rs_new = block_dot(r, r)
         rs_prev, rs = rs, rs_new
         if math.sqrt(max(rs_new, 0.0)) <= tol * rhs_norm:
             break
-        p = r + (rs_new / rs_prev) * p
+        # p = r + beta * p, in place
+        p *= rs_new / rs_prev
+        p += r
     return x, iterations, math.sqrt(max(rs, 0.0)) / rhs_norm
 
 
@@ -245,12 +288,16 @@ def _make_metric_solve(reg_kind: RegKind, grid: GridSpec, opts: SolveOptions,
                        counters: _Counters):
     eps = opts.metric_eps_rel * reg_kind.alpha
 
-    def apply_b(z: np.ndarray) -> np.ndarray:
-        out = reg_hessian_apply(reg_kind, grid, z)
-        out += eps * z
-        return out
-
     def solve(q: np.ndarray) -> np.ndarray:
+        # output and scratch of the matvec, shared by all CG iterations
+        bz = np.empty_like(q)
+        work = (np.empty_like(q), np.empty_like(q))
+
+        def apply_b(z: np.ndarray) -> np.ndarray:
+            out = reg_hessian_apply(reg_kind, grid, z, out=bz, work=work)
+            out += np.multiply(z, eps, out=work[0])
+            return out
+
         z, iterations, residual = _cg_solve(apply_b, q, opts.cg_tol, opts.cg_maxiter)
         counters.metric_solves += 1
         if iterations == opts.cg_maxiter and residual > opts.cg_tol:
@@ -267,27 +314,55 @@ def _make_metric_solve(reg_kind: RegKind, grid: GridSpec, opts: SolveOptions,
 @dataclass
 class _Counters:
     fevals: int = 0
-    gevals: int = 0
+    gevals: int = 0  # gradients actually computed
     budget: int | None = None
     metric_solves: int = 0
     metric_solves_capped: int = 0  # stopped at cg_maxiter above cg_tol
+    rejected_trials: int = 0
 
     def charge(self):
         self.fevals += 1
-        self.gevals += 1
 
     @property
     def exhausted(self) -> bool:
         return self.budget is not None and self.fevals >= self.budget
 
 
-@dataclass
 class _Eval:
-    alpha: float
-    value: float
-    grad: np.ndarray
-    slope: float
-    subgradient: bool
+    """One point on the search line.
+
+    ``grad`` is an array, a zero-argument callable that computes it, or
+    None for a rejected trial.  The gradient and the slope along
+    ``direction`` are computed on first access.
+    """
+
+    def __init__(self, alpha: float, value: float, grad, subgradient: bool,
+                 direction: np.ndarray | None = None, slope: float | None = None):
+        self.alpha = alpha
+        self.value = value
+        self.subgradient = subgradient
+        self._grad = grad
+        self._direction = direction
+        self._slope = slope
+
+    @property
+    def grad(self) -> np.ndarray:
+        if callable(self._grad):
+            self._grad = self._grad()
+        if self._grad is None:
+            raise OptimError("no gradient at a rejected or released line-search trial")
+        return self._grad
+
+    @property
+    def slope(self) -> float:
+        if self._slope is None:
+            self._slope = block_dot(self.grad, self._direction)
+        return self._slope
+
+    def release(self):
+        """Drop the forward state of a gradient that was never computed."""
+        if callable(self._grad):
+            self._grad = None
 
 
 class _LineSearchResult:
@@ -303,17 +378,33 @@ def _strong_wolfe(fun, x, p, f0, slope0, opts: SolveOptions, counters: _Counters
 
     Returns the accepted evaluation, or the best strictly-decreasing
     evaluation seen with ``ok=False`` when bracketing or the bisection cap
-    fails.
+    fails.  ``fun`` may return its gradient as a zero-argument callable; it
+    is then called only for trials that pass sufficient decrease and for the
+    returned fallback, and the forward state is kept only for the current
+    trial and the best one.  A trial that raises one of ``TRIAL_ERRORS`` or
+    has a non-finite value counts as ``+inf``.
     """
     c1, c2 = opts.wolfe_c1, opts.wolfe_c2
     best: _Eval | None = None
+    current: _Eval | None = None
 
     def evaluate(alpha: float) -> _Eval:
-        nonlocal best
-        value, grad, sub = fun(x + alpha * p)
-        ev = _Eval(alpha, value, grad, block_dot(grad, p), sub)
+        nonlocal best, current
+        try:
+            value, grad, sub = fun(x + alpha * p)
+        except TRIAL_ERRORS:
+            value = math.nan
+        if not math.isfinite(value):
+            counters.rejected_trials += 1
+            value, grad, sub = math.inf, None, False
+        ev = _Eval(alpha, value, grad, sub, direction=p)
+        stale = (current, best)
+        current = ev
         if best is None or ev.value < best.value:
             best = ev
+        for old in stale:
+            if old is not None and old is not best:
+                old.release()
         return ev
 
     def fallback(reason: str) -> _LineSearchResult:
@@ -336,7 +427,7 @@ def _strong_wolfe(fun, x, p, f0, slope0, opts: SolveOptions, counters: _Counters
                 lo = mid
         return fallback("bisection_cap")
 
-    prev = _Eval(0.0, f0, None, slope0, False)
+    prev = _Eval(0.0, f0, None, False, slope=slope0)
     alpha = first_trial
     for i in range(opts.ls_max_expand):
         if counters.exhausted:
@@ -376,7 +467,11 @@ def lbfgs(
 ) -> _LbfgsOutcome:
     """Limited-memory BFGS minimization of ``fun``.
 
-    ``fun`` maps an array to ``(value, grad, subgradient_flag)``.  With
+    ``fun`` maps an array to ``(value, grad, subgradient_flag)``; ``grad``
+    may be an array or a zero-argument callable that computes it, which
+    the line search calls only when it needs the slope.  Only the start
+    point's errors propagate; a line-search trial that fails is a rejected
+    step (see ``_strong_wolfe``).  With
     ``metric_solve`` the two-loop recursion seeds with the regularizer
     metric; otherwise the usual ``s.y / y.y`` scaled identity is used.  In
     metric-seeded runs the first trial of each line search is capped at
@@ -389,7 +484,16 @@ def lbfgs(
 
     def charged(z):
         counters.charge()
-        return fun(z)
+        value, grad, sub = fun(z)
+        if not callable(grad):
+            counters.gevals += 1
+            return value, grad, sub
+
+        def gradient():
+            counters.gevals += 1
+            return grad()
+
+        return value, gradient, sub
 
     x = x0.copy()
     if project_point is not None:
@@ -397,6 +501,8 @@ def lbfgs(
     if counters.exhausted:
         return _LbfgsOutcome(x, math.nan, "budget", 0)
     value, grad, sub = charged(x)
+    if callable(grad):
+        grad = grad()
     gnorm = block_norm(grad)
     gnorm0 = gnorm
     s_list: list[np.ndarray] = []
@@ -510,7 +616,7 @@ def _solve_level_groupwise(spec, stack, x0, opts, counters, trace, level, t0):
         metric = _make_metric_solve(spec.regularizer, stack.grid, opts, counters)
 
     def fun(x):
-        return objective(spec, stack, x)
+        return objective_trial(spec, stack, x)
 
     def project(x):
         return _project_point(x, spec.constraint)
@@ -536,9 +642,10 @@ def _component_objective(spec, stack, fields, idx):
     """Objective restricted to field ``idx`` in a sequential chain.
 
     Only the pair terms touching image ``idx`` and its own regularizer vary;
-    neighbors enter through their current (frozen) warped images.
+    neighbors enter through their current (frozen) warped images.  Like
+    ``objective_trial`` it returns the gradient as a zero-argument callable.
     """
-    from .measures import _pair_core  # local import to keep the API surface small
+    from .measures import _pair_forward  # local import to keep the API surface small
     from .grids import warp_with_jacobian
 
     left = None
@@ -553,19 +660,26 @@ def _component_objective(spec, stack, fields, idx):
         u = DisplacementField(grid, x[0])
         warped, jac = warp_with_jacobian(stack[idx], u)
         value = 0.0
-        cot = np.zeros(grid.dims)
+        # (pair backward, position of image idx in the pair)
+        pairs = []
         if left is not None:
-            v, _, db = _pair_core(spec.measure, left, warped)
+            v, backward = _pair_forward(spec.measure, left, warped)
             value += v
-            cot += db
+            pairs.append((backward, 1))
         if right is not None:
-            v, da, _ = _pair_core(spec.measure, warped, right)
+            v, backward = _pair_forward(spec.measure, warped, right)
             value += v
-            cot += da
-        rv, rg = reg_eval(spec.regularizer, u)
+            pairs.append((backward, 0))
+        rv, reg_gradient = reg_eval(spec.regularizer, u, deferred=True)
         value += rv
-        grads = (cot[..., None] * jac + rg)[None, ...]
-        return value, grads, False
+
+        def gradient():
+            cot = np.zeros(grid.dims)
+            for backward, side in pairs:
+                cot += backward()[side]
+            return (cot[..., None] * jac + reg_gradient())[None, ...]
+
+        return value, gradient, False
 
     return fun
 
@@ -693,4 +807,5 @@ def multilevel_solve(
         line_search_failures=failures,
         metric_solves=counters.metric_solves,
         metric_solves_capped=counters.metric_solves_capped,
+        rejected_trials=counters.rejected_trials,
     )

@@ -2,8 +2,9 @@
 
 The feature matrix F is tall (n >> K), so singular values and right singular
 vectors come from an eigendecomposition of ``C = w * F^T F``; left singular
-vectors are applied lazily as ``u_k = sqrt(w) * F v_k / sigma_k``.  The n x K
-matrix is never factorized directly.
+vectors are formed as ``u_k = sqrt(w) * F v_k / sigma_k`` on first access of
+``ThinSvd.u``, so evaluations that only need the spectrum never build the
+n x K matrix.  The n x K matrix is never factorized directly.
 
 Columns are brought into a canonical content-based order before the
 eigensolver runs.  LAPACK is not permutation-equivariant at the last bit, and
@@ -14,7 +15,8 @@ reordering of the input stack (provided columns are pairwise distinct).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,11 +54,14 @@ class ThinSvd:
     rest are zero-filled).  ``eigenvalues`` are the clamped Gram eigenvalues,
     i.e. ``sigma**2``; ``eigenvalues_raw`` keeps the possibly slightly
     negative eigensolver output for rank diagnostics.
+
+    ``u`` is computed on first access from the canonically ordered feature
+    columns and eigenvectors kept here, with the same operations an eager
+    computation would use, so it is bit-identical to one.
     """
 
     sigma: np.ndarray
     v: np.ndarray
-    u: np.ndarray
     u_valid: np.ndarray
     eigenvalues: np.ndarray
     eigenvalues_raw: np.ndarray
@@ -64,10 +69,29 @@ class ThinSvd:
     quad_weight: float
     eps_sigma: float
     eps_gap: float
+    # feature columns and Gram eigenvectors in canonical column order, and
+    # the columns the sign convention flipped: what ``u`` is formed from
+    ordered_entries: np.ndarray = field(repr=False)
+    ordered_v: np.ndarray = field(repr=False)
+    flipped: np.ndarray = field(repr=False)
 
     @property
     def k(self) -> int:
         return self.sigma.size
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        n, k = self.ordered_entries.shape
+        u = np.zeros((n, k))
+        if self.u_valid.any():
+            cols = np.flatnonzero(self.u_valid)
+            u[:, cols] = (
+                np.sqrt(self.quad_weight)
+                * (self.ordered_entries @ self.ordered_v[:, cols])
+                / self.sigma[cols]
+            )
+        u[:, self.flipped] = -u[:, self.flipped]
+        return u
 
     @property
     def any_gap_flag(self) -> bool:
@@ -112,13 +136,14 @@ def gram(fm: FeatureMatrix) -> CorrelationMatrix:
 def thin_svd(fm: FeatureMatrix) -> ThinSvd:
     """Singular values and vectors of the weighted feature matrix.
 
-    Left vectors are formed as ``sqrt(w) F v_k / sigma_k`` only where
-    ``sigma_k`` exceeds the stability threshold; the deterministic sign
-    convention makes the largest-magnitude entry of each ``v_k`` positive,
-    ties broken by the lowest index within the canonical column order.
+    Left vectors are formed as ``sqrt(w) F v_k / sigma_k`` (on first access
+    of ``u``) only where ``sigma_k`` exceeds the stability threshold; the
+    deterministic sign convention makes the largest-magnitude entry of each
+    ``v_k`` positive, ties broken by the lowest index within the canonical
+    column order.
     """
     _validate(fm)
-    n, k = fm.entries.shape
+    k = fm.k
     w = fm.quad_weight
     order = _canonical_order(fm.entries)
     fs = np.ascontiguousarray(fm.entries[:, order])
@@ -137,10 +162,6 @@ def thin_svd(fm: FeatureMatrix) -> ThinSvd:
     eps_sigma = EPS_SIGMA_REL * sigma[0]
     eps_gap = EPS_GAP_REL * sigma[0]
     u_valid = sigma > eps_sigma
-    u = np.zeros((n, k))
-    if u_valid.any():
-        cols = np.flatnonzero(u_valid)
-        u[:, cols] = np.sqrt(w) * (fs @ vs[:, cols]) / sigma[cols]
     gaps = np.full(k, np.inf)
     if k > 1:
         d = np.abs(np.diff(sigma))
@@ -152,15 +173,15 @@ def thin_svd(fm: FeatureMatrix) -> ThinSvd:
     # sign convention on the original row order: largest-magnitude entry of
     # each v_k positive, ties broken by lowest index; u flips with v, so all
     # downstream u v^T products are unaffected by the choice
+    flipped = np.zeros(k, dtype=bool)
     for col in range(k):
         peak = np.argmax(np.abs(v[:, col]))
         if v[peak, col] < 0:
             v[:, col] = -v[:, col]
-            u[:, col] = -u[:, col]
+            flipped[col] = True
     return ThinSvd(
         sigma=sigma,
         v=v,
-        u=u,
         u_valid=u_valid,
         eigenvalues=lam,
         eigenvalues_raw=lam_raw,
@@ -168,6 +189,9 @@ def thin_svd(fm: FeatureMatrix) -> ThinSvd:
         quad_weight=w,
         eps_sigma=eps_sigma,
         eps_gap=eps_gap,
+        ordered_entries=fs,
+        ordered_v=vs,
+        flipped=flipped,
     )
 
 

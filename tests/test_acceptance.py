@@ -143,6 +143,7 @@ def mean_pairwise_ngf(stack, fields):
 # criterion 1: every analytic gradient path vs central differences
 
 
+@pytest.mark.slow
 class TestGradientSuite:
     def test_all_paths_within_tolerance(self):
         t0 = time.monotonic()
@@ -315,6 +316,7 @@ class TestAnalyticExtremes:
 # criterion 4: permutation invariance of the groupwise solve
 
 
+@pytest.mark.slow
 class TestPermutationInvariance:
     def test_fields_match_after_unpermuting(self, permutation_solves):
         base, permuted, perm, _ = permutation_solves
@@ -339,6 +341,7 @@ class TestPermutationInvariance:
 # criterion 5: translation recovery on a shifted-disk stack
 
 
+@pytest.mark.slow
 class TestTranslationRecovery:
     @pytest.mark.parametrize("name", ["sqn4", "sqn_inf", "logdet"])
     def test_recovers_within_half_pixel(self, name, recovery_instance, recovery_solves):
@@ -406,6 +409,7 @@ class TestDegeneracyContrast:
 # criterion 7: monotone descent on all reported solves
 
 
+@pytest.mark.slow
 class TestMonotoneDescent:
     def assert_monotone(self, report):
         runs = list(iter_runs(report))
@@ -436,6 +440,7 @@ class TestMonotoneDescent:
 # criterion 8: budget-matched groupwise vs one sequential sweep
 
 
+@pytest.mark.slow
 class TestEfficiencyBudget:
     def test_groupwise_beats_sweep_at_equal_fevals(
         self, recovery_instance, sequential_sweep

@@ -132,6 +132,7 @@ class TestRegisterCommand:
         assert (override / "metrics.csv").is_file()
 
 
+@pytest.mark.slow
 class TestGradcheckCommand:
     def test_default_passes(self, capsys):
         assert main(["gradcheck", "--seed", "1"]) == 0

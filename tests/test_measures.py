@@ -287,6 +287,7 @@ def test_groupwise_eval_at_global_minimizer():
     assert np.linalg.norm(ev.grads) <= 1e-8
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize(
     "kind",
     [
@@ -315,6 +316,7 @@ def test_measure_eval_gradients_match_fd(kind):
     assert relative_error(ev.grads, fd) <= 1e-6
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("kind", [SsdPair(), NgfPair(eta_pt=3e-2)])
 def test_pairwise_stack_eval_gradients_match_fd(kind):
     stack, fields = fd_instance(6, k=3)

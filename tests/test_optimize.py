@@ -1,18 +1,22 @@
 """Solver tests: generic L-BFGS behavior, objective gradients, and the
 registration drivers (groupwise, Gauss-Seidel, multilevel)."""
 
+import math
+
 import numpy as np
 import pytest
 
-from sqnreg.errors import ConfigError, OptimError
+from sqnreg.errors import ConfigError, GridError, MeasureError, OptimError
 from sqnreg.grids import DisplacementField, GridSpec, Image, ImageStack, zero_field
-from sqnreg.measures import NgfPair, SchattenQ, SsdPair, measure_eval
+from sqnreg.measures import CorrDev, LogDet, NgfPair, SchattenQ, SsdPair, measure_eval
 from sqnreg.features import IntensityFeature, NgfFeature
 from sqnreg.optimize import (
+    LevelTrace,
     ObjectiveSpec,
     SolveOptions,
     _Counters,
     _cg_solve,
+    _component_objective,
     _make_metric_solve,
     _strong_wolfe,
     build_pyramid,
@@ -20,6 +24,7 @@ from sqnreg.optimize import (
     lbfgs,
     multilevel_solve,
     objective,
+    objective_trial,
 )
 from sqnreg.oracles import fd_gradient
 from sqnreg.regularize import Diffusion, Elastic, reg_hessian_apply
@@ -149,6 +154,7 @@ class TestObjective:
         rv, _ = reg_glo(fields, spec.regularizer)
         assert value == pytest.approx(me.value + rv, rel=1e-14)
 
+    @pytest.mark.slow
     @pytest.mark.parametrize(
         "mode,measure,reg",
         [
@@ -367,3 +373,144 @@ class TestMetricSolve:
             assert all(np.isfinite(values))
             assert all(b < a for a, b in zip(values, values[1:]))
             assert trace.terminations
+
+
+class TestValueFirstTrials:
+    @pytest.mark.parametrize("reg", [Diffusion(alpha=1e-2), Elastic(mu=1.0, lam=0.5, alpha=1e-2)])
+    @pytest.mark.parametrize(
+        "mode,measure",
+        [
+            ("groupwise", SchattenQ(q=4.0)),
+            ("groupwise", SchattenQ(q=math.inf)),
+            ("groupwise", CorrDev(q=2.0)),
+            ("groupwise", LogDet()),
+            ("sequential", SsdPair()),
+            ("sequential", NgfPair(eta_pt=1e-2)),
+        ],
+    )
+    def test_trial_matches_objective_bitexact(self, mode, measure, reg):
+        stack, fields = fd_instance(7, k=3)
+        spec = ObjectiveSpec(measure, reg, mode=mode)
+        value, grads, sub = objective(spec, stack, fields)
+        t_value, gradient, t_sub = objective_trial(spec, stack, np.stack([f.u for f in fields]))
+        assert t_value == value
+        assert t_sub == sub
+        assert np.array_equal(gradient(), grads)
+
+    @pytest.mark.parametrize("measure", [SsdPair(), NgfPair(eta_pt=1e-2)])
+    def test_component_gradient_equals_full_objective_bitexact(self, measure):
+        # the sequential solver minimizes one field at a time; its deferred
+        # gradient must be the full objective's gradient for that field
+        stack, fields = fd_instance(8, k=4)
+        spec = ObjectiveSpec(measure, Diffusion(alpha=1e-2), mode="sequential")
+        _, grads, _ = objective(spec, stack, fields)
+        for idx in range(1, stack.k):
+            fun = _component_objective(spec, stack, fields, idx)
+            _, gradient, _ = fun(fields[idx].u[None, ...])
+            assert np.array_equal(gradient()[0], grads[idx])
+
+    def test_no_gradient_for_trials_failing_sufficient_decrease(self):
+        opts = SolveOptions()
+        trials = []
+        graded = []
+
+        def value_of(t):
+            return (t - 0.3) ** 2
+
+        def fun(z):
+            t = float(z[0])
+            trials.append(t)
+
+            def gradient():
+                graded.append(t)
+                return np.array([2.0 * (t - 0.3)])
+
+            return value_of(t), gradient, False
+
+        # x = 0 and p = 1, so each trial point is its step length exactly
+        f0, slope0 = value_of(0.0), -0.6
+        ls = _strong_wolfe(fun, np.zeros(1), np.ones(1), f0, slope0, opts, _Counters())
+        assert ls.ok
+        sufficient = [t for t in trials if value_of(t) <= f0 + opts.wolfe_c1 * t * slope0]
+        assert len(sufficient) < len(trials)
+        assert graded == sufficient
+        assert np.array_equal(ls.ev.grad, [2.0 * (ls.ev.alpha - 0.3)])
+
+    def test_fallback_trial_keeps_its_deferred_gradient(self):
+        # the first trial (t = 0.5) decreases J but fails sufficient
+        # decrease; the one bisection allowed lands on a bump (t = 0.25), so
+        # the search falls back to the first trial.  Its gradient is formed
+        # only when the caller reads it, from the state the trial kept.
+        opts = SolveOptions(wolfe_c1=0.5, ls_max_bisect=1)
+        graded = []
+
+        def fun(z):
+            t = float(z[0])
+
+            def gradient():
+                graded.append(t)
+                return np.array([2.0 * (t - 0.3)])
+
+            value = 0.1 if abs(t - 0.25) < 0.1 else (t - 0.3) ** 2
+            return value, gradient, False
+
+        ls = _strong_wolfe(fun, np.zeros(1), np.ones(1), 0.09, -0.6, opts, _Counters(), 0.5)
+        assert not ls.ok and ls.reason == "bisection_cap"
+        assert ls.ev.alpha == 0.5 and graded == []
+        assert np.array_equal(ls.ev.grad, [0.4])
+        assert graded == [0.5]
+
+    def test_gevals_counts_computed_gradients(self):
+        stack = shifted_blob_stack((16, 16), [(0.0, 0.0), (0.04, -0.02), (-0.03, 0.02)])
+        spec = ObjectiveSpec(SchattenQ(q=4.0), Diffusion(alpha=1e-3))
+        report = multilevel_solve(spec, stack, SolveOptions(maxiter=10))
+        assert 0 < report.gevals < report.fevals
+        assert list(report.all_records())[-1].gevals == report.gevals
+        # a plain-array objective computes a gradient at every evaluation
+        counters = _Counters()
+        lbfgs(rosenbrock, np.array([-1.2, 1.0]), SolveOptions(maxiter=30), counters=counters)
+        assert counters.gevals == counters.fevals
+
+    @pytest.mark.parametrize("failure", ["raise", "nan", "inf"])
+    def test_failing_trials_are_rejected_steps(self, failure):
+        a = np.array([3.0, -2.0])
+
+        def fun(x):
+            if np.abs(x).max() > 1.0:
+                if failure == "raise":
+                    raise MeasureError("outside the valid region")
+                return (math.nan if failure == "nan" else math.inf), None, False
+            return 0.5 * float(np.sum((x - a) ** 2)), x - a, False
+
+        counters = _Counters()
+        trace = LevelTrace(0, (0, 0))
+        out = lbfgs(fun, np.zeros(2), SolveOptions(maxiter=20), counters=counters, trace=trace)
+        values = [r.value for r in trace.records]
+        assert len(values) > 2
+        assert all(b < a for a, b in zip(values, values[1:]))
+        assert counters.rejected_trials > 0
+        assert np.abs(out.x).max() <= 1.0
+        if failure == "raise":
+            # the start point of a run is not a trial: its errors propagate
+            with pytest.raises(MeasureError):
+                lbfgs(fun, np.full(2, 5.0), SolveOptions())
+
+    def test_solve_report_counts_rejected_trials(self, monkeypatch):
+        import sqnreg.optimize as optimize
+
+        trial = optimize.objective_trial
+
+        def guarded(spec, stack, x):
+            if np.abs(x).max() > 0.01:
+                raise GridError("displacement outside the trusted range")
+            return trial(spec, stack, x)
+
+        monkeypatch.setattr(optimize, "objective_trial", guarded)
+        stack = shifted_blob_stack((16, 16), [(0.0, 0.0), (0.05, 0.0), (0.0, -0.05)])
+        spec = ObjectiveSpec(SchattenQ(q=4.0), Diffusion(alpha=1e-3))
+        report = multilevel_solve(spec, stack, SolveOptions(maxiter=10))
+        assert report.rejected_trials > 0
+        values = [r.value for r in report.all_records()]
+        assert len(values) > 1
+        assert all(b < a for a, b in zip(values, values[1:]))
+        assert max(np.abs(f.u).max() for f in report.fields) <= 0.01

@@ -9,6 +9,7 @@ from sqnreg.oracles import fd_gradient, relative_error
 from sqnreg.regularize import (
     Diffusion,
     Elastic,
+    _divide,
     _stack_value_grad,
     diffusion,
     elastic,
@@ -253,3 +254,55 @@ def test_stack_kernel_permutation_equivariant_bitexact(kind):
     assert np.array_equal(values_p, values[perm])
     assert np.array_equal(grads_p, grads[perm])
     assert np.array_equal(reg_hessian_apply(kind, g, u[perm]), reg_hessian_apply(kind, g, u)[perm])
+
+
+@pytest.mark.parametrize("h", [1.0, 2.0, 0.45])
+def test_divide_has_the_bits_of_a_division(h):
+    # spacing 1 skips the division; zeros, both signs and magnitudes down to
+    # subnormal results included
+    rng = rng_for(9)
+    a = rng.standard_normal(4000) * 10.0 ** rng.uniform(-320.0, 300.0, size=4000)
+    a[:4] = [0.0, -0.0, 5e-324, -5e-324]
+    got = a.copy()
+    with np.errstate(over="ignore"):
+        _divide(got, h)
+        want = a / h
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("spacing", [(1.0, 2.0), (0.5, 0.25), (0.45, 0.7)])
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_hessian_apply_into_out_matches_allocating_call(kind, spacing):
+    g = GridSpec((9, 7), spacing=spacing)
+    u = random_stack(8, g, k=3)
+    want = reg_hessian_apply(kind, g, u)
+    for k in range(u.shape[0]):
+        assert np.array_equal(want[k], _reference_value_grad(kind, g, u[k])[1])
+    for x, ref in ((u, want), (u[1], want[1])):
+        # NaN-filled buffers: every entry of the result must be written
+        out = np.full_like(x, np.nan)
+        work = (np.full_like(x, np.nan), np.full_like(x, np.nan))
+        assert reg_hessian_apply(kind, g, x, out=out, work=work) is out
+        assert np.array_equal(out, ref)
+        # reused buffers give the same result again
+        assert np.array_equal(reg_hessian_apply(kind, g, x, out=out, work=work), ref)
+        out = np.full_like(x, np.nan)
+        assert np.array_equal(reg_hessian_apply(kind, g, x, out=out), ref)
+
+
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_deferred_gradient_matches_eager_bitexact(kind):
+    g = odd_grid()
+    u = random_stack(10, g, k=4)
+    fields = [DisplacementField(g, uk) for uk in u]
+    value, grads = reg_glo(fields, kind)
+    d_value, gradient = reg_glo(fields, kind, deferred=True)
+    assert d_value == value
+    first = gradient()
+    assert np.array_equal(first, grads)
+    # a second call returns the same gradients, not a recomputation from
+    # state the first call consumed
+    assert gradient() is first
+    v_one, g_one = reg_eval(kind, fields[2], deferred=True)
+    assert v_one == reg_eval(kind, fields[2])[0]
+    assert np.array_equal(g_one(), reg_eval(kind, fields[2])[1])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from sqnreg.errors import SpectralError
 from sqnreg.features import FeatureMatrix
 from sqnreg.oracles import fd_gradient, relative_error
-from sqnreg.spectral import dsigma, gram, thin_svd
+from sqnreg.spectral import EPS_SIGMA_REL, _canonical_order, dsigma, gram, thin_svd
 
 from conftest import rng_for
 
@@ -120,6 +120,41 @@ def test_sigma_invariant_and_v_equivariant_under_permutation():
     assert np.array_equal(svd.sigma, svd_p.sigma)
     assert np.array_equal(svd_p.v, svd.v[perm, :])
     assert np.array_equal(svd_p.u, svd.u)
+
+
+def _eager_left_vectors(fm):
+    """Left singular vectors formed up front, with the operations
+    ``thin_svd`` used before ``u`` became lazy."""
+    k = fm.k
+    w = fm.quad_weight
+    order = _canonical_order(fm.entries)
+    fs = np.ascontiguousarray(fm.entries[:, order])
+    cs = w * (fs.T @ fs)
+    cs = 0.5 * (cs + cs.T)
+    lam_asc, vecs = np.linalg.eigh(cs)
+    vs = vecs[:, ::-1].copy()
+    sigma = np.sqrt(np.maximum(lam_asc[::-1], 0.0))
+    u = np.zeros((fm.n, k))
+    cols = np.flatnonzero(sigma > EPS_SIGMA_REL * sigma[0])
+    u[:, cols] = np.sqrt(w) * (fs @ vs[:, cols]) / sigma[cols]
+    v = np.empty_like(vs)
+    v[order, :] = vs
+    for col in range(k):
+        if v[np.argmax(np.abs(v[:, col])), col] < 0:
+            u[:, col] = -u[:, col]
+    return u
+
+
+def test_lazy_left_vectors_equal_eager_ones_bitexact():
+    rng = rng_for(23)
+    rank_deficient = np.zeros((6, 3))
+    rank_deficient[0, :2] = 1.0
+    rank_deficient[1, 2] = 1.0
+    for fm in (fm_random(rng, n=40, k=6, w=0.04), FeatureMatrix(rank_deficient)):
+        svd = thin_svd(fm)
+        assert "u" not in vars(svd)  # thin_svd itself does not form U
+        assert np.array_equal(svd.u, _eager_left_vectors(fm))
+        assert svd.u is svd.u
 
 
 def test_rank_deficiency_is_visible_in_spectrum():
