@@ -116,7 +116,10 @@ def _cmd_register(args) -> int:
     save_pgm(cut_view(warped, 1, mid), out / "cut_final.pgm")
     print(
         f"registered {stack.k} images on {stack.grid.dims[0]}x{stack.grid.dims[1]} grid: "
-        f"J={report.final_value!r} fevals={report.fevals} "
+        f"J={report.final_value!r} fevals={report.fevals} gevals={report.gevals} "
+        f"line_search_failures={report.line_search_failures} "
+        f"rejected_trials={report.rejected_trials} "
+        f"metric_solves_capped={report.metric_solves_capped} "
         f"elapsed={report.elapsed:.2f}s -> {out}"
     )
     return 0

@@ -19,6 +19,15 @@ the metric rather than its inverse.  ``SolveReport.metric_solves_capped``
 counts the solves that stopped at the cap.  CG allocates its vectors and
 the Hessian's scratch arrays once per solve and updates them in place.
 
+The line search brackets a strong Wolfe step and zooms in with safeguarded
+quadratic interpolation (Nocedal & Wright, Alg. 3.6): each zoom trial
+minimizes the quadratic through the value and slope at the bracket's low end
+and the value at its high end, clamped to the inner 80 % of the bracket, and
+falls back to the midpoint when the high end was rejected or the quadratic
+is not convex.  It needs no extra gradient: the slope at the low end has
+always been read.  In metric-seeded runs the first trial is capped at
+``first_step_scale / |p|_inf``.
+
 Line-search trials are value first.  An evaluation is split into a forward
 pass (warp, features, Gram matrix and ``eigh``, regularizer value), which
 gives the value and the subgradient flag, and a deferred backward pass
@@ -92,7 +101,12 @@ class ObjectiveSpec:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Solver knobs shared by all levels."""
+    """Solver knobs shared by all levels.
+
+    ``ls_max_bisect`` caps the zoom trials of one line search; they are
+    interpolated, not bisected, but the name and the ``bisection_cap``
+    outcome it leads to are kept for existing callers.
+    """
 
     levels: int = 1
     maxiter: int = 50
@@ -365,6 +379,31 @@ class _Eval:
             self._grad = None
 
 
+# share of the bracket kept free at each end of an interpolated zoom trial
+_ZOOM_SAFEGUARD = 0.1
+
+
+def _zoom_trial(lo: _Eval, hi: _Eval) -> float:
+    """Step of the next zoom trial inside the bracket ``[lo, hi]``.
+
+    The minimizer of the quadratic through ``f(lo)``, ``phi'(lo)`` and
+    ``f(hi)`` (Nocedal & Wright, Alg. 3.6), clamped to the inner 80 % of the
+    bracket, which may be reversed (``lo.alpha > hi.alpha``).  The midpoint
+    when ``hi`` is a rejected trial or the quadratic is not convex.  The
+    slope at ``lo`` has always been read already: ``lo`` is the start point
+    or a trial that passed sufficient decrease.
+    """
+    a, b = lo.alpha, hi.alpha
+    d = b - a
+    # c * d**2 for the quadratic f(lo) + phi'(lo) (t - a) + c (t - a)**2
+    curvature = hi.value - lo.value - lo.slope * d
+    if not math.isfinite(hi.value) or not curvature > 0.0:
+        return 0.5 * (a + b)
+    t = a - 0.5 * lo.slope * d * d / curvature
+    margin = _ZOOM_SAFEGUARD * abs(d)
+    return min(max(t, min(a, b) + margin), max(a, b) - margin)
+
+
 class _LineSearchResult:
     def __init__(self, ev: _Eval | None, ok: bool, reason: str):
         self.ev = ev
@@ -374,15 +413,17 @@ class _LineSearchResult:
 
 def _strong_wolfe(fun, x, p, f0, slope0, opts: SolveOptions, counters: _Counters,
                   first_trial: float = 1.0):
-    """Bracket + bisection zoom for the strong Wolfe conditions.
+    """Bracket + interpolating zoom for the strong Wolfe conditions.
 
-    Returns the accepted evaluation, or the best strictly-decreasing
-    evaluation seen with ``ok=False`` when bracketing or the bisection cap
-    fails.  ``fun`` may return its gradient as a zero-argument callable; it
-    is then called only for trials that pass sufficient decrease and for the
-    returned fallback, and the forward state is kept only for the current
-    trial and the best one.  A trial that raises one of ``TRIAL_ERRORS`` or
-    has a non-finite value counts as ``+inf``.
+    Zoom trials come from ``_zoom_trial``.  Returns the accepted evaluation,
+    or the best strictly-decreasing evaluation seen with ``ok=False`` when
+    bracketing fails (``expansion_cap``) or zoom has spent ``ls_max_bisect``
+    trials without an acceptable one (``bisection_cap``).  ``fun`` may
+    return its gradient as a zero-argument callable; it is then called only
+    for trials that pass sufficient decrease and for the returned fallback,
+    and the forward state is kept only for the current trial and the best
+    one.  A trial that raises one of ``TRIAL_ERRORS`` or has a non-finite
+    value counts as ``+inf``.
     """
     c1, c2 = opts.wolfe_c1, opts.wolfe_c2
     best: _Eval | None = None
@@ -416,15 +457,15 @@ def _strong_wolfe(fun, x, p, f0, slope0, opts: SolveOptions, counters: _Counters
         for _ in range(opts.ls_max_bisect):
             if counters.exhausted:
                 return fallback("budget")
-            mid = evaluate(0.5 * (lo.alpha + hi.alpha))
-            if mid.value > f0 + c1 * mid.alpha * slope0 or mid.value >= lo.value:
-                hi = mid
+            trial = evaluate(_zoom_trial(lo, hi))
+            if trial.value > f0 + c1 * trial.alpha * slope0 or trial.value >= lo.value:
+                hi = trial
             else:
-                if abs(mid.slope) <= c2 * abs(slope0):
-                    return _LineSearchResult(mid, True, "wolfe")
-                if mid.slope * (hi.alpha - lo.alpha) >= 0:
+                if abs(trial.slope) <= c2 * abs(slope0):
+                    return _LineSearchResult(trial, True, "wolfe")
+                if trial.slope * (hi.alpha - lo.alpha) >= 0:
                     hi = lo
-                lo = mid
+                lo = trial
         return fallback("bisection_cap")
 
     prev = _Eval(0.0, f0, None, False, slope=slope0)

@@ -365,6 +365,17 @@ class TestTranslationRecovery:
         _, elapsed = recovery_solves
         assert elapsed <= 300.0, f"recovery solves took {elapsed:.1f}s"
 
+    @pytest.mark.parametrize("name", ["sqn4", "sqn_inf", "logdet"])
+    def test_line_search_evaluations_per_iteration(self, name, recovery_solves):
+        # the interpolating zoom reads 3.1 (logdet) to 3.9 (sqn_inf) here
+        reports, _ = recovery_solves
+        report = reports[name]
+        iterations = sum(1 for r in report.all_records() if r.iteration > 0)
+        per_iteration = report.fevals / iterations
+        assert per_iteration <= 4.0, (
+            f"{name}: {report.fevals} evaluations over {iterations} iterations"
+        )
+
 
 # ---------------------------------------------------------------------------
 # criterion 6: degeneracy contrast between log-det and fourth-power measures

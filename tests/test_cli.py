@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from sqnreg import cli
 from sqnreg.cli import main
 from sqnreg.fileio import load_field, load_metrics_csv, load_pgm
+from sqnreg.optimize import multilevel_solve
 
 
 def run_synth(tmp_path, extra=()):
@@ -75,7 +77,14 @@ class TestRegisterCommand:
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
         return cfg
 
-    def test_full_run_outputs(self, tmp_path, capsys):
+    def test_full_run_outputs(self, tmp_path, capsys, monkeypatch):
+        reports = []
+
+        def solve(*args, **kwargs):
+            reports.append(multilevel_solve(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "multilevel_solve", solve)
         data = run_synth(tmp_path)
         cfg = self.write_config(tmp_path, data)
         code = main(["register", "--config", str(cfg)])
@@ -90,7 +99,12 @@ class TestRegisterCommand:
             load_pgm(results / f"warped_{i:03d}.pgm")
         load_pgm(results / "cut_initial.pgm")
         load_pgm(results / "cut_final.pgm")
-        assert "registered 3 images" in capsys.readouterr().out
+        summary = capsys.readouterr().out
+        assert "registered 3 images" in summary
+        (report,) = reports
+        for key in ("fevals", "gevals", "line_search_failures", "rejected_trials",
+                    "metric_solves_capped"):
+            assert f" {key}={getattr(report, key)} " in summary
 
     def test_sequential_run(self, tmp_path):
         data = run_synth(tmp_path)

@@ -15,10 +15,12 @@ from sqnreg.optimize import (
     ObjectiveSpec,
     SolveOptions,
     _Counters,
+    _Eval,
     _cg_solve,
     _component_objective,
     _make_metric_solve,
     _strong_wolfe,
+    _zoom_trial,
     build_pyramid,
     gauss_seidel_sweep,
     lbfgs,
@@ -128,6 +130,65 @@ class TestLbfgsGeneric:
         )
         assert counters.fevals <= 5
         assert out.termination == "budget"
+
+
+def recorded(fun):
+    """Wrap a line function so that every trial step is recorded."""
+    trials = []
+
+    def wrapped(z):
+        trials.append(float(z[0]))
+        return fun(z)
+
+    return wrapped, trials
+
+
+class TestZoomInterpolation:
+    def test_quadratic_minimizer_after_one_interpolated_trial(self):
+        # phi(t) = (t - 1/4)^2: the first trial t = 1 fails sufficient
+        # decrease, and the quadratic through phi(0), phi'(0) and phi(1) is
+        # phi itself, so the next trial is its minimizer, exactly
+        fun, trials = recorded(lambda z: ((z[0] - 0.25) ** 2, 2.0 * (z - 0.25), False))
+        ls = _strong_wolfe(fun, np.zeros(1), np.ones(1), 0.0625, -0.5, SolveOptions(), _Counters())
+        assert ls.ok and ls.reason == "wolfe"
+        assert trials == [1.0, 0.25]
+        assert ls.ev.alpha == 0.25
+
+    @pytest.mark.parametrize("reversed_bracket", [False, True])
+    def test_trial_is_clamped_to_the_inner_bracket(self, reversed_bracket):
+        # bracket [0.5, 2.5]; the inner 80 % is [0.7, 2.3]
+        a, b = (2.5, 0.5) if reversed_bracket else (0.5, 2.5)
+        downhill = -1.0 if b > a else 1.0  # phi decreases from lo towards hi
+        lo = _Eval(a, 0.0, None, False, slope=downhill)
+        steep = _Eval(b, 100.0, None, False)  # minimizer just past lo
+        flat = _Eval(b, -1.9, None, False)  # minimizer far beyond hi
+        near_lo, near_hi = (2.3, 0.7) if reversed_bracket else (0.7, 2.3)
+        assert _zoom_trial(lo, steep) == pytest.approx(near_lo, abs=1e-15)
+        assert _zoom_trial(lo, flat) == pytest.approx(near_hi, abs=1e-15)
+        # inside the inner bracket the quadratic's minimizer is kept
+        inner = _Eval(b, 1.0, None, False)
+        assert _zoom_trial(lo, inner) == pytest.approx(a + (b - a) / 3.0, abs=1e-15)
+
+    @pytest.mark.parametrize("hi_value", [math.inf, -2.0, -3.0])
+    def test_midpoint_without_a_convex_quadratic(self, hi_value):
+        # +inf is a rejected trial; -2 and -3 give curvature 0 and < 0
+        lo = _Eval(0.0, 0.0, None, False, slope=-1.0)
+        assert _zoom_trial(lo, _Eval(2.0, hi_value, None, False)) == 1.0
+        lo_rev = _Eval(2.0, 0.0, None, False, slope=1.0)
+        assert _zoom_trial(lo_rev, _Eval(0.0, hi_value, None, False)) == 1.0
+
+    def test_rejected_first_trial_is_bisected(self):
+        def fun(z):
+            if z[0] > 0.6:
+                raise MeasureError("outside the valid region")
+            return (z[0] - 0.25) ** 2, 2.0 * (z - 0.25), False
+
+        fun, trials = recorded(fun)
+        counters = _Counters()
+        ls = _strong_wolfe(fun, np.zeros(1), np.ones(1), 0.0625, -0.5, SolveOptions(), counters)
+        assert ls.ok
+        assert trials[:2] == [1.0, 0.5]
+        assert counters.rejected_trials == 1
 
 
 class TestObjective:
@@ -438,9 +499,10 @@ class TestValueFirstTrials:
 
     def test_fallback_trial_keeps_its_deferred_gradient(self):
         # the first trial (t = 0.5) decreases J but fails sufficient
-        # decrease; the one bisection allowed lands on a bump (t = 0.25), so
-        # the search falls back to the first trial.  Its gradient is formed
-        # only when the caller reads it, from the state the trial kept.
+        # decrease; the one zoom trial allowed, interpolated at t = 0.3,
+        # lands on a bump, so the search falls back to the first trial.  Its
+        # gradient is formed only when the caller reads it, from the state
+        # the trial kept.
         opts = SolveOptions(wolfe_c1=0.5, ls_max_bisect=1)
         graded = []
 
