@@ -82,20 +82,12 @@ def build_options(cfg: RunConfig) -> SolveOptions:
     )
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if args.out is not None:
-        cfg.out = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.deterministic:
-        cfg.deterministic = True
-    return cfg
-
-
 def _cmd_register(args) -> int:
     if args.config is None:
         raise ConfigError("register needs --config")
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
+    if args.out is not None:
+        cfg.out = args.out
     if cfg.manifest is None:
         raise ConfigError("config is missing the 'manifest' key")
     stack = load_stack(load_manifest(cfg.manifest))
@@ -161,7 +153,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     cfg = load_config(args.config) if args.config is not None else RunConfig()
-    cfg = _apply_overrides(cfg, args)
+    if args.seed is not None:
+        cfg.seed = args.seed
     rng = rng_for_purpose(cfg.seed, "gradcheck")
     from .grids import GridSpec, Image, ImageStack
 
@@ -205,18 +198,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None, help="flat key = value config file")
-        p.add_argument("--out", default=None, help="output directory or file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--deterministic", action="store_true")
+    # each subcommand takes only the flags it reads
+    config = dict(default=None, help="flat key = value config file")
+    out = dict(default=None, help="output directory or file")
+    seed = dict(type=int, default=None)
 
     p_reg = sub.add_parser("register", help="run a registration solve")
-    common(p_reg)
+    p_reg.add_argument("--config", **config)
+    p_reg.add_argument("--out", **out)
     p_reg.set_defaults(func=_cmd_register)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic stack")
-    common(p_synth)
+    p_synth.add_argument("--out", **out)
+    p_synth.add_argument("--seed", **seed)
     p_synth.add_argument("--kind", default="shifted_disks")
     p_synth.add_argument("--k", type=int, default=4)
     p_synth.add_argument("--dims", default="64x64")
@@ -224,11 +218,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.set_defaults(func=_cmd_synth)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    common(p_grad)
+    p_grad.add_argument("--config", **config)
+    p_grad.add_argument("--seed", **seed)
     p_grad.set_defaults(func=_cmd_gradcheck)
 
     p_view = sub.add_parser("view", help="write a stack cross-section as PGM")
-    common(p_view)
+    p_view.add_argument("--out", **out)
     p_view.add_argument("--manifest", required=True)
     p_view.add_argument("--axis", type=int, default=1, choices=(1, 2))
     p_view.add_argument("--position", type=int, default=None)

@@ -218,7 +218,6 @@ class RunConfig:
     sweeps: int = 1
     max_fevals: int | None = None
     seed: int = 0
-    deterministic: bool = True
     out: str = "out"
 
 
@@ -226,14 +225,6 @@ def _parse_float(val: str) -> float:
     if val.lower() in ("inf", "infinity"):
         return math.inf
     return float(val)
-
-def _parse_bool(val: str) -> bool:
-    low = val.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(val)
 
 def _parse_choice(*choices):
     def parse(val: str) -> str:
@@ -269,7 +260,6 @@ _CONFIG_PARSERS = {
     "sweeps": int,
     "max_fevals": _parse_opt_int,
     "seed": int,
-    "deterministic": _parse_bool,
     "out": str,
 }
 
@@ -287,6 +277,11 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
+        if key == "deterministic":
+            raise ConfigError(
+                f"line {lineno}: config key 'deterministic' was removed:"
+                " every run is deterministic"
+            )
         if key not in _CONFIG_PARSERS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in seen:

@@ -46,7 +46,7 @@ from .grids import (
     gradient_central_adjoint,
     warp_with_jacobian,
 )
-from .spectral import ThinSvd, thin_svd
+from .spectral import ThinSvd, sigma_gradient, thin_svd
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,9 @@ class MeasureEval:
     pays for them.
     """
 
-    def __init__(self, value: float, backward, subgradient: bool = False,
-                 svd: ThinSvd | None = None):
+    def __init__(self, value: float, backward, subgradient: bool = False):
         self.value = value
         self.subgradient = subgradient
-        self.svd = svd
         self._backward = backward
         self._grads = None
 
@@ -139,20 +137,9 @@ class MeasureEval:
 # feature-matrix level measures
 #
 # Every groupwise measure is a function of the spectrum; its gradient with
-# respect to F is ``sqrt(w) * U diag(c) V^T`` for a coefficient vector c.  The
-# ``_*_coeffs`` functions return the value and c, and ``_sigma_combination``
-# assembles the gradient only when it is needed.
-
-
-def _sigma_combination(svd: ThinSvd, coeffs: np.ndarray) -> np.ndarray:
-    """Assemble ``sqrt(w) * sum_k coeffs[k] * u_k v_k^T`` over stable modes."""
-    mask = svd.u_valid & (coeffs != 0.0)
-    n = svd.u.shape[0]
-    if not mask.any():
-        return np.zeros((n, svd.k))
-    cols = np.flatnonzero(mask)
-    scaled = svd.u[:, cols] * coeffs[cols]
-    return np.sqrt(svd.quad_weight) * (scaled @ svd.v[:, cols].T)
+# respect to F is ``spectral.sigma_gradient`` of a coefficient vector c on the
+# singular values.  The ``_*_coeffs`` functions return the value and c, and
+# the gradient is assembled only when it is needed.
 
 
 def sqn(fm, q):
@@ -164,7 +151,7 @@ def sqn(fm, q):
     """
     svd = thin_svd(fm)
     value, coeffs, flagged = _sqn_coeffs(svd, q)
-    return value, _sigma_combination(svd, coeffs), flagged
+    return value, sigma_gradient(svd, coeffs), flagged
 
 
 def _sqn_coeffs(svd: ThinSvd, q):
@@ -221,7 +208,7 @@ def logdet_total_correlation(fm, jitter: float = 0.0):
     """
     svd = thin_svd(fm)
     value, coeffs = _logdet_coeffs(svd, jitter)
-    return value, _sigma_combination(svd, coeffs)
+    return value, sigma_gradient(svd, coeffs)
 
 
 def _logdet_coeffs(svd: ThinSvd, jitter: float):
@@ -384,7 +371,7 @@ def _eval_groupwise(stack: ImageStack, fields, kind) -> MeasureEval:
         value, coeffs = _logdet_coeffs(svd, kind.jitter)
 
     def backward():
-        grad_f = _sigma_combination(svd, coeffs)
+        grad_f = sigma_gradient(svd, coeffs)
         if negate:
             grad_f = -grad_f
         grads = np.empty((stack.k, *stack.grid.dims, 2))
@@ -393,4 +380,4 @@ def _eval_groupwise(stack: ImageStack, fields, kind) -> MeasureEval:
             grads[idx] = sens[..., None] * jacs[idx]
         return grads
 
-    return MeasureEval(float(value), backward, flagged, svd)
+    return MeasureEval(float(value), backward, flagged)

@@ -26,7 +26,10 @@ and the value at its high end, clamped to the inner 80 % of the bracket, and
 falls back to the midpoint when the high end was rejected or the quadratic
 is not convex.  It needs no extra gradient: the slope at the low end has
 always been read.  In metric-seeded runs the first trial is capped at
-``first_step_scale / |p|_inf``.
+``first_step_scale / |p|_inf``.  A search along the quasi-Newton direction
+that finds no decrease is retried once along ``-g`` with the L-BFGS memory
+cleared; at the zero field every sample sits on a grid node, where the
+gradient is a one-sided derivative and that direction can point uphill.
 
 Line-search trials are value first.  An evaluation is split into a forward
 pass (warp, features, Gram matrix and ``eigh``, regularizer value), which
@@ -518,7 +521,9 @@ def lbfgs(
     metric-seeded runs the first trial of each line search is capped at
     ``first_step_scale / |p|_inf``, because the metric's near-null
     directions carry no natural scale; Wolfe expansion can still grow the
-    step from there.
+    step from there.  When a search finds no decrease along a direction
+    other than ``-g``, the memory is cleared and one more search runs along
+    ``-g``; the run ends with ``line_search_failure`` only if that fails too.
     """
     counters = counters if counters is not None else _Counters()
     t0 = t0 if t0 is not None else time.perf_counter()
@@ -569,6 +574,14 @@ def lbfgs(
                 )
             )
 
+    def search(p, slope):
+        first_trial = 1.0
+        if metric_solve is not None and first_step_scale is not None:
+            pinf = float(np.abs(p).max())
+            if pinf > first_step_scale:
+                first_trial = first_step_scale / pinf
+        return _strong_wolfe(charged, x, p, value, slope, opts, counters, first_trial)
+
     record(0, 0.0, True, sub)
     termination = "maxiter"
     for iteration in range(1, opts.maxiter + 1):
@@ -580,15 +593,19 @@ def lbfgs(
             break
         p = -_two_loop(grad, s_list, y_list, rho_list, metric_solve)
         slope = block_dot(grad, p)
+        steepest = metric_solve is None and not s_list
         if not np.isfinite(slope) or slope >= 0.0:
-            p = -grad
-            slope = -(gnorm**2)
-        first_trial = 1.0
-        if metric_solve is not None and first_step_scale is not None:
-            pinf = float(np.abs(p).max())
-            if pinf > first_step_scale:
-                first_trial = first_step_scale / pinf
-        ls = _strong_wolfe(charged, x, p, value, slope, opts, counters, first_trial)
+            p, slope, steepest = -grad, -(gnorm**2), True
+        ls = search(p, slope)
+        if ls.ev is None and ls.reason != "budget" and not steepest:
+            # no decrease along the quasi-Newton direction, e.g. where the
+            # gradient is a one-sided derivative at a kink of the
+            # interpolant: drop the memory and retry once along -g
+            s_list.clear()
+            y_list.clear()
+            rho_list.clear()
+            p, slope = -grad, -(gnorm**2)
+            ls = search(p, slope)
         if ls.ev is None:
             if ls.reason == "budget":
                 termination = "budget"

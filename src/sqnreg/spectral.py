@@ -1,22 +1,24 @@
 """Spectral decomposition of feature matrices via the K x K Gram matrix.
 
 The feature matrix F is tall (n >> K), so singular values and right singular
-vectors come from an eigendecomposition of ``C = w * F^T F``; left singular
-vectors are formed as ``u_k = sqrt(w) * F v_k / sigma_k`` on first access of
-``ThinSvd.u``, so evaluations that only need the spectrum never build the
-n x K matrix.  The n x K matrix is never factorized directly.
+vectors come from an eigendecomposition of ``C = w * F^T F``; the n x K
+matrix is never factorized directly, and no left singular vectors are
+formed.  Every groupwise measure is a function of the spectrum, so its
+gradient with respect to F is ``sum_k c_k dsigma_k/dF``, which
+``sigma_gradient`` forms as ``w * F V diag(c / sigma) V^T`` from F and V
+alone: one n x K by K x K product.
 
 Columns are brought into a canonical content-based order before the
 eigensolver runs.  LAPACK is not permutation-equivariant at the last bit, and
 those bit differences would otherwise be amplified by the outer optimizer;
-with canonical ordering every spectral quantity is exactly invariant under
-reordering of the input stack (provided columns are pairwise distinct).
+with canonical ordering every spectral quantity, the gradient included, is
+exactly invariant (or equivariant) under reordering of the input stack
+(provided columns are pairwise distinct).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -47,55 +49,35 @@ class CorrelationMatrix:
 
 @dataclass(frozen=True)
 class ThinSvd:
-    """Thin SVD of ``sqrt(w) * F`` in descending singular-value order.
+    """Singular values and right singular vectors of ``sqrt(w) * F``.
 
-    ``v`` has one row per feature column in the original input order; ``u``
-    holds left singular vectors for the columns marked in ``u_valid`` (the
-    rest are zero-filled).  ``eigenvalues`` are the clamped Gram eigenvalues,
-    i.e. ``sigma**2``; ``eigenvalues_raw`` keeps the possibly slightly
-    negative eigensolver output for rank diagnostics.
+    Descending singular-value order.  ``v`` has one row per feature column
+    in the original input order, with the sign convention of ``thin_svd``.
+    ``u_valid`` marks the modes whose singular value is large enough for a
+    stable derivative, ``gap_flags`` the modes with a near-degenerate gap to
+    a neighbor, and ``eigenvalues`` are the clamped Gram eigenvalues, i.e.
+    ``sigma**2``.
 
-    ``u`` is computed on first access from the canonically ordered feature
-    columns and eigenvectors kept here, with the same operations an eager
-    computation would use, so it is bit-identical to one.
+    There are no left singular vectors.  The feature columns and Gram
+    eigenvectors in canonical column order (``order[i]`` is the input column
+    at canonical position ``i``) are kept for ``sigma_gradient``: forming
+    the gradient from them and scattering its columns back makes it
+    bit-exactly equivariant under permutations of the input columns.
     """
 
     sigma: np.ndarray
     v: np.ndarray
     u_valid: np.ndarray
     eigenvalues: np.ndarray
-    eigenvalues_raw: np.ndarray
     gap_flags: np.ndarray
     quad_weight: float
-    eps_sigma: float
-    eps_gap: float
-    # feature columns and Gram eigenvectors in canonical column order, and
-    # the columns the sign convention flipped: what ``u`` is formed from
     ordered_entries: np.ndarray = field(repr=False)
     ordered_v: np.ndarray = field(repr=False)
-    flipped: np.ndarray = field(repr=False)
+    order: np.ndarray = field(repr=False)
 
     @property
     def k(self) -> int:
         return self.sigma.size
-
-    @cached_property
-    def u(self) -> np.ndarray:
-        n, k = self.ordered_entries.shape
-        u = np.zeros((n, k))
-        if self.u_valid.any():
-            cols = np.flatnonzero(self.u_valid)
-            u[:, cols] = (
-                np.sqrt(self.quad_weight)
-                * (self.ordered_entries @ self.ordered_v[:, cols])
-                / self.sigma[cols]
-            )
-        u[:, self.flipped] = -u[:, self.flipped]
-        return u
-
-    @property
-    def any_gap_flag(self) -> bool:
-        return bool(self.gap_flags.any())
 
 
 def _validate(fm: FeatureMatrix):
@@ -134,13 +116,10 @@ def gram(fm: FeatureMatrix) -> CorrelationMatrix:
 
 
 def thin_svd(fm: FeatureMatrix) -> ThinSvd:
-    """Singular values and vectors of the weighted feature matrix.
+    """Singular values and right singular vectors of the weighted feature matrix.
 
-    Left vectors are formed as ``sqrt(w) F v_k / sigma_k`` (on first access
-    of ``u``) only where ``sigma_k`` exceeds the stability threshold; the
-    deterministic sign convention makes the largest-magnitude entry of each
-    ``v_k`` positive, ties broken by the lowest index within the canonical
-    column order.
+    The deterministic sign convention makes the largest-magnitude entry of
+    each ``v_k`` positive, ties broken by the lowest index in input order.
     """
     _validate(fm)
     k = fm.k
@@ -155,57 +134,66 @@ def thin_svd(fm: FeatureMatrix) -> ThinSvd:
         raise SpectralError(
             f"eigendecomposition failed for a {k}x{k} correlation matrix: {exc}"
         ) from exc
-    lam_raw = lam_asc[::-1].copy()
     vs = vecs[:, ::-1].copy()
-    lam = np.maximum(lam_raw, 0.0)
+    lam = np.maximum(lam_asc[::-1], 0.0)
     sigma = np.sqrt(lam)
-    eps_sigma = EPS_SIGMA_REL * sigma[0]
-    eps_gap = EPS_GAP_REL * sigma[0]
-    u_valid = sigma > eps_sigma
+    u_valid = sigma > EPS_SIGMA_REL * sigma[0]
     gaps = np.full(k, np.inf)
     if k > 1:
         d = np.abs(np.diff(sigma))
         gaps[:-1] = np.minimum(gaps[:-1], d)
         gaps[1:] = np.minimum(gaps[1:], d)
-    gap_flags = gaps < eps_gap
+    gap_flags = gaps < EPS_GAP_REL * sigma[0]
     v = np.empty_like(vs)
     v[order, :] = vs
-    # sign convention on the original row order: largest-magnitude entry of
-    # each v_k positive, ties broken by lowest index; u flips with v, so all
-    # downstream u v^T products are unaffected by the choice
-    flipped = np.zeros(k, dtype=bool)
     for col in range(k):
         peak = np.argmax(np.abs(v[:, col]))
         if v[peak, col] < 0:
             v[:, col] = -v[:, col]
-            flipped[col] = True
     return ThinSvd(
         sigma=sigma,
         v=v,
         u_valid=u_valid,
         eigenvalues=lam,
-        eigenvalues_raw=lam_raw,
         gap_flags=gap_flags,
         quad_weight=w,
-        eps_sigma=eps_sigma,
-        eps_gap=eps_gap,
         ordered_entries=fs,
         ordered_v=vs,
-        flipped=flipped,
+        order=order,
     )
+
+
+def sigma_gradient(svd: ThinSvd, coeffs: np.ndarray) -> np.ndarray:
+    """Gradient of ``sum_k coeffs[k] * sigma_k`` with respect to F.
+
+    ``w * F V diag(coeffs / sigma) V^T`` over the stable modes with a
+    nonzero coefficient, i.e. ``sqrt(w) * U diag(coeffs) V^T`` without
+    forming U.  The signs of the columns of V cancel, so the canonically
+    ordered eigenvectors serve as they come from the eigensolver; the
+    product is taken in canonical column order and its columns are
+    scattered back to input order.
+    """
+    grad = np.zeros(svd.ordered_entries.shape)
+    cols = np.flatnonzero(svd.u_valid & (coeffs != 0.0))
+    if cols.size:
+        vc = svd.ordered_v[:, cols]
+        kernel = (vc * (svd.quad_weight * coeffs[cols] / svd.sigma[cols])) @ vc.T
+        grad[:, svd.order] = svd.ordered_entries @ kernel
+    return grad
 
 
 def dsigma(svd: ThinSvd, k: int):
     """Derivative of ``sigma_k`` with respect to the feature-matrix entries.
 
     Returns ``(matrix, subgradient_flag)`` where the matrix is the rank-1
-    outer product ``sqrt(w) u_k v_k^T`` (the quadrature factor mirrors the
-    weighted Gram convention) and the flag marks a near-degenerate gap to a
-    neighboring singular value.
+    ``sqrt(w) u_k v_k^T`` (the quadrature factor mirrors the weighted Gram
+    convention), formed by ``sigma_gradient``, and the flag marks a
+    near-degenerate gap to a neighboring singular value.
     """
     if not 0 <= k < svd.k:
         raise SpectralError(f"singular value index {k} out of range 0..{svd.k - 1}")
     if not svd.u_valid[k]:
         raise SpectralError("singular value too small for stable derivative")
-    mat = np.sqrt(svd.quad_weight) * np.outer(svd.u[:, k], svd.v[:, k])
-    return mat, bool(svd.gap_flags[k])
+    coeffs = np.zeros(svd.k)
+    coeffs[k] = 1.0
+    return sigma_gradient(svd, coeffs), bool(svd.gap_flags[k])

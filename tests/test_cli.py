@@ -186,3 +186,26 @@ class TestViewCommand:
         )
         assert code == 2
         assert "error[format]" in capsys.readouterr().err
+
+
+class TestUnreadFlagsRejected:
+    """Each subcommand accepts only the flags it reads; argparse exits with 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["register", "--config", "run.cfg", "--seed", "1"],
+            ["register", "--config", "run.cfg", "--deterministic"],
+            ["synth", "--config", "run.cfg"],
+            ["synth", "--deterministic"],
+            ["gradcheck", "--out", "x"],
+            ["gradcheck", "--deterministic"],
+            ["view", "--manifest", "m.txt", "--config", "x"],
+            ["view", "--manifest", "m.txt", "--seed", "1"],
+        ],
+    )
+    def test_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

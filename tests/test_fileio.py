@@ -251,7 +251,6 @@ class TestConfig:
         sweeps = 3
         max_fevals = 900
         seed = 42
-        deterministic = false
         out = results
         """
         cfg = parse_config(text, base_dir=tmp_path)
@@ -268,12 +267,16 @@ class TestConfig:
         assert cfg.gtol == 1e-7
         assert cfg.max_fevals == 900
         assert cfg.seed == 42
-        assert cfg.deterministic is False
         assert cfg.out == "results"
 
     def test_unknown_key_fails_fast(self):
         with pytest.raises(ConfigError, match="unknown config key 'alpa'"):
             parse_config("alpa = 0.1")
+
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_removed_deterministic_key_named(self, value):
+        with pytest.raises(ConfigError, match="line 2: config key 'deterministic' was removed"):
+            parse_config(f"alpha = 0.1\ndeterministic = {value}")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate config key"):

@@ -30,6 +30,7 @@ from sqnreg.optimize import (
 )
 from sqnreg.oracles import fd_gradient
 from sqnreg.regularize import Diffusion, Elastic, reg_hessian_apply
+from sqnreg.synth import synth_stack
 
 from conftest import fd_instance, rng_for, stack_of
 
@@ -130,6 +131,65 @@ class TestLbfgsGeneric:
         )
         assert counters.fevals <= 5
         assert out.termination == "budget"
+
+
+def kinked(c):
+    """``c |x_0| + x_1^2`` whose gradient at the kink is the right derivative."""
+
+    def fun(x):
+        return c * abs(x[0]) + x[1] ** 2, np.array([c if x[0] >= 0 else -c, 2 * x[1]]), False
+
+    return fun
+
+
+def stretch_first(q):
+    # a metric that makes the kink direction dominate the seeded step
+    return q * np.array([1e4, 1.0])
+
+
+class TestSteepestDescentRestart:
+    def test_failed_search_retries_along_negative_gradient(self):
+        fun, trials = recorded_points(kinked(1.0))
+        x0 = np.array([0.0, 1.0])
+        out = lbfgs(fun, x0, SolveOptions(maxiter=1), metric_solve=stretch_first)
+        # no trial along -M^-1 g decreases J; -g = (-1, -2) does
+        assert out.termination == "maxiter"
+        assert out.ls_failures == 0
+        assert out.value < 1.0
+        step = out.x - x0
+        assert step[0] < 0 and step[1] == pytest.approx(2.0 * step[0], rel=1e-12)
+        assert any(t[0] < -1e-3 and abs(t[1] - 1.0) < 1e-3 for t in trials)
+
+    def test_failed_restart_ends_run(self):
+        x0 = np.array([0.0, 1.0])
+        out = lbfgs(kinked(10.0), x0, SolveOptions(maxiter=5), metric_solve=stretch_first)
+        assert out.termination == "line_search_failure"
+        assert out.ls_failures == 1
+        assert np.array_equal(out.x, x0)
+        assert out.value == 1.0
+
+    def test_no_retry_when_direction_already_steepest(self):
+        fun, trials = recorded_points(kinked(10.0))
+        x0 = np.array([0.0, 1.0])
+        opts = SolveOptions(maxiter=5)
+        out = lbfgs(fun, x0, opts)
+        assert out.termination == "line_search_failure"
+        # the start point and one search, not a second one along the same ray
+        assert len(trials) <= 1 + opts.ls_max_expand + opts.ls_max_bisect
+        # every trial lies on the one ray x0 - alpha * (10, 2)
+        for t in trials[1:]:
+            assert t[0] < 0 and t[1] - 1.0 == pytest.approx(0.2 * t[0], rel=1e-9)
+
+
+def recorded_points(fun):
+    """Wrap an objective so that every evaluated point is recorded."""
+    points = []
+
+    def wrapped(z):
+        points.append(z.copy())
+        return fun(z)
+
+    return wrapped, points
 
 
 def recorded(fun):
@@ -576,3 +636,21 @@ class TestValueFirstTrials:
         assert len(values) > 1
         assert all(b < a for a, b in zip(values, values[1:]))
         assert max(np.abs(f.u).max() for f in report.fields) <= 0.01
+
+
+@pytest.mark.slow
+class TestKinkAtGridNodes:
+    def test_rotated_sequential_solve_descends(self):
+        # at u = 0 every sample sits on a grid node, where the bilinear
+        # interpolant has a kink; the metric-seeded first direction of every
+        # component finds no decrease there, and each component used to end
+        # at iteration 1 with a zero field
+        stack, _ = synth_stack(7, 8, "rotated_shepp_like", 0.03, dims=(64, 64))
+        spec = ObjectiveSpec(NgfPair(1e-2), Diffusion(1e-2), mode="sequential")
+        report = multilevel_solve(spec, stack, SolveOptions(levels=1, maxiter=30))
+        x = np.stack([f.u for f in report.fields])
+        j0 = objective(spec, stack, np.zeros_like(x))[0]
+        assert objective(spec, stack, x)[0] < j0
+        failed = [t for t in report.traces[0].terminations if t.endswith("line_search_failure")]
+        assert len(failed) < 7
+        assert report.line_search_failures == len(failed)

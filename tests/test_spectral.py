@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,9 @@ from hypothesis import strategies as st
 
 from sqnreg.errors import SpectralError
 from sqnreg.features import FeatureMatrix
+from sqnreg.measures import _corr_dev2_coeffs, _logdet_coeffs, _sqn_coeffs
 from sqnreg.oracles import fd_gradient, relative_error
-from sqnreg.spectral import EPS_SIGMA_REL, _canonical_order, dsigma, gram, thin_svd
+from sqnreg.spectral import EPS_SIGMA_REL, dsigma, gram, sigma_gradient, thin_svd
 
 from conftest import rng_for
 
@@ -89,18 +92,12 @@ def test_thin_svd_matches_direct_lapack_svd(w):
         assert np.abs(svd.sigma - ref).max() <= 1e-10 * max(ref[0], 1.0)
 
 
-def test_u_apply_rule_and_orthonormality():
+def test_right_vectors_orthonormal_and_no_left_vectors():
     rng = rng_for(8)
-    fm = fm_random(rng, n=15, k=4, w=0.2)
-    svd = thin_svd(fm)
-    scaled = np.sqrt(fm.quad_weight) * fm.entries
-    for k in range(4):
-        resid = scaled @ svd.v[:, k] - svd.sigma[k] * svd.u[:, k]
-        assert np.linalg.norm(resid) <= 1e-8 * svd.sigma[0]
-    gram_u = svd.u.T @ svd.u
-    assert np.abs(gram_u - np.eye(4)).max() <= 1e-10
+    svd = thin_svd(fm_random(rng, n=15, k=4, w=0.2))
     gram_v = svd.v.T @ svd.v
     assert np.abs(gram_v - np.eye(4)).max() <= 1e-12
+    assert not hasattr(svd, "u")
 
 
 def test_sign_convention_positive_peak_entries():
@@ -119,42 +116,8 @@ def test_sigma_invariant_and_v_equivariant_under_permutation():
     svd_p = thin_svd(fm_p)
     assert np.array_equal(svd.sigma, svd_p.sigma)
     assert np.array_equal(svd_p.v, svd.v[perm, :])
-    assert np.array_equal(svd_p.u, svd.u)
-
-
-def _eager_left_vectors(fm):
-    """Left singular vectors formed up front, with the operations
-    ``thin_svd`` used before ``u`` became lazy."""
-    k = fm.k
-    w = fm.quad_weight
-    order = _canonical_order(fm.entries)
-    fs = np.ascontiguousarray(fm.entries[:, order])
-    cs = w * (fs.T @ fs)
-    cs = 0.5 * (cs + cs.T)
-    lam_asc, vecs = np.linalg.eigh(cs)
-    vs = vecs[:, ::-1].copy()
-    sigma = np.sqrt(np.maximum(lam_asc[::-1], 0.0))
-    u = np.zeros((fm.n, k))
-    cols = np.flatnonzero(sigma > EPS_SIGMA_REL * sigma[0])
-    u[:, cols] = np.sqrt(w) * (fs @ vs[:, cols]) / sigma[cols]
-    v = np.empty_like(vs)
-    v[order, :] = vs
-    for col in range(k):
-        if v[np.argmax(np.abs(v[:, col])), col] < 0:
-            u[:, col] = -u[:, col]
-    return u
-
-
-def test_lazy_left_vectors_equal_eager_ones_bitexact():
-    rng = rng_for(23)
-    rank_deficient = np.zeros((6, 3))
-    rank_deficient[0, :2] = 1.0
-    rank_deficient[1, 2] = 1.0
-    for fm in (fm_random(rng, n=40, k=6, w=0.04), FeatureMatrix(rank_deficient)):
-        svd = thin_svd(fm)
-        assert "u" not in vars(svd)  # thin_svd itself does not form U
-        assert np.array_equal(svd.u, _eager_left_vectors(fm))
-        assert svd.u is svd.u
+    for k in range(6):
+        assert np.array_equal(dsigma(svd_p, k)[0], dsigma(svd, k)[0][:, perm])
 
 
 def test_rank_deficiency_is_visible_in_spectrum():
@@ -166,6 +129,77 @@ def test_rank_deficiency_is_visible_in_spectrum():
     assert svd.sigma[0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
     assert svd.sigma[2] <= 1e-12
     assert not svd.u_valid[2]
+
+
+# ---------------------------------------------------------------------------
+# spectral gradient of a coefficient vector
+
+
+# The Gram eigensolve resolves a vanishing sigma only to about
+# sqrt(eps) * sigma_1, so such a mode stays in the gradient with a
+# roundoff-sized F v_k; log-det weighs it by 2 / jitter, and a jitter of 0.1
+# keeps that term below the 1e-12 tolerance (at 1e-3 it reads 8e-12).
+MEASURE_COEFFS = {
+    "sqn4": lambda svd: _sqn_coeffs(svd, 4.0)[1],
+    "sqn_inf": lambda svd: _sqn_coeffs(svd, math.inf)[1],
+    "corr_dev": lambda svd: _corr_dev2_coeffs(svd)[1],
+    "logdet": lambda svd: _logdet_coeffs(svd, 0.1)[1],
+}
+
+
+def full_rank_fm():
+    return fm_random(rng_for(31), n=40, k=6, w=0.04)
+
+
+def rank_deficient_fm():
+    # rank 3 with six pairwise distinct columns
+    rng = rng_for(32)
+    entries = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 6))
+    return FeatureMatrix(entries, quad_weight=0.25)
+
+
+@pytest.mark.parametrize("measure", sorted(MEASURE_COEFFS))
+@pytest.mark.parametrize("make_fm", [full_rank_fm, rank_deficient_fm])
+def test_sigma_gradient_matches_lapack_left_vectors(measure, make_fm):
+    # independent oracle: sqrt(w) U diag(c) V^T from LAPACK's SVD of the
+    # explicit weighted matrix, over the modes above the stability threshold
+    fm = make_fm()
+    svd = thin_svd(fm)
+    coeffs = MEASURE_COEFFS[measure](svd)
+    u, s, vt = np.linalg.svd(np.sqrt(fm.quad_weight) * fm.entries, full_matrices=False)
+    modes = s > EPS_SIGMA_REL * s[0]
+    expected = np.sqrt(fm.quad_weight) * (u[:, modes] * coeffs[modes]) @ vt[modes, :]
+    got = sigma_gradient(svd, coeffs)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_rank_deficient_fixture_has_vanishing_modes():
+    sigma = thin_svd(rank_deficient_fm()).sigma
+    assert sigma[2] > 0.1 * sigma[0]
+    assert np.all(sigma[3:] <= 1e-6 * sigma[0])
+
+
+@pytest.mark.parametrize("measure", sorted(MEASURE_COEFFS))
+@pytest.mark.parametrize("make_fm", [full_rank_fm, rank_deficient_fm])
+def test_sigma_gradient_columns_permute_bitexact(measure, make_fm):
+    fm = make_fm()
+    svd = thin_svd(fm)
+    grad = sigma_gradient(svd, MEASURE_COEFFS[measure](svd))
+    for seed in range(3):
+        perm = rng_for(40 + seed).permutation(fm.k)
+        svd_p = thin_svd(FeatureMatrix(fm.entries[:, perm], quad_weight=fm.quad_weight))
+        grad_p = sigma_gradient(svd_p, MEASURE_COEFFS[measure](svd_p))
+        assert np.array_equal(grad_p, grad[:, perm])
+
+
+def test_sigma_gradient_skips_invalid_and_zero_modes():
+    entries = np.zeros((6, 3))
+    entries[0, 0] = 1.0
+    entries[0, 1] = 1.0
+    entries[1, 2] = 1.0
+    svd = thin_svd(FeatureMatrix(entries))
+    assert np.all(sigma_gradient(svd, np.array([0.0, 0.0, 5.0])) == 0.0)
+    assert sigma_gradient(svd, np.zeros(3)).shape == (6, 3)
 
 
 # ---------------------------------------------------------------------------
