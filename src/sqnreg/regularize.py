@@ -6,11 +6,24 @@ elastic potential additionally ignores linearized rotations because it is
 built from the symmetrized displacement gradient.
 
 The groupwise regularizer is the plain sum over the per-image fields.  The
-kernels slice the last three axes ``(m1, m2, 2)`` directly and accept any
-leading axes, so one call serves a single field or a whole stack
+kernels act on the last three axes ``(m1, m2, 2)`` and accept any leading
+axes, so one call serves a single field or a whole stack
 ``(K, m1, m2, 2)``.  Every entry sees exactly the operations of the
 single-field computation, and per-field energies are summed field by field,
 so stack results are bit-identical to per-field results.
+
+The diffusion value, its deferred gradient and the Hessian action share one
+flat stencil.  On the C-ordered buffer of the whole stack, grid neighbors
+along axis 0 are ``2 * m2`` entries apart and along axis 1 two entries, so
+each forward difference, and the inner part of each adjoint difference, is
+one contiguous pass over the flat buffer shifted by that many entries.  A
+difference whose neighbor lies in the next row or the next field (the last
+row or last column of a field) is scratch: the values are summed over views
+that leave it out, and where the adjoint pass reads it, it writes the first
+or last row or column, which are then overwritten slice by slice.  So every
+result entry is computed from the same operands by the same operations in
+the same order as in the per-field slicing code, and the bits are equal.
+The elastic kernels slice the arrays directly.
 """
 
 from __future__ import annotations
@@ -95,69 +108,78 @@ def _divide(a: np.ndarray, h: float):
         a /= h
 
 
-def _diffusion_diffs(grid: GridSpec, u: np.ndarray, d1=None, d2=None):
-    """Forward differences along both grid axes, divided by the spacing.
+def _step(shape: tuple, axis: int) -> int:
+    """Entries between grid neighbors along ``axis`` in a C-ordered buffer of
+    ``shape`` (..., m1, m2, 2)."""
+    return 2 * shape[-2] if axis == 0 else 2
 
-    ``d1`` and ``d2`` may give the output arrays, shaped like ``u`` with one
-    entry fewer along grid axis 0 and 1 respectively.
+
+def _flat_diffs(grid: GridSpec, shape: tuple, uf: np.ndarray, d1: np.ndarray, d2: np.ndarray):
+    """Forward differences of the flat buffer ``uf`` of ``shape``, divided
+    by the spacing, into the flat buffers ``d1`` and ``d2``.
+
+    One contiguous pass per grid axis: ``d[p] = u[p + step] - u[p]``.  Entries
+    in the last row (``d1``) or last column (``d2``) of a field straddle a
+    field or row boundary and are scratch; the final ``step`` entries are
+    not written at all.
     """
-    h1, h2 = grid.spacing
-    d1 = np.subtract(u[..., 1:, :, :], u[..., :-1, :, :], out=d1)
-    _divide(d1, h1)
-    d2 = np.subtract(u[..., :, 1:, :], u[..., :, :-1, :], out=d2)
-    _divide(d2, h2)
-    return d1, d2
+    for axis, d in enumerate((d1, d2)):
+        step = _step(shape, axis)
+        np.subtract(uf[step:], uf[:-step], out=d[:-step])
+        _divide(d[:-step], grid.spacing[axis])
 
 
-# (first, last, all but last, all but first, inner) entries along grid axis
-# 0 and 1, as used by ``_diff_adjoint``
-_ADJOINT_SLICES = tuple(
-    tuple(_along(axis, i) for i in (0, -1, slice(None, -1), slice(1, None), slice(1, -1)))
-    for axis in (0, 1)
-)
-
-
-def _diff_adjoint(d: np.ndarray, axis: int, out: np.ndarray):
+def _flat_diff_adjoint(df: np.ndarray, axis: int, shape: tuple, out: np.ndarray):
     """``out = D^T d`` for the forward difference ``D`` along grid ``axis``.
 
-    Written slice by slice: ``0 - d[0]`` at the first entry, ``d[i-1] - d[i]``
-    inside and ``d[-1] + 0`` at the last.  Each entry has the value, up to
-    the sign of a zero, that accumulating ``-d`` and then ``+d`` into zeros
-    gives, without the zero fill and the two read-modify-write passes.
+    ``df`` and ``out`` are flat buffers of ``shape``, and ``df`` is laid out
+    as ``_flat_diffs`` writes it.  Inside, ``d[i-1] - d[i]`` is one
+    contiguous pass that reads only written entries; where it reads scratch
+    it lands on the first or last entry along ``axis``, which are then
+    written slice by slice as ``0 - d[0]`` and ``d[-1] + 0``.  Each entry has
+    the value, up to the sign of a zero, that accumulating ``-d`` and then
+    ``+d`` into zeros gives.
     """
-    first, last, head, tail, inner = _ADJOINT_SLICES[axis]
-    np.subtract(0.0, d[first], out=out[first])
-    np.subtract(d[head], d[tail], out=out[inner])
-    np.add(d[last], 0.0, out=out[last])
+    step, n = _step(shape, axis), df.size
+    np.subtract(df[: n - 2 * step], df[step : n - step], out=out[step : n - step])
+    d, o = df.reshape(shape), out.reshape(shape)
+    np.subtract(0.0, d[_along(axis, 0)], out=o[_along(axis, 0)])
+    np.add(d[_along(axis, -2)], 0.0, out=o[_along(axis, -1)])
 
 
-def _diffusion_grad(grid: GridSpec, d1: np.ndarray, d2: np.ndarray, alpha: float,
-                    out: np.ndarray, part: np.ndarray) -> np.ndarray:
+def _diffusion_grad(grid: GridSpec, shape: tuple, d1: np.ndarray, d2: np.ndarray,
+                    alpha: float, out: np.ndarray, part: np.ndarray):
     """``alpha * w`` times the adjoint differences of ``(d1, d2)``, into ``out``.
 
-    Divides ``d1`` and ``d2`` by the spacing once more, in place.  The axis-1
-    part goes through ``part`` so that each entry is rounded as
+    All four are flat buffers of ``shape``.  Divides the written entries of
+    ``d1`` and ``d2`` by the spacing once more, in place.  The axis-1 part
+    goes through ``part`` so that each entry is rounded as
     ``part0 + part1``; ``d1`` is consumed before ``part`` is written, so the
     two may share memory.
     """
-    h1, h2 = grid.spacing
-    _divide(d1, h1)
-    _diff_adjoint(d1, 0, out)
-    _divide(d2, h2)
-    _diff_adjoint(d2, 1, part)
+    for axis, (d, adjoint) in enumerate(((d1, out), (d2, part))):
+        _divide(d[: -_step(shape, axis)], grid.spacing[axis])
+        _flat_diff_adjoint(d, axis, shape, adjoint)
     out += part
     out *= alpha * grid.cell_area
-    return out
 
 
 def _diffusion_value(grid: GridSpec, u: np.ndarray, alpha: float):
-    d1, d2 = _diffusion_diffs(grid, u)
-    value = _field_sums(d1**2, 3) + _field_sums(d2**2, 3)
-
-    shape = u.shape
+    u = np.ascontiguousarray(u)
+    shape, uf = u.shape, u.reshape(-1)
+    d1, d2 = np.empty_like(uf), np.empty_like(uf)
+    _flat_diffs(grid, shape, uf, d1, d2)
+    # squares of the entries that are not scratch, each field's block in the
+    # order of a single-field array
+    value = (_field_sums(d1.reshape(shape)[..., :-1, :, :] ** 2, 3)
+             + _field_sums(d2.reshape(shape)[..., :-1, :] ** 2, 3))
 
     def grad():
-        return _diffusion_grad(grid, d1, d2, alpha, np.empty(shape), np.empty(shape))
+        # not ``empty_like(u)``: the closure would keep ``u`` alive with the
+        # differences of every trial the line search holds
+        out = np.empty(shape)
+        _diffusion_grad(grid, shape, d1, d2, alpha, out.reshape(-1), part=d1)
+        return out
 
     return 0.5 * alpha * grid.cell_area * value, _once(grad)
 
@@ -272,22 +294,38 @@ def reg_glo(fields, kind: RegKind, deferred: bool = False):
     return sorted_sum(values), grads if deferred else grads()
 
 
+def _flat(a: np.ndarray, shape: tuple, name: str) -> np.ndarray:
+    """A flat view of the caller's buffer ``a``; it is written in place, so
+    it must have ``shape`` and be C-contiguous (no copy is made)."""
+    if a.shape != shape:
+        raise RegularizerError(f"{name} has shape {a.shape}, expected {shape}")
+    if not a.flags.c_contiguous:
+        raise RegularizerError(f"{name} must be C-contiguous")
+    return a.reshape(-1)
+
+
 def reg_hessian_apply(kind: RegKind, grid: GridSpec, u: np.ndarray, out=None,
                       work=None) -> np.ndarray:
     """Apply the (constant) regularizer Hessian to a raw displacement array.
 
-    ``u`` is one field (m1, m2, 2) or a stack of them (K, m1, m2, 2).  Both
-    regularizers are quadratic, so the Hessian action equals the gradient
-    evaluated at ``u``; the energy value is not computed.  The result goes
-    to ``out`` when it is given.  For ``Diffusion``, ``work`` may give two
-    scratch arrays shaped like ``u``; with ``out`` and ``work`` the action
-    allocates nothing, which is what an iterative metric solve wants.
+    ``u`` is one field (m1, m2, 2) or a stack of them (K, m1, m2, 2); a
+    non-contiguous ``u`` is copied once.  Both regularizers are quadratic,
+    so the Hessian action equals the gradient evaluated at ``u``; the energy
+    value is not computed.  The result goes to ``out`` when it is given.
+    For ``Diffusion``, ``work`` may give two scratch arrays shaped like
+    ``u``; with ``out`` and ``work`` the action allocates nothing, which is
+    what an iterative metric solve wants.  ``out`` and ``work`` must be
+    C-contiguous.
     """
+    u = np.ascontiguousarray(u)
+    out = np.empty_like(u) if out is None else out
+    flat_out = _flat(out, u.shape, "out")  # checked for either kind
     if isinstance(kind, Diffusion):
         a, b = work if work is not None else (np.empty_like(u), np.empty_like(u))
-        out = np.empty_like(u) if out is None else out
-        d1, d2 = _diffusion_diffs(grid, u, a[..., :-1, :, :], b[..., :, :-1, :])
-        return _diffusion_grad(grid, d1, d2, kind.alpha, out, part=a)
+        a, b = _flat(a, u.shape, "work[0]"), _flat(b, u.shape, "work[1]")
+        _flat_diffs(grid, u.shape, u.reshape(-1), a, b)
+        _diffusion_grad(grid, u.shape, a, b, kind.alpha, flat_out, part=a)
+        return out
     if isinstance(kind, Elastic):
         strain, tr = _elastic_strain(grid, u)
         return _elastic_grad(grid, strain, tr, kind.mu, kind.lam, kind.alpha, out)

@@ -25,7 +25,13 @@ import numpy as np
 from .errors import SpectralError
 from .features import FeatureMatrix
 
-EPS_SIGMA_REL = 1e-10  # below this multiple of sigma_1 a derivative is refused
+# ``eigh`` resolves an eigenvalue of the K x K Gram matrix only to about
+# K * eps * lambda_1, so a vanishing sigma_k = sqrt(lambda_k) reads about
+# sqrt(K * eps) * sigma_1, far above any fixed multiple of sigma_1 like 1e-10.
+# A mode is stable (``u_valid``) when lambda_k exceeds that resolution by the
+# factor EIG_RESOLUTION_C, i.e. sigma_k**2 > C * K * eps * sigma_1**2; below
+# it a derivative is refused.
+EIG_RESOLUTION_C = 100.0
 EPS_GAP_REL = 1e-8  # below this multiple of sigma_1 a gap flags a subgradient
 
 
@@ -137,7 +143,7 @@ def thin_svd(fm: FeatureMatrix) -> ThinSvd:
     vs = vecs[:, ::-1].copy()
     lam = np.maximum(lam_asc[::-1], 0.0)
     sigma = np.sqrt(lam)
-    u_valid = sigma > EPS_SIGMA_REL * sigma[0]
+    u_valid = lam > EIG_RESOLUTION_C * k * np.finfo(float).eps * lam[0]
     gaps = np.full(k, np.inf)
     if k > 1:
         d = np.abs(np.diff(sigma))

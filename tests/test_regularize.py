@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from sqnreg.regularize import (
     Diffusion,
     Elastic,
     _divide,
+    _stack_value_deferred,
     _stack_value_grad,
     diffusion,
     elastic,
@@ -209,9 +212,23 @@ def random_stack(seed, grid, k=5):
     return scales * rng.standard_normal((k, *grid.dims, 2))
 
 
+# the flat stencil's edge cases: two cells along an axis, where every entry
+# along it is a boundary entry, and 8x8 grids at the pyramid's spacings
+EDGE_GRIDS = [
+    GridSpec((2, 7), spacing=(0.45, 0.7)),
+    GridSpec((9, 2), spacing=(0.45, 0.7)),
+    GridSpec((2, 2), spacing=(0.5, 0.25)),
+    *(GridSpec((8, 8), spacing=(h, h)) for h in (1.0, 2.0, 4.0)),
+]
+
+
+def grid_id(g):
+    return f"{g.dims[0]}x{g.dims[1]}-h{g.spacing[0]:g}x{g.spacing[1]:g}"
+
+
+@pytest.mark.parametrize("g", [odd_grid(), *EDGE_GRIDS], ids=grid_id)
 @pytest.mark.parametrize("kind", STACK_KINDS)
-def test_stack_kernel_matches_per_field_reference_bitexact(kind):
-    g = odd_grid()
+def test_stack_kernel_matches_per_field_reference_bitexact(kind, g):
     u = random_stack(5, g)
     values, grads = _stack_value_grad(kind, g, u)
     assert values.shape == (u.shape[0],)
@@ -227,6 +244,17 @@ def test_stack_kernel_matches_per_field_reference_bitexact(kind):
     value, grads_glo = reg_glo([DisplacementField(g, uk) for uk in u], kind)
     assert np.array_equal(grads_glo, grads)
     assert value == reg_glo([DisplacementField(g, uk) for uk in u[::-1]], kind)[0]
+    # a non-contiguous stack (reversed along grid axis 1, or in Fortran
+    # order) gives the bits of the reference on its fields
+    for v in (u[:, :, ::-1], np.asfortranarray(u)):
+        assert not v.flags.c_contiguous
+        values_v, grads_v = _stack_value_grad(kind, g, v)
+        hess_v = reg_hessian_apply(kind, g, v)
+        for k in range(v.shape[0]):
+            v_ref, g_ref = _reference_value_grad(kind, g, np.ascontiguousarray(v[k]))
+            assert values_v[k] == v_ref
+            assert np.array_equal(grads_v[k], g_ref)
+            assert np.array_equal(hess_v[k], g_ref)
 
 
 @pytest.mark.parametrize("kind", STACK_KINDS)
@@ -270,15 +298,19 @@ def test_divide_has_the_bits_of_a_division(h):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("spacing", [(1.0, 2.0), (0.5, 0.25), (0.45, 0.7)])
+@pytest.mark.parametrize(
+    "g",
+    [*(GridSpec((9, 7), spacing=h) for h in [(1.0, 2.0), (0.5, 0.25), (0.45, 0.7)]), *EDGE_GRIDS],
+    ids=grid_id,
+)
 @pytest.mark.parametrize("kind", STACK_KINDS)
-def test_hessian_apply_into_out_matches_allocating_call(kind, spacing):
-    g = GridSpec((9, 7), spacing=spacing)
+def test_hessian_apply_into_out_matches_allocating_call(kind, g):
     u = random_stack(8, g, k=3)
     want = reg_hessian_apply(kind, g, u)
     for k in range(u.shape[0]):
         assert np.array_equal(want[k], _reference_value_grad(kind, g, u[k])[1])
-    for x, ref in ((u, want), (u[1], want[1])):
+    # one field, a stack, and a non-contiguous (reversed) stack
+    for x, ref in ((u, want), (u[1], want[1]), (u[::-1], want[::-1])):
         # NaN-filled buffers: every entry of the result must be written
         out = np.full_like(x, np.nan)
         work = (np.full_like(x, np.nan), np.full_like(x, np.nan))
@@ -288,6 +320,22 @@ def test_hessian_apply_into_out_matches_allocating_call(kind, spacing):
         assert np.array_equal(reg_hessian_apply(kind, g, x, out=out, work=work), ref)
         out = np.full_like(x, np.nan)
         assert np.array_equal(reg_hessian_apply(kind, g, x, out=out), ref)
+
+
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_hessian_apply_rejects_buffers_it_cannot_write_in_place(kind):
+    g = odd_grid()
+    u = random_stack(11, g, k=2)
+    strided = np.zeros((*u.shape[:-1], 4))[..., ::2]
+    assert strided.shape == u.shape and not strided.flags.c_contiguous
+    with pytest.raises(RegularizerError, match="out must be C-contiguous"):
+        reg_hessian_apply(kind, g, u, out=strided)
+    with pytest.raises(RegularizerError, match="out has shape"):
+        reg_hessian_apply(kind, g, u, out=np.empty_like(u[0]))
+    assert np.all(strided == 0.0)
+    if isinstance(kind, Diffusion):
+        with pytest.raises(RegularizerError, match=r"work\[1\] must be C-contiguous"):
+            reg_hessian_apply(kind, g, u, work=(np.empty_like(u), strided))
 
 
 @pytest.mark.parametrize("kind", STACK_KINDS)
@@ -306,3 +354,16 @@ def test_deferred_gradient_matches_eager_bitexact(kind):
     v_one, g_one = reg_eval(kind, fields[2], deferred=True)
     assert v_one == reg_eval(kind, fields[2])[0]
     assert np.array_equal(g_one(), reg_eval(kind, fields[2])[1])
+
+
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_deferred_gradient_does_not_keep_the_input_alive(kind):
+    # the line search holds the deferred state of two trials; it must not
+    # hold their displacement stacks too
+    g = odd_grid()
+    u = random_stack(12, g, k=3)
+    _, gradient = _stack_value_deferred(kind, g, u)
+    ref = weakref.ref(u)
+    del u
+    assert ref() is None
+    assert gradient().shape == (3, *g.dims, 2)

@@ -9,7 +9,7 @@ from sqnreg.errors import SpectralError
 from sqnreg.features import FeatureMatrix
 from sqnreg.measures import _corr_dev2_coeffs, _logdet_coeffs, _sqn_coeffs
 from sqnreg.oracles import fd_gradient, relative_error
-from sqnreg.spectral import EPS_SIGMA_REL, dsigma, gram, sigma_gradient, thin_svd
+from sqnreg.spectral import EIG_RESOLUTION_C, dsigma, gram, sigma_gradient, thin_svd
 
 from conftest import rng_for
 
@@ -136,14 +136,14 @@ def test_rank_deficiency_is_visible_in_spectrum():
 
 
 # The Gram eigensolve resolves a vanishing sigma only to about
-# sqrt(eps) * sigma_1, so such a mode stays in the gradient with a
-# roundoff-sized F v_k; log-det weighs it by 2 / jitter, and a jitter of 0.1
-# keeps that term below the 1e-12 tolerance (at 1e-3 it reads 8e-12).
+# sqrt(K * eps) * sigma_1.  Had such a mode stayed in the gradient, its
+# roundoff-sized F v_k would be weighed by 2 / jitter in log-det; a small
+# jitter shows that it is dropped.
 MEASURE_COEFFS = {
     "sqn4": lambda svd: _sqn_coeffs(svd, 4.0)[1],
     "sqn_inf": lambda svd: _sqn_coeffs(svd, math.inf)[1],
     "corr_dev": lambda svd: _corr_dev2_coeffs(svd)[1],
-    "logdet": lambda svd: _logdet_coeffs(svd, 0.1)[1],
+    "logdet": lambda svd: _logdet_coeffs(svd, 1e-3)[1],
 }
 
 
@@ -162,21 +162,25 @@ def rank_deficient_fm():
 @pytest.mark.parametrize("make_fm", [full_rank_fm, rank_deficient_fm])
 def test_sigma_gradient_matches_lapack_left_vectors(measure, make_fm):
     # independent oracle: sqrt(w) U diag(c) V^T from LAPACK's SVD of the
-    # explicit weighted matrix, over the modes above the stability threshold
+    # explicit weighted matrix, over the modes above the eigensolver's
+    # resolution sigma_k**2 > C * K * eps * sigma_1**2
     fm = make_fm()
     svd = thin_svd(fm)
     coeffs = MEASURE_COEFFS[measure](svd)
     u, s, vt = np.linalg.svd(np.sqrt(fm.quad_weight) * fm.entries, full_matrices=False)
-    modes = s > EPS_SIGMA_REL * s[0]
+    modes = s**2 > EIG_RESOLUTION_C * fm.k * np.finfo(float).eps * s[0] ** 2
+    assert np.array_equal(modes, svd.u_valid)
     expected = np.sqrt(fm.quad_weight) * (u[:, modes] * coeffs[modes]) @ vt[modes, :]
     got = sigma_gradient(svd, coeffs)
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_rank_deficient_fixture_has_vanishing_modes():
-    sigma = thin_svd(rank_deficient_fm()).sigma
-    assert sigma[2] > 0.1 * sigma[0]
-    assert np.all(sigma[3:] <= 1e-6 * sigma[0])
+    svd = thin_svd(rank_deficient_fm())
+    assert svd.sigma[2] > 0.1 * svd.sigma[0]
+    assert np.all(svd.sigma[3:] <= 1e-6 * svd.sigma[0])
+    assert np.all(svd.u_valid[:3])
+    assert not np.any(svd.u_valid[3:])
 
 
 @pytest.mark.parametrize("measure", sorted(MEASURE_COEFFS))
