@@ -1,13 +1,15 @@
-"""Print a one-line fingerprint of one benchmark solve.
+"""Print a one-line fingerprint of each named benchmark solve.
 
-Solves a workload of ``perfbench/workloads.py`` once and prints its
-evaluation counts, the final J as ``float.hex``, the SHA-1 of the final
-fields' bytes and the SHA-1 of the per-iteration J values.  Two checkouts
-whose lines agree took the same iterates bit for bit, so a change that is
-meant to keep the arithmetic can be checked with one solve per workload.
+Solves each named workload of ``perfbench/workloads.py`` once and prints
+one line per workload: its evaluation counts, the final J as
+``float.hex``, the SHA-1 of the final fields' bytes and the SHA-1 of the
+per-iteration J values.  Two checkouts whose lines agree took the same
+iterates bit for bit, so a change that is meant to keep the arithmetic can
+be checked with one solve per workload.
 
 Example, from the root of a source checkout:
-    python3 scripts/solve_fingerprint.py --workload recovery64 --seed 1
+    python3 scripts/solve_fingerprint.py --seed 1 \
+        --workload recovery64 sequential64 wide32 elastic32
 """
 
 import argparse
@@ -41,10 +43,11 @@ def fingerprint(workload, seed: int) -> str:
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    ap.add_argument("--workload", required=True, nargs="+", choices=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, default=1, help="image order of a groupwise workload")
     args = ap.parse_args(argv)
-    print(f"{args.workload} seed={args.seed} {fingerprint(WORKLOADS[args.workload], args.seed)}")
+    for name in args.workload:
+        print(f"{name} seed={args.seed} {fingerprint(WORKLOADS[name], args.seed)}", flush=True)
 
 
 if __name__ == "__main__":

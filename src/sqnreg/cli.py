@@ -51,7 +51,7 @@ def build_measure(cfg: RunConfig):
     if cfg.measure == "sqn":
         return SchattenQ(q=cfg.q, feature=feature)
     if cfg.measure == "corr_dev":
-        return CorrDev(q=cfg.q, feature=feature)
+        return CorrDev(feature=feature)
     if cfg.jitter == "auto":
         return LogDet(auto_jitter=True, feature=feature)
     return LogDet(jitter=float(cfg.jitter), feature=feature)

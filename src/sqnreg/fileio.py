@@ -269,7 +269,7 @@ assert set(_CONFIG_PARSERS) == {f.name for f in dc_fields(RunConfig)}
 def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
     """Parse flat ``key = value`` lines; '#' starts a comment."""
     cfg = RunConfig()
-    seen: set[str] = set()
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -286,12 +286,17 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
-        seen.add(key)
+        seen[key] = lineno
         try:
             parsed = _CONFIG_PARSERS[key](val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
         setattr(cfg, key, parsed)
+    if cfg.measure == "corr_dev" and "q" in seen:
+        raise ConfigError(
+            f"line {seen['q']}: config key 'q' does not apply to measure = corr_dev,"
+            " which is the squared Schatten-2 deviation"
+        )
     if cfg.manifest is not None and base_dir is not None:
         cfg.manifest = str((base_dir / cfg.manifest).resolve())
     return cfg

@@ -6,12 +6,18 @@ Pairwise measures (for the sequential baseline):
 * ``NgfPair``: normalized-gradient-field distance with a pointwise
   stabilizer ``eta_pt``.
 
+The sequential data term ``sum_i D(T_{i-1}, T_i)`` is one chain,
+``pair_chain``, over warped images.  The stack objective runs it on the
+whole warped stack; the sequential solver's one-field objective
+(``optimize._component_objective``) runs it on the image and its frozen
+neighbors.
+
 Groupwise measures (functions of the feature-matrix spectrum):
 
 * ``SchattenQ(q)``: ``K - sum sigma_k^q`` for finite q, ``-sigma_1`` for
   q = inf.  Smaller is better; aligned stacks drive the spectrum towards
   rank one.
-* ``CorrDev(2)``: squared Schatten-2 deviation of the correlation matrix
+* ``CorrDev``: squared Schatten-2 deviation of the correlation matrix
   from the identity.  This one is maximized by alignment, so it enters the
   minimization objective negated.
 * ``LogDet``: ``sum log(lambda_k + jitter)``, the log-determinant of the
@@ -39,7 +45,6 @@ from .features import (
     resolve_feature,
 )
 from .grids import (
-    DisplacementField,
     Image,
     ImageStack,
     gradient_central,
@@ -79,14 +84,13 @@ class SchattenQ:
 
 @dataclass(frozen=True)
 class CorrDev:
-    """Deviation of the correlation matrix from the identity (maximized)."""
+    """Squared Schatten-2 deviation of the correlation matrix from the identity.
 
-    q: float = 2.0
+    Maximized by alignment.  ``corr_dev`` gives its value at other exponents;
+    only q = 2 has a gradient path.
+    """
+
     feature: FeatureMap = NgfFeature()
-
-    def __post_init__(self):
-        if not (self.q == math.inf or (np.isfinite(self.q) and self.q >= 1.0)):
-            raise MeasureError(f"Schatten exponent must be >= 1 or inf, got {self.q}")
 
 
 @dataclass(frozen=True)
@@ -263,28 +267,31 @@ def _pair_forward(kind, a: Image, b: Image):
     return _ngf_forward(a, b, kind.eta_pt)
 
 
-def ssd_pair(ref: Image, moving: Image, field: DisplacementField):
-    """SSD between ``ref`` and ``moving`` warped by ``field``.
+def pair_chain(kind, images):
+    """The sequential data term ``sum_i D(images[i-1], images[i])`` of a chain.
 
-    Returns ``(value, grad)`` with the gradient taken with respect to the
-    displacement of the moving image; ``ref`` is used as-is.
+    Returns ``(value, cotangents)``.  The value is summed in chain order,
+    starting from 0.0.  ``cotangents()`` returns one (m1, m2) array per image,
+    the derivative with respect to its intensities, accumulated from zeros
+    with the earlier pair first.  Every pair keeps its forward state until
+    ``cotangents`` runs.
     """
-    return _one_sided_pair(SsdPair(), ref, moving, field)
+    value = 0.0
+    backwards = []
+    for a, b in zip(images, images[1:]):
+        v, backward = _pair_forward(kind, a, b)
+        value += v
+        backwards.append(backward)
 
+    def cotangents():
+        cots = [np.zeros(img.grid.dims) for img in images]
+        for idx, backward in enumerate(backwards, start=1):
+            da, db = backward()
+            cots[idx - 1] += da
+            cots[idx] += db
+        return cots
 
-def ngf_pair(ref: Image, moving: Image, field: DisplacementField, eta_pt: float = 1e-2):
-    """NGF distance between ``ref`` and warped ``moving``; gradient as in ``ssd_pair``."""
-    return _one_sided_pair(NgfPair(eta_pt=eta_pt), ref, moving, field)
-
-
-def _one_sided_pair(kind, ref: Image, moving: Image, field: DisplacementField):
-    if ref.grid != moving.grid:
-        raise MeasureError("pair images must share one grid")
-    warped, jac = warp_with_jacobian(moving, field)
-    value, backward = _pair_forward(kind, ref, warped)
-    _, db = backward()
-    grad = db[..., None] * jac
-    return value, grad
+    return value, cotangents
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +321,8 @@ def resolve_measure(kind: MeasureKind, stack: ImageStack) -> MeasureKind:
 def measure_eval(stack: ImageStack, fields, kind: MeasureKind) -> MeasureEval:
     """Evaluate a measure on a warped stack with gradients for every field.
 
-    Pairwise kinds accumulate over consecutive pairs ``(k-1, k)`` (the
-    sequential data term); groupwise kinds go through the feature matrix.
+    Pairwise kinds run ``pair_chain`` over the warped stack (the sequential
+    data term); groupwise kinds go through the feature matrix.
     ``CorrDev`` is negated here so that smaller is always better.
     """
     fields = list(fields)
@@ -335,19 +342,10 @@ def _eval_pairwise(stack: ImageStack, fields, kind) -> MeasureEval:
         wimg, jac = warp_with_jacobian(img, field)
         warped.append(wimg)
         jacs.append(jac)
-    k = stack.k
-    grid = stack.grid
-    value = 0.0
-    cots = [np.zeros(grid.dims) for _ in range(k)]
-    for idx in range(1, k):
-        v, backward = _pair_forward(kind, warped[idx - 1], warped[idx])
-        value += v
-        da, db = backward()
-        cots[idx - 1] += da
-        cots[idx] += db
+    value, cotangents = pair_chain(kind, warped)
     # eager: the solver's sequential chain is ``optimize._component_objective``,
     # so nothing defers this stack-wide evaluation
-    grads = np.stack([cots[i][..., None] * jacs[i] for i in range(k)])
+    grads = np.stack([cot[..., None] * jac for cot, jac in zip(cotangents(), jacs)])
     return MeasureEval(float(value), lambda: grads)
 
 
@@ -360,11 +358,6 @@ def _eval_groupwise(stack: ImageStack, fields, kind) -> MeasureEval:
     if isinstance(kind, SchattenQ):
         value, coeffs, flagged = _sqn_coeffs(svd, kind.q)
     elif isinstance(kind, CorrDev):
-        if kind.q != 2.0:
-            raise MeasureError(
-                "only the squared Schatten-2 correlation deviation has an"
-                " analytic gradient; use corr_dev for values at other q"
-            )
         value, coeffs = _corr_dev2_coeffs(svd)
         value, negate = -value, True
     else:

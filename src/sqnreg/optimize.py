@@ -7,7 +7,10 @@ The objective couples a distance measure with a deformation regularizer:
   fixed),
 * sequential mode: ``J = sum_{k>=2} D(pair k-1, k) + S(u_k)`` with the
   first image fixed, minimized by Gauss-Seidel sweeps over one field at a
-  time.
+  time.  The data term of the stack objective and of each one-field solve
+  is the same chain, ``measures.pair_chain``: on the whole warped stack in
+  the first case, on the field's image and its two frozen neighbors in the
+  second.
 
 The solver is limited-memory BFGS with a strong Wolfe line search.  Its
 two-loop recursion is seeded by running conjugate gradients on
@@ -63,6 +66,7 @@ from .measures import (
     PAIRWISE_KINDS,
     MeasureKind,
     measure_eval,
+    pair_chain,
     resolve_measure,
 )
 from .regularize import RegKind, reg_eval, reg_glo, reg_hessian_apply
@@ -106,9 +110,7 @@ class ObjectiveSpec:
 class SolveOptions:
     """Solver knobs shared by all levels.
 
-    ``ls_max_bisect`` caps the zoom trials of one line search; they are
-    interpolated, not bisected, but the name and the ``bisection_cap``
-    outcome it leads to are kept for existing callers.
+    ``ls_max_zoom`` caps the zoom trials of one line search.
     """
 
     levels: int = 1
@@ -119,7 +121,7 @@ class SolveOptions:
     wolfe_c1: float = 1e-4
     wolfe_c2: float = 0.9
     ls_max_expand: int = 10
-    ls_max_bisect: int = 20
+    ls_max_zoom: int = 20
     metric: str = "reg"  # "reg" or "identity"
     metric_eps_rel: float = 1e-6
     cg_tol: float = 1e-10
@@ -420,8 +422,8 @@ def _strong_wolfe(fun, x, p, f0, slope0, opts: SolveOptions, counters: _Counters
 
     Zoom trials come from ``_zoom_trial``.  Returns the accepted evaluation,
     or the best strictly-decreasing evaluation seen with ``ok=False`` when
-    bracketing fails (``expansion_cap``) or zoom has spent ``ls_max_bisect``
-    trials without an acceptable one (``bisection_cap``).  ``fun`` may
+    bracketing fails (``expansion_cap``) or zoom has spent ``ls_max_zoom``
+    trials without an acceptable one (``zoom_cap``).  ``fun`` may
     return its gradient as a zero-argument callable; it is then called only
     for trials that pass sufficient decrease and for the returned fallback,
     and the forward state is kept only for the current trial and the best
@@ -457,7 +459,7 @@ def _strong_wolfe(fun, x, p, f0, slope0, opts: SolveOptions, counters: _Counters
         return _LineSearchResult(None, False, reason)
 
     def zoom(lo: _Eval, hi: _Eval) -> _LineSearchResult:
-        for _ in range(opts.ls_max_bisect):
+        for _ in range(opts.ls_max_zoom):
             if counters.exhausted:
                 return fallback("budget")
             trial = evaluate(_zoom_trial(lo, hi))
@@ -469,7 +471,7 @@ def _strong_wolfe(fun, x, p, f0, slope0, opts: SolveOptions, counters: _Counters
                 if trial.slope * (hi.alpha - lo.alpha) >= 0:
                     hi = lo
                 lo = trial
-        return fallback("bisection_cap")
+        return fallback("zoom_cap")
 
     prev = _Eval(0.0, f0, None, False, slope=slope0)
     alpha = first_trial
@@ -699,42 +701,32 @@ def _solve_level_groupwise(spec, stack, x0, opts, counters, trace, level, t0):
 def _component_objective(spec, stack, fields, idx):
     """Objective restricted to field ``idx`` in a sequential chain.
 
-    Only the pair terms touching image ``idx`` and its own regularizer vary;
-    neighbors enter through their current (frozen) warped images.  Like
+    Only the pair terms touching image ``idx`` and its own regularizer vary.
+    The neighbors are warped once by their current (frozen) fields; each
+    evaluation runs ``pair_chain`` on ``[left] + [warped] + [right]`` and
+    takes the gradient from the cotangent of image ``idx``, so it matches
+    the stack objective's gradient for that field bit for bit.  Like
     ``objective_trial`` it returns the gradient as a zero-argument callable.
     """
-    from .measures import _pair_forward  # local import to keep the API surface small
+    # looked up in ``grids`` at call time, where perfbench's tracer wraps it
     from .grids import warp_with_jacobian
 
-    left = None
-    right = None
-    if idx > 0:
-        left, _ = warp_with_jacobian(stack[idx - 1], fields[idx - 1], want_jac=False)
-    if idx < stack.k - 1:
-        right, _ = warp_with_jacobian(stack[idx + 1], fields[idx + 1], want_jac=False)
+    left, right = (
+        [warp_with_jacobian(stack[j], fields[j], want_jac=False)[0]] if 0 <= j < stack.k else []
+        for j in (idx - 1, idx + 1)
+    )
+    pos = len(left)
     grid = stack.grid
 
     def fun(x):
         u = DisplacementField(grid, x[0])
         warped, jac = warp_with_jacobian(stack[idx], u)
-        value = 0.0
-        # (pair backward, position of image idx in the pair)
-        pairs = []
-        if left is not None:
-            v, backward = _pair_forward(spec.measure, left, warped)
-            value += v
-            pairs.append((backward, 1))
-        if right is not None:
-            v, backward = _pair_forward(spec.measure, warped, right)
-            value += v
-            pairs.append((backward, 0))
+        value, cotangents = pair_chain(spec.measure, left + [warped] + right)
         rv, reg_gradient = reg_eval(spec.regularizer, u, deferred=True)
         value += rv
 
         def gradient():
-            cot = np.zeros(grid.dims)
-            for backward, side in pairs:
-                cot += backward()[side]
+            cot = cotangents()[pos]
             return (cot[..., None] * jac + reg_gradient())[None, ...]
 
         return value, gradient, False

@@ -3,9 +3,10 @@
 These are the end-to-end checks the package must pass: gradient
 correctness through every differentiation path, spectral identities and
 analytic extremes of the stack measures, permutation invariance of the
-groupwise solver, translation recovery on synthetic stacks, degeneracy
-behavior of the volume-style measure, monotone descent, a budget-matched
-groupwise-vs-sequential comparison, and file format round trips.
+groupwise solver, translation and drift recovery on synthetic stacks,
+degeneracy behavior of the volume-style measure, monotone descent, a
+budget-matched groupwise-vs-sequential comparison, and file format round
+trips.
 """
 
 import math
@@ -154,7 +155,7 @@ class TestGradientSuite:
             ("sqn4", SchattenQ(q=4.0), 1e-5),
             ("sqn_inf", SchattenQ(q=math.inf), 1e-5),
             ("sqn3", SchattenQ(q=3.0), 1e-5),
-            ("corr_dev2", CorrDev(q=2.0), 1e-5),
+            ("corr_dev2", CorrDev(), 1e-5),
             ("logdet", LogDet(jitter=1e-3), 1e-5),
             ("ssd_pair", SsdPair(), 1e-5),
             ("ngf_pair", NgfPair(eta_pt=1e-2), 1e-6),
@@ -375,6 +376,36 @@ class TestTranslationRecovery:
         assert per_iteration <= 4.0, (
             f"{name}: {report.fevals} evaluations over {iterations} iterations"
         )
+
+
+@pytest.mark.slow
+class TestDriftRecovery:
+    """Linear drift along the stack, the paper's histological-section case.
+
+    Judged by ground truth, which neither method optimizes.  On this
+    instance the zero field reads 1.281, the groupwise solve 0.052 (131
+    fevals) and one sequential NGF sweep 0.928 (535 fevals).
+    """
+
+    def test_groupwise_recovers_drift_better_than_sequential(self):
+        stack, truths = synth_stack(7, 8, "shifted_disks", (0.5, 0.25), dims=(32, 32))
+        mask = stack[0].data > 0.25
+        zero = rms_relative_shift_error([zero_field(stack.grid)] * stack.k, truths, mask)
+        group = multilevel_solve(
+            ObjectiveSpec(SchattenQ(q=4.0), Diffusion(alpha=1e-2)),
+            stack,
+            SolveOptions(levels=2, maxiter=20, gtol=1e-6),
+        )
+        seq = multilevel_solve(
+            ObjectiveSpec(NgfPair(eta_pt=1e-2), Diffusion(alpha=1e-2), mode="sequential"),
+            stack,
+            SolveOptions(levels=1, maxiter=30),
+        )
+        group_rms = rms_relative_shift_error(group.fields, truths, mask)
+        seq_rms = rms_relative_shift_error(seq.fields, truths, mask)
+        assert group_rms <= 0.1 * zero, f"groupwise {group_rms:.3f} vs zero field {zero:.3f}"
+        assert seq_rms < zero, f"sequential {seq_rms:.3f} vs zero field {zero:.3f}"
+        assert group_rms < seq_rms, f"groupwise {group_rms:.3f} vs sequential {seq_rms:.3f}"
 
 
 # ---------------------------------------------------------------------------

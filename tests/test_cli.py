@@ -159,6 +159,24 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--config", str(cfg), "--seed", "2"]) == 0
         assert "measure=ssd" in capsys.readouterr().out
 
+    def test_corr_dev_with_default_exponent(self, tmp_path, capsys):
+        # the default q = 4 belongs to sqn; corr_dev has no exponent to read
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("measure = corr_dev\n")
+        assert main(["gradcheck", "--config", str(cfg), "--seed", "3"]) == 0
+        assert "gradcheck OK: measure=corr_dev" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text,line", [("measure = corr_dev\nq = 3\n", 2), ("q = 3\nmeasure = corr_dev\n", 1)]
+)
+def test_exponent_with_corr_dev_is_a_config_error(tmp_path, capsys, text, line):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    assert main(["gradcheck", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"error[config]: line {line}: config key 'q' does not apply to measure = corr_dev" in err
+
 
 class TestViewCommand:
     def test_writes_cut(self, tmp_path, capsys):

@@ -3,22 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from sqnreg.errors import MeasureError
+from sqnreg.errors import GridError, MeasureError
 from sqnreg.features import FeatureMatrix, IntensityFeature, NgfFeature
-from sqnreg.grids import DisplacementField, GridSpec, Image, zero_field
+from sqnreg.grids import DisplacementField, GridSpec, Image, ImageStack, warp, zero_field
 from sqnreg.measures import (
     CorrDev,
     LogDet,
     NgfPair,
     SchattenQ,
     SsdPair,
+    _pair_forward,
     corr_dev,
     logdet_total_correlation,
     measure_eval,
-    ngf_pair,
+    pair_chain,
     resolve_measure,
     sqn,
-    ssd_pair,
 )
 from sqnreg.oracles import fd_gradient, relative_error
 from sqnreg.spectral import thin_svd
@@ -189,13 +189,21 @@ def test_sqn_validation():
 # pairwise measures
 
 
+def pair_eval(kind, ref: Image, moving: Image, field: DisplacementField):
+    """A two-image chain: ``ref`` at the zero field, ``moving`` warped by ``field``.
+
+    The gradient with respect to ``field`` is ``.grads[1]``.
+    """
+    return measure_eval(ImageStack((ref, moving)), [zero_field(field.grid), field], kind)
+
+
 def test_ssd_zero_for_identical_images():
     g = GridSpec((6, 6), spacing=(0.25, 0.25))
     rng = rng_for(2)
     data = rng.uniform(0.0, 1.0, size=g.dims)
-    value, grad = ssd_pair(Image(g, data), Image(g, data), zero_field(g))
-    assert value == 0.0
-    assert np.all(grad == 0.0)
+    ev = pair_eval(SsdPair(), Image(g, data), Image(g, data), zero_field(g))
+    assert ev.value == 0.0
+    assert np.all(ev.grads[1] == 0.0)
 
 
 def test_ssd_constant_offset_value():
@@ -203,7 +211,7 @@ def test_ssd_constant_offset_value():
     g = GridSpec((m, m), spacing=(1.0 / m, 1.0 / m))
     a = Image(g, np.zeros(g.dims))
     b = Image(g, np.full(g.dims, 0.3))
-    value, _ = ssd_pair(a, b, zero_field(g))
+    value = pair_eval(SsdPair(), a, b, zero_field(g)).value
     assert value == pytest.approx(0.5 * 0.3**2, rel=1e-12)  # domain area is 1
 
 
@@ -213,10 +221,10 @@ def test_ssd_pair_gradient_matches_fd():
     ref = stack[0]
     mov = stack[1]
     field = fields[1]
-    _, grad = ssd_pair(ref, mov, field)
+    grad = pair_eval(SsdPair(), ref, mov, field).grads[1]
 
     def value_of(u):
-        return ssd_pair(ref, mov, DisplacementField(field.grid, u))[0]
+        return pair_eval(SsdPair(), ref, mov, DisplacementField(field.grid, u)).value
 
     fd = fd_gradient(value_of, field.u.copy(), step=1e-5)
     assert relative_error(grad, fd) <= 1e-6
@@ -228,7 +236,7 @@ def test_ngf_constant_reference_gives_half_domain_area():
     rng = rng_for(3)
     a = Image(g, np.full(g.dims, 0.5))
     b = Image(g, rng.uniform(0.0, 1.0, size=g.dims))
-    value, _ = ngf_pair(a, b, zero_field(g), eta_pt=1e-2)
+    value = pair_eval(NgfPair(eta_pt=1e-2), a, b, zero_field(g)).value
     assert value == pytest.approx(0.5, rel=1e-12)
 
 
@@ -238,7 +246,8 @@ def test_ngf_self_distance_vanishes_as_eta_goes_to_zero():
     c = g.cell_centers()
     img = Image(g, 3.0 * c[..., 0] + 0.5 * c[..., 1])  # nowhere-flat ramp
     values = [
-        ngf_pair(img, img, zero_field(g), eta_pt=eta)[0] for eta in (1e-2, 1e-4, 1e-6, 1e-10)
+        pair_eval(NgfPair(eta_pt=eta), img, img, zero_field(g)).value
+        for eta in (1e-2, 1e-4, 1e-6, 1e-10)
     ]
     assert all(v2 < v1 for v1, v2 in zip(values, values[1:]))
     assert values[-1] <= 1e-9
@@ -246,7 +255,7 @@ def test_ngf_self_distance_vanishes_as_eta_goes_to_zero():
 
 def test_ngf_value_bounds():
     stack, fields = fd_instance(2, k=2)
-    value, _ = ngf_pair(stack[0], stack[1], fields[1], eta_pt=5e-2)
+    value = pair_eval(NgfPair(eta_pt=5e-2), stack[0], stack[1], fields[1]).value
     area = stack.grid.domain_area
     assert 0.0 <= value <= 0.5 * area
 
@@ -255,10 +264,11 @@ def test_ngf_pair_gradient_matches_fd():
     stack, fields = fd_instance(3, k=2)
     assert fd_safe_instance(stack, fields)
     ref, mov, field = stack[0], stack[1], fields[1]
-    _, grad = ngf_pair(ref, mov, field, eta_pt=3e-2)
+    kind = NgfPair(eta_pt=3e-2)
+    grad = pair_eval(kind, ref, mov, field).grads[1]
 
     def value_of(u):
-        return ngf_pair(ref, mov, DisplacementField(field.grid, u), eta_pt=3e-2)[0]
+        return pair_eval(kind, ref, mov, DisplacementField(field.grid, u)).value
 
     fd = fd_gradient(value_of, field.u.copy(), step=1e-5)
     assert relative_error(grad, fd) <= 1e-6
@@ -267,8 +277,38 @@ def test_ngf_pair_gradient_matches_fd():
 def test_pair_grid_mismatch_rejected():
     g = GridSpec((6, 6))
     other = GridSpec((6, 6), spacing=(2.0, 2.0))
-    with pytest.raises(MeasureError):
-        ssd_pair(Image(g, np.zeros(g.dims)), Image(other, np.zeros(other.dims)), zero_field(other))
+    with pytest.raises(GridError):
+        pair_eval(
+            SsdPair(), Image(g, np.zeros(g.dims)), Image(other, np.zeros(other.dims)),
+            zero_field(other),
+        )
+
+
+def per_pair_reference(kind, images):
+    """The chain written pair by pair: value from 0.0, cotangents from zeros."""
+    value = 0.0
+    cots = [np.zeros(img.grid.dims) for img in images]
+    for idx in range(1, len(images)):
+        v, backward = _pair_forward(kind, images[idx - 1], images[idx])
+        value += v
+        da, db = backward()
+        cots[idx - 1] += da
+        cots[idx] += db
+    return value, cots
+
+
+@pytest.mark.parametrize("kind", [SsdPair(), NgfPair(eta_pt=3e-2)])
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_pair_chain_matches_per_pair_reference_bitexact(kind, k):
+    stack, fields = fd_instance(20 + k, k=k)
+    warped = [warp(img, f) for img, f in zip(stack, fields)]
+    value, cotangents = pair_chain(kind, warped)
+    ref_value, ref_cots = per_pair_reference(kind, warped)
+    assert value == ref_value
+    cots = cotangents()
+    assert len(cots) == k
+    for got, want in zip(cots, ref_cots):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +335,7 @@ def test_groupwise_eval_at_global_minimizer():
         SchattenQ(q=4.0, feature=NgfFeature(eta=0.05, relative=False)),
         SchattenQ(q=3.0, feature=IntensityFeature()),
         SchattenQ(q=math.inf, feature=NgfFeature(eta=0.05, relative=False)),
-        CorrDev(q=2.0, feature=IntensityFeature()),
+        CorrDev(feature=IntensityFeature()),
         LogDet(jitter=1e-3, feature=NgfFeature(eta=0.05, relative=False)),
     ],
 )
@@ -337,8 +377,6 @@ def test_pairwise_stack_eval_gradients_match_fd(kind):
 def test_pairwise_stack_value_is_sum_of_consecutive_pairs():
     stack, fields = fd_instance(7, k=4)
     ev = measure_eval(stack, fields, SsdPair())
-    from sqnreg.grids import warp
-
     warped = [warp(img, f) for img, f in zip(stack, fields)]
     w = stack.grid.cell_area
     expected = sum(
@@ -350,18 +388,12 @@ def test_pairwise_stack_value_is_sum_of_consecutive_pairs():
 
 def test_corrdev_is_negated_as_objective():
     stack, fields = fd_instance(8, k=3)
-    kind = CorrDev(q=2.0, feature=IntensityFeature())
+    kind = CorrDev(feature=IntensityFeature())
     ev = measure_eval(stack, fields, kind)
     from sqnreg.features import assemble
 
     fm = assemble(stack, fields, IntensityFeature())
     assert ev.value == pytest.approx(-corr_dev(fm, 2.0), rel=1e-12)
-
-
-def test_corrdev_generic_q_has_no_gradient_path():
-    stack, fields = fd_instance(9, k=3)
-    with pytest.raises(MeasureError, match="analytic gradient"):
-        measure_eval(stack, fields, CorrDev(q=3.0, feature=IntensityFeature()))
 
 
 def test_logdet_degenerates_when_an_image_leaves_the_overlap():

@@ -29,7 +29,7 @@ from sqnreg.optimize import (
     objective_trial,
 )
 from sqnreg.oracles import fd_gradient
-from sqnreg.regularize import Diffusion, Elastic, reg_hessian_apply
+from sqnreg.regularize import Diffusion, Elastic, reg_eval, reg_hessian_apply
 from sqnreg.synth import synth_stack
 
 from conftest import fd_instance, rng_for, stack_of
@@ -175,7 +175,7 @@ class TestSteepestDescentRestart:
         out = lbfgs(fun, x0, opts)
         assert out.termination == "line_search_failure"
         # the start point and one search, not a second one along the same ray
-        assert len(trials) <= 1 + opts.ls_max_expand + opts.ls_max_bisect
+        assert len(trials) <= 1 + opts.ls_max_expand + opts.ls_max_zoom
         # every trial lies on the one ray x0 - alpha * (10, 2)
         for t in trials[1:]:
             assert t[0] < 0 and t[1] - 1.0 == pytest.approx(0.2 * t[0], rel=1e-9)
@@ -503,7 +503,7 @@ class TestValueFirstTrials:
         [
             ("groupwise", SchattenQ(q=4.0)),
             ("groupwise", SchattenQ(q=math.inf)),
-            ("groupwise", CorrDev(q=2.0)),
+            ("groupwise", CorrDev()),
             ("groupwise", LogDet()),
             ("sequential", SsdPair()),
             ("sequential", NgfPair(eta_pt=1e-2)),
@@ -529,6 +529,18 @@ class TestValueFirstTrials:
             fun = _component_objective(spec, stack, fields, idx)
             _, gradient, _ = fun(fields[idx].u[None, ...])
             assert np.array_equal(gradient()[0], grads[idx])
+
+    @pytest.mark.parametrize("measure", [SsdPair(), NgfPair(eta_pt=1e-2)])
+    def test_component_at_the_chain_start_reads_its_own_cotangent(self, measure):
+        # the anchor is never solved for, but the chain [image 0, right
+        # neighbor] must still give image 0 its own data gradient
+        stack, fields = fd_instance(8, k=4)
+        reg = Diffusion(alpha=1e-2)
+        spec = ObjectiveSpec(measure, reg, mode="sequential")
+        fun = _component_objective(spec, stack, fields, 0)
+        _, gradient, _ = fun(fields[0].u[None, ...])
+        expected = measure_eval(stack, fields, measure).grads[0] + reg_eval(reg, fields[0])[1]
+        assert np.array_equal(gradient()[0], expected)
 
     def test_no_gradient_for_trials_failing_sufficient_decrease(self):
         opts = SolveOptions()
@@ -563,7 +575,7 @@ class TestValueFirstTrials:
         # lands on a bump, so the search falls back to the first trial.  Its
         # gradient is formed only when the caller reads it, from the state
         # the trial kept.
-        opts = SolveOptions(wolfe_c1=0.5, ls_max_bisect=1)
+        opts = SolveOptions(wolfe_c1=0.5, ls_max_zoom=1)
         graded = []
 
         def fun(z):
@@ -577,7 +589,7 @@ class TestValueFirstTrials:
             return value, gradient, False
 
         ls = _strong_wolfe(fun, np.zeros(1), np.ones(1), 0.09, -0.6, opts, _Counters(), 0.5)
-        assert not ls.ok and ls.reason == "bisection_cap"
+        assert not ls.ok and ls.reason == "zoom_cap"
         assert ls.ev.alpha == 0.5 and graded == []
         assert np.array_equal(ls.ev.grad, [0.4])
         assert graded == [0.5]
