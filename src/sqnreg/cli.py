@@ -90,9 +90,9 @@ def _cmd_register(args) -> int:
         cfg.out = args.out
     if cfg.manifest is None:
         raise ConfigError("config is missing the 'manifest' key")
-    stack = load_stack(load_manifest(cfg.manifest))
     spec = build_spec(cfg)
     opts = build_options(cfg)
+    stack = load_stack(load_manifest(cfg.manifest))
     report = multilevel_solve(spec, stack, opts)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

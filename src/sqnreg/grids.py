@@ -256,7 +256,9 @@ def gradient_central(img: Image) -> np.ndarray:
     return np.stack([g1, g2], axis=-1)
 
 
-def _grad_axis_adjoint(v: np.ndarray, h: float, axis: int) -> np.ndarray:
+def grad_axis_adjoint(v: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """Adjoint of ``np.gradient(u, h, axis=axis)``: central differences
+    inside, one-sided at the two ends; any other axes are batch axes."""
     v = np.moveaxis(v, axis, 0)
     m = v.shape[0]
     out = np.zeros_like(v)
@@ -279,8 +281,8 @@ def gradient_central_adjoint(v: np.ndarray, grid: GridSpec) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (*grid.dims, 2):
         raise GridError(f"expected shape {(*grid.dims, 2)}, got {v.shape}")
-    out = _grad_axis_adjoint(v[..., 0], grid.spacing[0], axis=0)
-    out += _grad_axis_adjoint(v[..., 1], grid.spacing[1], axis=1)
+    out = grad_axis_adjoint(v[..., 0], grid.spacing[0], axis=0)
+    out += grad_axis_adjoint(v[..., 1], grid.spacing[1], axis=1)
     return out
 
 

@@ -239,12 +239,16 @@ def _ssd_forward(a: Image, b: Image):
     return value, lambda: (-w * diff, w * diff)
 
 
-def _ngf_forward(a: Image, b: Image, eta_pt: float):
-    w = a.grid.cell_area
-    ga = gradient_central(a)
-    gb = gradient_central(b)
-    na = np.sqrt(np.sum(ga**2, axis=-1) + eta_pt)
-    nb = np.sqrt(np.sum(gb**2, axis=-1) + eta_pt)
+def _ngf_gradient(img: Image, eta_pt: float):
+    """An image's NGF state: its gradient and the stabilized pointwise norm."""
+    g = gradient_central(img)
+    return g, np.sqrt(np.sum(g**2, axis=-1) + eta_pt)
+
+
+def _ngf_forward(grid, a, b):
+    """NGF pair term from the ``_ngf_gradient`` states ``a`` and ``b``."""
+    w = grid.cell_area
+    (ga, na), (gb, nb) = a, b
     s = np.sum(ga * gb, axis=-1)
     r = s / (na * nb)
     value = 0.5 * w * float(np.sum(1.0 - r**2))
@@ -253,18 +257,9 @@ def _ngf_forward(a: Image, b: Image, eta_pt: float):
         shared = w * r[..., None]
         dga = -shared * (gb / (na * nb)[..., None] - (r / na**2)[..., None] * ga)
         dgb = -shared * (ga / (na * nb)[..., None] - (r / nb**2)[..., None] * gb)
-        da = gradient_central_adjoint(dga, a.grid)
-        db = gradient_central_adjoint(dgb, b.grid)
-        return da, db
+        return gradient_central_adjoint(dga, grid), gradient_central_adjoint(dgb, grid)
 
     return value, backward
-
-
-def _pair_forward(kind, a: Image, b: Image):
-    """Value of a pair term and a callable for its cotangents ``(da, db)``."""
-    if isinstance(kind, SsdPair):
-        return _ssd_forward(a, b)
-    return _ngf_forward(a, b, kind.eta_pt)
 
 
 def pair_chain(kind, images):
@@ -273,19 +268,23 @@ def pair_chain(kind, images):
     Returns ``(value, cotangents)``.  The value is summed in chain order,
     starting from 0.0.  ``cotangents()`` returns one (m1, m2) array per image,
     the derivative with respect to its intensities, accumulated from zeros
-    with the earlier pair first.  Every pair keeps its forward state until
-    ``cotangents`` runs.
+    with the earlier pair first.  NGF takes each image's gradient and
+    pointwise norm once, shared by the image's two pairs.  Every pair keeps
+    its forward state until ``cotangents`` runs.
     """
+    if isinstance(kind, SsdPair):
+        terms = [_ssd_forward(a, b) for a, b in zip(images, images[1:])]
+    else:
+        states = [_ngf_gradient(img, kind.eta_pt) for img in images]
+        grid = images[0].grid
+        terms = [_ngf_forward(grid, a, b) for a, b in zip(states, states[1:])]
     value = 0.0
-    backwards = []
-    for a, b in zip(images, images[1:]):
-        v, backward = _pair_forward(kind, a, b)
+    for v, _ in terms:
         value += v
-        backwards.append(backward)
 
     def cotangents():
         cots = [np.zeros(img.grid.dims) for img in images]
-        for idx, backward in enumerate(backwards, start=1):
+        for idx, (_, backward) in enumerate(terms, start=1):
             da, db = backward()
             cots[idx - 1] += da
             cots[idx] += db

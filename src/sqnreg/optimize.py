@@ -16,23 +16,25 @@ The solver is limited-memory BFGS with a strong Wolfe line search.  Its
 two-loop recursion is seeded by running conjugate gradients on
 ``(H_reg + eps I) z = q``, where ``H_reg`` is the (constant) regularizer
 Hessian, applied to the whole stack at once, and ``eps = 1e-6 * alpha``.
-CG is truncated, not converged: at 64x64 it stops at ``cg_maxiter=200``
+CG is truncated, not converged: at 64x64 it stops at ``CG_MAXITER = 200``
 with a relative residual of about 1.1, so the seed is a fixed polynomial in
 the metric rather than its inverse.  ``SolveReport.metric_solves_capped``
 counts the solves that stopped at the cap.  CG allocates its vectors and
 the Hessian's scratch arrays once per solve and updates them in place.
+Both solvers always seed with this metric.
 
-The line search brackets a strong Wolfe step and zooms in with safeguarded
-quadratic interpolation (Nocedal & Wright, Alg. 3.6): each zoom trial
-minimizes the quadratic through the value and slope at the bracket's low end
-and the value at its high end, clamped to the inner 80 % of the bracket, and
-falls back to the midpoint when the high end was rejected or the quadratic
-is not convex.  It needs no extra gradient: the slope at the low end has
-always been read.  In metric-seeded runs the first trial is capped at
-``first_step_scale / |p|_inf``.  A search along the quasi-Newton direction
-that finds no decrease is retried once along ``-g`` with the L-BFGS memory
-cleared; at the zero field every sample sits on a grid node, where the
-gradient is a one-sided derivative and that direction can point uphill.
+The line search brackets a strong Wolfe step (``WOLFE_C1``, ``WOLFE_C2``)
+and zooms in with safeguarded quadratic interpolation (Nocedal & Wright,
+Alg. 3.6): each zoom trial minimizes the quadratic through the value and
+slope at the bracket's low end and the value at its high end, clamped to
+the inner 80 % of the bracket, and falls back to the midpoint when the high
+end was rejected or the quadratic is not convex.  It needs no extra
+gradient: the slope at the low end has always been read.  In metric-seeded
+runs the first trial is capped at ``first_step_scale / |p|_inf``.  A search
+along the quasi-Newton direction that finds no decrease is retried once
+along ``-g`` with the L-BFGS memory cleared; at the zero field every sample
+sits on a grid node, where the gradient is a one-sided derivative and that
+direction can point uphill.
 
 Line-search trials are value first.  An evaluation is split into a forward
 pass (warp, features, Gram matrix and ``eigh``, regularizer value), which
@@ -48,6 +50,10 @@ shrinks the step (``SolveReport.rejected_trials``).
 
 All inner products run through order-canonical accumulation, so solves are
 exactly invariant under permutations of the input stack.
+
+The L-BFGS memory, the Wolfe constants, the line-search trial caps and the
+CG stopping rule are the module constants below, not options: every solve
+runs with the same policy.
 """
 
 from __future__ import annotations
@@ -75,6 +81,14 @@ CONSTRAINTS = ("none", "fix_first", "zero_mean")
 
 # errors of a forward pass that make a line-search trial a rejected step
 TRIAL_ERRORS = (GridError, FeatureError, SpectralError, MeasureError)
+
+LBFGS_MEMORY = 5  # (s, y) pairs kept by the two-loop recursion
+WOLFE_C1 = 1e-4  # sufficient decrease
+WOLFE_C2 = 0.9  # curvature
+LS_MAX_EXPAND = 10  # bracketing trials of one line search
+LS_MAX_ZOOM = 20  # zoom trials of one line search
+CG_TOL = 1e-10  # relative residual at which a metric solve stops early
+CG_MAXITER = 200  # CG iterations of one metric solve
 
 
 @dataclass(frozen=True)
@@ -108,35 +122,34 @@ class ObjectiveSpec:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Solver knobs shared by all levels.
+    """Solver settings shared by all levels.
 
-    ``ls_max_zoom`` caps the zoom trials of one line search.
+    ``levels`` is the depth of the image pyramid and ``sweeps`` the number
+    of Gauss-Seidel sweeps per level in sequential mode.  ``maxiter`` caps
+    the L-BFGS iterations of one run (a level, or one field of a sweep),
+    which stops early once the gradient norm is at most ``gtol`` times
+    ``max(1, |g_0|)``.  ``max_fevals`` caps the
+    objective evaluations of the whole solve; None means no cap.  The metric
+    seed solves ``(H_reg + eps I) z = q`` with ``eps = metric_eps_rel *
+    alpha``.  The rest of the solver policy is the module constants.
     """
 
     levels: int = 1
     maxiter: int = 50
     gtol: float = 1e-5
-    memory: int = 5
     sweeps: int = 1
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
-    ls_max_expand: int = 10
-    ls_max_zoom: int = 20
-    metric: str = "reg"  # "reg" or "identity"
-    metric_eps_rel: float = 1e-6
-    cg_tol: float = 1e-10
-    cg_maxiter: int = 200
     max_fevals: int | None = None
+    metric_eps_rel: float = 1e-6
 
     def __post_init__(self):
         if self.levels < 1:
             raise ConfigError(f"levels must be >= 1, got {self.levels}")
         if self.maxiter < 0 or self.sweeps < 1:
             raise ConfigError("maxiter must be >= 0 and sweeps >= 1")
-        if not 0 < self.wolfe_c1 < self.wolfe_c2 < 1:
-            raise ConfigError("need 0 < c1 < c2 < 1 for the Wolfe conditions")
-        if self.metric not in ("reg", "identity"):
-            raise ConfigError(f"unknown metric {self.metric!r}")
+        if not (math.isfinite(self.gtol) and self.gtol >= 0):
+            raise ConfigError(f"gtol must be finite and >= 0, got {self.gtol}")
+        if self.max_fevals is not None and self.max_fevals < 1:
+            raise ConfigError(f"max_fevals must be >= 1 or None, got {self.max_fevals}")
 
 
 @dataclass
@@ -173,7 +186,7 @@ class SolveReport:
     elapsed: float
     line_search_failures: int
     metric_solves: int = 0
-    # metric solves whose CG hit ``cg_maxiter`` with the residual above ``cg_tol``
+    # metric solves whose CG hit ``CG_MAXITER`` with the residual above ``CG_TOL``
     metric_solves_capped: int = 0
     # line-search trials that raised in their forward pass or had a non-finite value
     rejected_trials: int = 0
@@ -303,9 +316,9 @@ def _cg_solve(apply_b, rhs: np.ndarray, tol: float, maxiter: int):
     return x, iterations, math.sqrt(max(rs, 0.0)) / rhs_norm
 
 
-def _make_metric_solve(reg_kind: RegKind, grid: GridSpec, opts: SolveOptions,
+def _make_metric_solve(reg_kind: RegKind, grid: GridSpec, eps_rel: float,
                        counters: _Counters):
-    eps = opts.metric_eps_rel * reg_kind.alpha
+    eps = eps_rel * reg_kind.alpha
 
     def solve(q: np.ndarray) -> np.ndarray:
         # output and scratch of the matvec, shared by all CG iterations
@@ -317,9 +330,9 @@ def _make_metric_solve(reg_kind: RegKind, grid: GridSpec, opts: SolveOptions,
             out += np.multiply(z, eps, out=work[0])
             return out
 
-        z, iterations, residual = _cg_solve(apply_b, q, opts.cg_tol, opts.cg_maxiter)
+        z, iterations, residual = _cg_solve(apply_b, q, CG_TOL, CG_MAXITER)
         counters.metric_solves += 1
-        if iterations == opts.cg_maxiter and residual > opts.cg_tol:
+        if iterations == CG_MAXITER and residual > CG_TOL:
             counters.metric_solves_capped += 1
         return z
 
@@ -336,7 +349,7 @@ class _Counters:
     gevals: int = 0  # gradients actually computed
     budget: int | None = None
     metric_solves: int = 0
-    metric_solves_capped: int = 0  # stopped at cg_maxiter above cg_tol
+    metric_solves_capped: int = 0  # stopped at CG_MAXITER above CG_TOL
     rejected_trials: int = 0
 
     def charge(self):
@@ -416,13 +429,12 @@ class _LineSearchResult:
         self.reason = reason
 
 
-def _strong_wolfe(fun, x, p, f0, slope0, opts: SolveOptions, counters: _Counters,
-                  first_trial: float = 1.0):
+def _strong_wolfe(fun, x, p, f0, slope0, counters: _Counters, first_trial: float = 1.0):
     """Bracket + interpolating zoom for the strong Wolfe conditions.
 
     Zoom trials come from ``_zoom_trial``.  Returns the accepted evaluation,
     or the best strictly-decreasing evaluation seen with ``ok=False`` when
-    bracketing fails (``expansion_cap``) or zoom has spent ``ls_max_zoom``
+    bracketing fails (``expansion_cap``) or zoom has spent ``LS_MAX_ZOOM``
     trials without an acceptable one (``zoom_cap``).  ``fun`` may
     return its gradient as a zero-argument callable; it is then called only
     for trials that pass sufficient decrease and for the returned fallback,
@@ -430,7 +442,7 @@ def _strong_wolfe(fun, x, p, f0, slope0, opts: SolveOptions, counters: _Counters
     one.  A trial that raises one of ``TRIAL_ERRORS`` or has a non-finite
     value counts as ``+inf``.
     """
-    c1, c2 = opts.wolfe_c1, opts.wolfe_c2
+    c1, c2 = WOLFE_C1, WOLFE_C2
     best: _Eval | None = None
     current: _Eval | None = None
 
@@ -459,7 +471,7 @@ def _strong_wolfe(fun, x, p, f0, slope0, opts: SolveOptions, counters: _Counters
         return _LineSearchResult(None, False, reason)
 
     def zoom(lo: _Eval, hi: _Eval) -> _LineSearchResult:
-        for _ in range(opts.ls_max_zoom):
+        for _ in range(LS_MAX_ZOOM):
             if counters.exhausted:
                 return fallback("budget")
             trial = evaluate(_zoom_trial(lo, hi))
@@ -475,7 +487,7 @@ def _strong_wolfe(fun, x, p, f0, slope0, opts: SolveOptions, counters: _Counters
 
     prev = _Eval(0.0, f0, None, False, slope=slope0)
     alpha = first_trial
-    for i in range(opts.ls_max_expand):
+    for i in range(LS_MAX_EXPAND):
         if counters.exhausted:
             return fallback("budget")
         ev = evaluate(alpha)
@@ -582,7 +594,7 @@ def lbfgs(
             pinf = float(np.abs(p).max())
             if pinf > first_step_scale:
                 first_trial = first_step_scale / pinf
-        return _strong_wolfe(charged, x, p, value, slope, opts, counters, first_trial)
+        return _strong_wolfe(charged, x, p, value, slope, counters, first_trial)
 
     record(0, 0.0, True, sub)
     termination = "maxiter"
@@ -631,7 +643,7 @@ def lbfgs(
             s_list.append(s)
             y_list.append(y)
             rho_list.append(1.0 / sy)
-            if len(s_list) > opts.memory:
+            if len(s_list) > LBFGS_MEMORY:
                 s_list.pop(0)
                 y_list.pop(0)
                 rho_list.pop(0)
@@ -671,9 +683,7 @@ def _two_loop(grad, s_list, y_list, rho_list, metric_solve):
 
 
 def _solve_level_groupwise(spec, stack, x0, opts, counters, trace, level, t0):
-    metric = None
-    if opts.metric == "reg":
-        metric = _make_metric_solve(spec.regularizer, stack.grid, opts, counters)
+    metric = _make_metric_solve(spec.regularizer, stack.grid, opts.metric_eps_rel, counters)
 
     def fun(x):
         return objective_trial(spec, stack, x)
@@ -755,9 +765,7 @@ def gauss_seidel_sweep(
     trace = trace if trace is not None else LevelTrace(level, stack.grid.dims)
     t0 = t0 if t0 is not None else time.perf_counter()
     fields = list(fields)
-    metric = None
-    if opts.metric == "reg":
-        metric = _make_metric_solve(spec.regularizer, stack.grid, opts, counters)
+    metric = _make_metric_solve(spec.regularizer, stack.grid, opts.metric_eps_rel, counters)
     failures = 0
     for sweep in range(opts.sweeps):
         for idx in range(1, stack.k):

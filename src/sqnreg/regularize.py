@@ -23,7 +23,9 @@ that leave it out, and where the adjoint pass reads it, it writes the first
 or last row or column, which are then overwritten slice by slice.  So every
 result entry is computed from the same operands by the same operations in
 the same order as in the per-field slicing code, and the bits are equal.
-The elastic kernels slice the arrays directly.
+The elastic kernels take their central differences with ``np.gradient``,
+as ``grids.gradient_central`` does, and the adjoint with
+``grids.grad_axis_adjoint``; the field axes are batch axes.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .accum import sorted_sum
 from .errors import RegularizerError
-from .grids import DisplacementField, GridSpec
+from .grids import DisplacementField, GridSpec, grad_axis_adjoint
 
 
 @dataclass(frozen=True)
@@ -184,43 +186,11 @@ def _diffusion_value(grid: GridSpec, u: np.ndarray, alpha: float):
     return 0.5 * alpha * grid.cell_area * value, _once(grad)
 
 
-def _central_diff(u: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Derivative along one grid axis, with the operations of ``np.gradient``:
-    central differences inside, one-sided at the boundary."""
-    out = np.empty_like(u)
-    inner = u[_along(axis, slice(2, None))] - u[_along(axis, slice(None, -2))]
-    out[_along(axis, slice(1, -1))] = inner / (2.0 * h)
-    out[_along(axis, 0)] = (u[_along(axis, 1)] - u[_along(axis, 0)]) / h
-    out[_along(axis, -1)] = (u[_along(axis, -1)] - u[_along(axis, -2)]) / h
-    return out
-
-
-def _central_diff_adjoint(v: np.ndarray, h: float, axis: int, out=None) -> np.ndarray:
-    """Adjoint of ``_central_diff``, in the operation order of
-    ``grids.gradient_central_adjoint``; accumulated into ``out`` (zeroed
-    first) when it is given."""
-    if out is None:
-        out = np.zeros_like(v)
-    else:
-        out.fill(0.0)
-    if v.shape[axis - 3] > 2:
-        e = v[_along(axis, slice(1, -1))] / (2.0 * h)
-        out[_along(axis, slice(2, None))] += e
-        out[_along(axis, slice(None, -2))] -= e
-    e = v[_along(axis, 0)] / h
-    out[_along(axis, 0)] -= e
-    out[_along(axis, 1)] += e
-    e = v[_along(axis, -1)] / h
-    out[_along(axis, -1)] += e
-    out[_along(axis, -2)] -= e
-    return out
-
-
 def _elastic_strain(grid: GridSpec, u: np.ndarray):
     """Symmetrized displacement gradient (..., m1, m2, 2, 2) and its trace."""
     h1, h2 = grid.spacing
     # g[..., c, a] = d u_c / d x_a at cell centers
-    g = np.stack([_central_diff(u, h1, 0), _central_diff(u, h2, 1)], axis=-1)
+    g = np.stack([np.gradient(u, h1, axis=-3), np.gradient(u, h2, axis=-2)], axis=-1)
     strain = 0.5 * (g + np.swapaxes(g, -1, -2))
     return strain, np.trace(strain, axis1=-2, axis2=-1)
 
@@ -232,9 +202,8 @@ def _elastic_grad(grid: GridSpec, strain: np.ndarray, tr: np.ndarray, mu: float,
     sens[..., 1, 1] += lam * tr
     sens *= alpha * grid.cell_area
     h1, h2 = grid.spacing
-    grad = _central_diff_adjoint(sens[..., 0], h1, 0, out)
-    grad += _central_diff_adjoint(sens[..., 1], h2, 1)
-    return grad
+    return np.add(grad_axis_adjoint(sens[..., 0], h1, -3),
+                  grad_axis_adjoint(sens[..., 1], h2, -2), out=out)
 
 
 def _elastic_value(grid: GridSpec, u: np.ndarray, mu: float, lam: float, alpha: float):

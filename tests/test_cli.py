@@ -125,6 +125,16 @@ class TestRegisterCommand:
         assert main(["register", "--config", str(cfg)]) == 2
         assert "error[config]: line 1: unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value", [("max_fevals", "0"), ("max_fevals", "-3"), ("gtol", "nan"), ("gtol", "-1")]
+    )
+    def test_solver_setting_out_of_range(self, tmp_path, capsys, key, value):
+        data = run_synth(tmp_path)
+        cfg = self.write_config(tmp_path, data, **{key: value})
+        assert main(["register", "--config", str(cfg)]) == 2
+        assert f"error[config]: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
     def test_missing_image_file(self, tmp_path, capsys):
         (tmp_path / "manifest.txt").write_text("a.pgm\nb.pgm\n")
         cfg = self.write_config(tmp_path, tmp_path)

@@ -5,14 +5,22 @@ import pytest
 
 from sqnreg.errors import GridError, MeasureError
 from sqnreg.features import FeatureMatrix, IntensityFeature, NgfFeature
-from sqnreg.grids import DisplacementField, GridSpec, Image, ImageStack, warp, zero_field
+from sqnreg.grids import (
+    DisplacementField,
+    GridSpec,
+    Image,
+    ImageStack,
+    gradient_central,
+    gradient_central_adjoint,
+    warp,
+    zero_field,
+)
 from sqnreg.measures import (
     CorrDev,
     LogDet,
     NgfPair,
     SchattenQ,
     SsdPair,
-    _pair_forward,
     corr_dev,
     logdet_total_correlation,
     measure_eval,
@@ -284,14 +292,30 @@ def test_pair_grid_mismatch_rejected():
         )
 
 
+def pair_term(kind, a: Image, b: Image):
+    """One pair term on its own: its value and cotangents ``(da, db)``."""
+    w = a.grid.cell_area
+    if isinstance(kind, SsdPair):
+        diff = b.data - a.data
+        return 0.5 * w * float(np.sum(diff**2)), -w * diff, w * diff
+    ga, gb = gradient_central(a), gradient_central(b)
+    na = np.sqrt(np.sum(ga**2, axis=-1) + kind.eta_pt)
+    nb = np.sqrt(np.sum(gb**2, axis=-1) + kind.eta_pt)
+    r = np.sum(ga * gb, axis=-1) / (na * nb)
+    value = 0.5 * w * float(np.sum(1.0 - r**2))
+    shared = w * r[..., None]
+    dga = -shared * (gb / (na * nb)[..., None] - (r / na**2)[..., None] * ga)
+    dgb = -shared * (ga / (na * nb)[..., None] - (r / nb**2)[..., None] * gb)
+    return value, gradient_central_adjoint(dga, a.grid), gradient_central_adjoint(dgb, b.grid)
+
+
 def per_pair_reference(kind, images):
     """The chain written pair by pair: value from 0.0, cotangents from zeros."""
     value = 0.0
     cots = [np.zeros(img.grid.dims) for img in images]
     for idx in range(1, len(images)):
-        v, backward = _pair_forward(kind, images[idx - 1], images[idx])
+        v, da, db = pair_term(kind, images[idx - 1], images[idx])
         value += v
-        da, db = backward()
         cots[idx - 1] += da
         cots[idx] += db
     return value, cots
@@ -309,6 +333,24 @@ def test_pair_chain_matches_per_pair_reference_bitexact(kind, k):
     assert len(cots) == k
     for got, want in zip(cots, ref_cots):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_ngf_chain_takes_each_image_gradient_once(k, monkeypatch):
+    import sqnreg.measures as measures
+
+    calls = []
+
+    def counted(img):
+        calls.append(img)
+        return gradient_central(img)
+
+    monkeypatch.setattr(measures, "gradient_central", counted)
+    stack, fields = fd_instance(20 + k, k=k)
+    warped = [warp(img, f) for img, f in zip(stack, fields)]
+    pair_chain(NgfPair(eta_pt=3e-2), warped)[1]()
+    assert len(calls) == k
+    assert all(got is img for got, img in zip(calls, warped))
 
 
 # ---------------------------------------------------------------------------

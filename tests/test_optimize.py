@@ -1,6 +1,7 @@
 """Solver tests: generic L-BFGS behavior, objective gradients, and the
 registration drivers (groupwise, Gauss-Seidel, multilevel)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,12 @@ from sqnreg.grids import DisplacementField, GridSpec, Image, ImageStack, zero_fi
 from sqnreg.measures import CorrDev, LogDet, NgfPair, SchattenQ, SsdPair, measure_eval
 from sqnreg.features import IntensityFeature, NgfFeature
 from sqnreg.optimize import (
+    CG_MAXITER,
+    CG_TOL,
+    LS_MAX_EXPAND,
+    LS_MAX_ZOOM,
+    WOLFE_C1,
+    WOLFE_C2,
     LevelTrace,
     ObjectiveSpec,
     SolveOptions,
@@ -105,7 +112,6 @@ class TestLbfgsGeneric:
             assert cur < prev
 
     def test_accepted_step_satisfies_strong_wolfe(self):
-        opts = SolveOptions()
         x = np.array([-2.0])
 
         def fun(z):
@@ -115,11 +121,11 @@ class TestLbfgsGeneric:
         f0, g0, _ = fun(x)
         p = -g0
         slope0 = float(g0 @ p)
-        ls = _strong_wolfe(fun, x, p, f0, slope0, opts, _Counters())
+        ls = _strong_wolfe(fun, x, p, f0, slope0, _Counters())
         assert ls.ok
         fa, ga, _ = fun(x + ls.ev.alpha * p)
-        assert fa <= f0 + opts.wolfe_c1 * ls.ev.alpha * slope0
-        assert abs(float(ga @ p)) <= opts.wolfe_c2 * abs(slope0)
+        assert fa <= f0 + WOLFE_C1 * ls.ev.alpha * slope0
+        assert abs(float(ga @ p)) <= WOLFE_C2 * abs(slope0)
 
     def test_budget_cap_stops_early(self):
         counters = _Counters(budget=5)
@@ -171,11 +177,10 @@ class TestSteepestDescentRestart:
     def test_no_retry_when_direction_already_steepest(self):
         fun, trials = recorded_points(kinked(10.0))
         x0 = np.array([0.0, 1.0])
-        opts = SolveOptions(maxiter=5)
-        out = lbfgs(fun, x0, opts)
+        out = lbfgs(fun, x0, SolveOptions(maxiter=5))
         assert out.termination == "line_search_failure"
         # the start point and one search, not a second one along the same ray
-        assert len(trials) <= 1 + opts.ls_max_expand + opts.ls_max_zoom
+        assert len(trials) <= 1 + LS_MAX_EXPAND + LS_MAX_ZOOM
         # every trial lies on the one ray x0 - alpha * (10, 2)
         for t in trials[1:]:
             assert t[0] < 0 and t[1] - 1.0 == pytest.approx(0.2 * t[0], rel=1e-9)
@@ -209,7 +214,7 @@ class TestZoomInterpolation:
         # decrease, and the quadratic through phi(0), phi'(0) and phi(1) is
         # phi itself, so the next trial is its minimizer, exactly
         fun, trials = recorded(lambda z: ((z[0] - 0.25) ** 2, 2.0 * (z - 0.25), False))
-        ls = _strong_wolfe(fun, np.zeros(1), np.ones(1), 0.0625, -0.5, SolveOptions(), _Counters())
+        ls = _strong_wolfe(fun, np.zeros(1), np.ones(1), 0.0625, -0.5, _Counters())
         assert ls.ok and ls.reason == "wolfe"
         assert trials == [1.0, 0.25]
         assert ls.ev.alpha == 0.25
@@ -245,7 +250,7 @@ class TestZoomInterpolation:
 
         fun, trials = recorded(fun)
         counters = _Counters()
-        ls = _strong_wolfe(fun, np.zeros(1), np.ones(1), 0.0625, -0.5, SolveOptions(), counters)
+        ls = _strong_wolfe(fun, np.zeros(1), np.ones(1), 0.0625, -0.5, counters)
         assert ls.ok
         assert trials[:2] == [1.0, 0.5]
         assert counters.rejected_trials == 1
@@ -325,6 +330,48 @@ class TestObjective:
             ObjectiveSpec(SchattenQ(q=4.0), Diffusion(), constraint="bogus")
         with pytest.raises(ConfigError, match="unknown mode"):
             ObjectiveSpec(SchattenQ(q=4.0), Diffusion(), mode="pairwise")
+
+
+class TestSolveOptions:
+    def test_fields_are_the_callers_settings(self):
+        names = [f.name for f in dataclasses.fields(SolveOptions)]
+        assert names == ["levels", "maxiter", "gtol", "sweeps", "max_fevals", "metric_eps_rel"]
+
+    @pytest.mark.parametrize(
+        "name,value,constant",
+        [
+            ("memory", 5, "LBFGS_MEMORY"),
+            ("wolfe_c1", 1e-4, "WOLFE_C1"),
+            ("wolfe_c2", 0.9, "WOLFE_C2"),
+            ("ls_max_expand", 10, "LS_MAX_EXPAND"),
+            ("ls_max_zoom", 20, "LS_MAX_ZOOM"),
+            ("metric", "reg", None),
+            ("cg_tol", 1e-10, "CG_TOL"),
+            ("cg_maxiter", 200, "CG_MAXITER"),
+        ],
+    )
+    def test_solver_policy_is_not_an_option(self, name, value, constant):
+        import sqnreg.optimize as optimize
+
+        with pytest.raises(TypeError, match=name):
+            SolveOptions(**{name: value})
+        if constant is not None:
+            assert getattr(optimize, constant) == value
+
+    @pytest.mark.parametrize("max_fevals", [0, -3])
+    def test_max_fevals_below_one_is_rejected(self, max_fevals):
+        with pytest.raises(ConfigError, match="max_fevals"):
+            SolveOptions(max_fevals=max_fevals)
+
+    @pytest.mark.parametrize("gtol", [-1.0, math.nan, math.inf])
+    def test_gtol_negative_or_not_finite_is_rejected(self, gtol):
+        with pytest.raises(ConfigError, match="gtol"):
+            SolveOptions(gtol=gtol)
+
+    def test_edge_values_are_accepted(self):
+        opts = SolveOptions(gtol=0.0, max_fevals=1)
+        assert opts.gtol == 0.0 and opts.max_fevals == 1
+        assert SolveOptions().max_fevals is None
 
 
 class TestSolvers:
@@ -449,8 +496,8 @@ class TestMetricSolve:
         rng = rng_for(21)
         grid = GridSpec((10, 7), spacing=(0.1, 0.15))
         q = rng.standard_normal((4, *grid.dims, 2))
-        opts = SolveOptions(cg_maxiter=30)
-        eps = opts.metric_eps_rel * reg.alpha
+        eps_rel = SolveOptions().metric_eps_rel
+        eps = eps_rel * reg.alpha
 
         def per_field_apply_b(z):
             out = np.empty_like(z)
@@ -458,8 +505,8 @@ class TestMetricSolve:
                 out[i] = reg_hessian_apply(reg, grid, z[i])
             return out + eps * z
 
-        want, _, _ = _cg_solve(per_field_apply_b, q, opts.cg_tol, opts.cg_maxiter)
-        got = _make_metric_solve(reg, grid, opts, _Counters())(q)
+        want, _, _ = _cg_solve(per_field_apply_b, q, CG_TOL, CG_MAXITER)
+        got = _make_metric_solve(reg, grid, eps_rel, _Counters())(q)
         assert np.array_equal(got, want)
 
     def test_cg_reports_iterations_and_residual(self):
@@ -476,24 +523,12 @@ class TestMetricSolve:
         assert _cg_solve(lambda z: z, np.zeros((2, 3)), 1e-12, 5)[1:] == (0, 0.0)
 
     def test_capped_metric_solves_are_counted(self):
-        stack = shifted_blob_stack((16, 16), [(0.0, 0.0), (0.04, -0.02)])
+        # at 64x64 CG stops at its cap of CG_MAXITER iterations
+        stack = shifted_blob_stack((64, 64), [(0.0, 0.0), (0.04, -0.02)])
         spec = ObjectiveSpec(SchattenQ(q=4.0), Diffusion(alpha=1e-3))
-        report = multilevel_solve(spec, stack, SolveOptions(maxiter=6, cg_maxiter=2))
+        report = multilevel_solve(spec, stack, SolveOptions(maxiter=3))
         assert report.metric_solves > 0
         assert 0 < report.metric_solves_capped <= report.metric_solves
-
-    def test_identity_metric_groupwise_solve_descends(self):
-        stack = shifted_blob_stack((16, 16), [(0.0, 0.0), (0.04, -0.02), (-0.03, 0.02)])
-        spec = ObjectiveSpec(SchattenQ(q=4.0), Diffusion(alpha=1e-3))
-        opts = SolveOptions(levels=2, maxiter=15, metric="identity")
-        report = multilevel_solve(spec, stack, opts)
-        assert report.metric_solves == 0
-        for trace in report.traces:
-            values = [r.value for r in trace.records]
-            assert len(values) > 1
-            assert all(np.isfinite(values))
-            assert all(b < a for a, b in zip(values, values[1:]))
-            assert trace.terminations
 
 
 class TestValueFirstTrials:
@@ -530,6 +565,22 @@ class TestValueFirstTrials:
             _, gradient, _ = fun(fields[idx].u[None, ...])
             assert np.array_equal(gradient()[0], grads[idx])
 
+    def test_interior_component_takes_three_image_gradients(self, monkeypatch):
+        import sqnreg.measures as measures
+
+        calls = []
+        original = measures.gradient_central
+        monkeypatch.setattr(
+            measures, "gradient_central", lambda img: calls.append(img) or original(img)
+        )
+        stack, fields = fd_instance(8, k=4)
+        spec = ObjectiveSpec(NgfPair(eta_pt=1e-2), Diffusion(alpha=1e-2), mode="sequential")
+        fun = _component_objective(spec, stack, fields, 2)
+        for _ in range(2):
+            _, gradient, _ = fun(fields[2].u[None, ...])
+            gradient()
+        assert len(calls) == 6
+
     @pytest.mark.parametrize("measure", [SsdPair(), NgfPair(eta_pt=1e-2)])
     def test_component_at_the_chain_start_reads_its_own_cotangent(self, measure):
         # the anchor is never solved for, but the chain [image 0, right
@@ -543,7 +594,6 @@ class TestValueFirstTrials:
         assert np.array_equal(gradient()[0], expected)
 
     def test_no_gradient_for_trials_failing_sufficient_decrease(self):
-        opts = SolveOptions()
         trials = []
         graded = []
 
@@ -562,34 +612,39 @@ class TestValueFirstTrials:
 
         # x = 0 and p = 1, so each trial point is its step length exactly
         f0, slope0 = value_of(0.0), -0.6
-        ls = _strong_wolfe(fun, np.zeros(1), np.ones(1), f0, slope0, opts, _Counters())
+        ls = _strong_wolfe(fun, np.zeros(1), np.ones(1), f0, slope0, _Counters())
         assert ls.ok
-        sufficient = [t for t in trials if value_of(t) <= f0 + opts.wolfe_c1 * t * slope0]
+        sufficient = [t for t in trials if value_of(t) <= f0 + WOLFE_C1 * t * slope0]
         assert len(sufficient) < len(trials)
         assert graded == sufficient
         assert np.array_equal(ls.ev.grad, [2.0 * (ls.ev.alpha - 0.3)])
 
     def test_fallback_trial_keeps_its_deferred_gradient(self):
-        # the first trial (t = 0.5) decreases J but fails sufficient
-        # decrease; the one zoom trial allowed, interpolated at t = 0.3,
-        # lands on a bump, so the search falls back to the first trial.  Its
-        # gradient is formed only when the caller reads it, from the state
-        # the trial kept.
-        opts = SolveOptions(wolfe_c1=0.5, ls_max_zoom=1)
+        # the first trial (t = 0.5) decreases J, by less than sufficient
+        # decrease asks for; every zoom trial, all inside (0, 0.5), lands on
+        # a bump, so the search falls back to the first trial.  Its gradient
+        # is formed only when the caller reads it, from the state the trial
+        # kept.
+        f0, slope0 = 0.09, -0.6
+        assert f0 + WOLFE_C1 * 0.5 * slope0 < f0 - 1e-5
+        trials = []
         graded = []
 
         def fun(z):
             t = float(z[0])
+            trials.append(t)
 
             def gradient():
                 graded.append(t)
                 return np.array([2.0 * (t - 0.3)])
 
-            value = 0.1 if abs(t - 0.25) < 0.1 else (t - 0.3) ** 2
+            value = 0.1 if t < 0.45 else f0 - 1e-5
             return value, gradient, False
 
-        ls = _strong_wolfe(fun, np.zeros(1), np.ones(1), 0.09, -0.6, opts, _Counters(), 0.5)
+        ls = _strong_wolfe(fun, np.zeros(1), np.ones(1), f0, slope0, _Counters(), 0.5)
         assert not ls.ok and ls.reason == "zoom_cap"
+        assert len(trials) == 1 + LS_MAX_ZOOM
+        assert all(0.0 < t < 0.45 for t in trials[1:])
         assert ls.ev.alpha == 0.5 and graded == []
         assert np.array_equal(ls.ev.grad, [0.4])
         assert graded == [0.5]
