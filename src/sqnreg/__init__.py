@@ -72,7 +72,7 @@ from sqnreg.optimize import (
     objective,
 )
 from sqnreg.regularize import Diffusion, Elastic, reg_eval
-from sqnreg.spectral import gram, thin_svd
+from sqnreg.spectral import thin_svd
 from sqnreg.synth import cut_view, synth_stack
 
 __version__ = "0.1.0"
@@ -128,7 +128,6 @@ __all__ = [
     "Diffusion",
     "Elastic",
     "reg_eval",
-    "gram",
     "thin_svd",
     "cut_view",
     "synth_stack",

@@ -106,9 +106,12 @@ def _cmd_register(args) -> int:
         warped.append(wimg)
         save_pgm(wimg, out / f"warped_{idx:03d}.pgm")
     save_pgm(cut_view(warped, 1, mid), out / "cut_final.pgm")
+    # the stack J at the written fields; a sequential solve's last record
+    # holds a one-field objective instead
+    value = objective(spec, stack, report.fields)[0]
     print(
         f"registered {stack.k} images on {stack.grid.dims[0]}x{stack.grid.dims[1]} grid: "
-        f"J={report.final_value!r} fevals={report.fevals} gevals={report.gevals} "
+        f"J={value!r} fevals={report.fevals} gevals={report.gevals} "
         f"line_search_failures={report.line_search_failures} "
         f"rejected_trials={report.rejected_trials} "
         f"metric_solves_capped={report.metric_solves_capped} "

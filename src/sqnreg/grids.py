@@ -191,25 +191,6 @@ def _sample_core(data: np.ndarray, q1: np.ndarray, q2: np.ndarray, want_jac: boo
     return val, d1, d2
 
 
-def interp_bilinear(img: Image, points: np.ndarray) -> np.ndarray:
-    """Evaluate the bilinear interpolant of ``img`` at physical points.
-
-    ``points`` has shape (..., 2); the result has shape (...).  Outside the
-    hull of cell centers the nearest boundary value is used.
-    """
-    points = np.asarray(points, dtype=float)
-    if points.shape[-1] != 2:
-        raise GridError(f"points must have a trailing axis of size 2, got {points.shape}")
-    if not np.all(np.isfinite(points)):
-        raise GridError("invalid sample point")
-    (x0, y0) = img.grid.origin
-    (h1, h2) = img.grid.spacing
-    q1 = (points[..., 0] - x0) / h1 - 0.5
-    q2 = (points[..., 1] - y0) / h2 - 0.5
-    val, _, _ = _sample_core(img.data, q1, q2, want_jac=False)
-    return val
-
-
 def warp(img: Image, field: DisplacementField) -> Image:
     warped, _ = warp_with_jacobian(img, field, want_jac=False)
     return warped

@@ -86,8 +86,7 @@ class SchattenQ:
 class CorrDev:
     """Squared Schatten-2 deviation of the correlation matrix from the identity.
 
-    Maximized by alignment.  ``corr_dev`` gives its value at other exponents;
-    only q = 2 has a gradient path.
+    Maximized by alignment.
     """
 
     feature: FeatureMap = NgfFeature()
@@ -146,18 +145,6 @@ class MeasureEval:
 # the gradient is assembled only when it is needed.
 
 
-def sqn(fm, q):
-    """Schatten-q alignment measure of a feature matrix.
-
-    Returns ``(value, grad_entries, subgradient_flag)``.  For finite q the
-    value is ``K - sum sigma^q``; for q = inf it is ``-sigma_1`` and the flag
-    reports a near-degenerate top gap.
-    """
-    svd = thin_svd(fm)
-    value, coeffs, flagged = _sqn_coeffs(svd, q)
-    return value, sigma_gradient(svd, coeffs), flagged
-
-
 def _sqn_coeffs(svd: ThinSvd, q):
     k = svd.k
     sigma = svd.sigma
@@ -182,37 +169,11 @@ def _sqn_coeffs(svd: ThinSvd, q):
     return value, coeffs, flagged
 
 
-def corr_dev(fm, q) -> float:
-    """Schatten-q deviation of the correlation matrix from the identity.
-
-    q = 2 returns the squared Schatten-2 norm; q = inf the largest absolute
-    eigenvalue of C - I; other finite q the plain Schatten-q norm.
-    """
-    svd = thin_svd(fm)
-    dev = svd.eigenvalues - 1.0
-    if q == math.inf:
-        return float(np.max(np.abs(dev)))
-    if q == 2.0:
-        return float(np.sum(dev**2))
-    return float(np.sum(np.abs(dev) ** q) ** (1.0 / q))
-
-
 def _corr_dev2_coeffs(svd: ThinSvd):
     dev = svd.eigenvalues - 1.0
     value = float(np.sum(dev**2))
     coeffs = 4.0 * svd.sigma * dev
     return value, coeffs
-
-
-def logdet_total_correlation(fm, jitter: float = 0.0):
-    """Log-determinant measure with analytic feature-matrix gradient.
-
-    Returns ``(value, grad_entries)``; raises when the jittered correlation
-    matrix is numerically rank deficient.
-    """
-    svd = thin_svd(fm)
-    value, coeffs = _logdet_coeffs(svd, jitter)
-    return value, sigma_gradient(svd, coeffs)
 
 
 def _logdet_coeffs(svd: ThinSvd, jitter: float):

@@ -64,7 +64,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .accum import block_dot, block_norm, mean_axis0, sorted_sum
+from .accum import block_dot, block_norm, mean_axis0
 from .errors import ConfigError, FeatureError, GridError, MeasureError, OptimError, SpectralError
 from .grids import DisplacementField, GridSpec, ImageStack, prolong, restrict_stack
 from .measures import (
@@ -193,6 +193,12 @@ class SolveReport:
 
     @property
     def final_value(self) -> float:
+        """The value of the last iteration record.
+
+        For a groupwise solve this is J at ``fields``; for a sequential solve
+        it is the one-field objective of the last component solved, not the
+        stack J.
+        """
         for trace in reversed(self.traces):
             if trace.records:
                 return trace.records[-1].value
@@ -246,19 +252,13 @@ def objective_trial(spec: ObjectiveSpec, stack: ImageStack, fields):
         reg_value, reg_gradient = reg_glo(fields, spec.regularizer, deferred=True)
     else:
         # the first image is the anchor of the sequential chain; it carries
-        # no regularization term of its own.  This objective is off the
-        # solve path (the solver minimizes ``_component_objective``), so it
-        # stays eager.
-        reg_grads = np.zeros((stack.k, *stack.grid.dims, 2))
-        parts = []
-        for k in range(1, stack.k):
-            v, g = reg_eval(spec.regularizer, fields[k])
-            parts.append(v)
-            reg_grads[k] = g
-        reg_value = sorted_sum(parts)
+        # no regularization term of its own and gets a zero gradient row
+        reg_value, chain_gradient = reg_glo(fields[1:], spec.regularizer, deferred=True)
 
         def reg_gradient():
-            return reg_grads
+            grads = np.zeros((stack.k, *stack.grid.dims, 2))
+            grads[1:] = chain_gradient()
+            return grads
 
     def gradient():
         return _project_gradient(me.grads + reg_gradient(), spec.constraint)

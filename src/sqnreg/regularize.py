@@ -223,12 +223,6 @@ def _stack_value_deferred(kind: RegKind, grid: GridSpec, u: np.ndarray):
     raise RegularizerError(f"unknown regularizer kind {kind!r}")
 
 
-def _stack_value_grad(kind: RegKind, grid: GridSpec, u: np.ndarray):
-    """Per-field values (shape ``u.shape[:-3]``) and gradients of ``u``."""
-    values, grad = _stack_value_deferred(kind, grid, u)
-    return values, grad()
-
-
 def reg_eval(kind: RegKind, field: DisplacementField, deferred: bool = False):
     """Value and gradient of a regularizer on one displacement field.
 
@@ -237,14 +231,6 @@ def reg_eval(kind: RegKind, field: DisplacementField, deferred: bool = False):
     """
     value, grad = _stack_value_deferred(kind, field.grid, field.u)
     return float(value), grad if deferred else grad()
-
-
-def diffusion(field: DisplacementField, alpha: float):
-    return reg_eval(Diffusion(alpha=alpha), field)
-
-
-def elastic(field: DisplacementField, mu: float, lam: float, alpha: float):
-    return reg_eval(Elastic(mu=mu, lam=lam, alpha=alpha), field)
 
 
 def reg_glo(fields, kind: RegKind, deferred: bool = False):

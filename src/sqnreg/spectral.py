@@ -4,7 +4,7 @@ The feature matrix F is tall (n >> K), so singular values and right singular
 vectors come from an eigendecomposition of ``C = w * F^T F``; the n x K
 matrix is never factorized directly, and no left singular vectors are
 formed.  Every groupwise measure is a function of the spectrum, so its
-gradient with respect to F is ``sum_k c_k dsigma_k/dF``, which
+gradient with respect to F is ``sum_k c_k d sigma_k / dF``, which
 ``sigma_gradient`` forms as ``w * F V diag(c / sigma) V^T`` from F and V
 alone: one n x K by K x K product.
 
@@ -33,24 +33,6 @@ from .features import FeatureMatrix
 # it a derivative is refused.
 EIG_RESOLUTION_C = 100.0
 EPS_GAP_REL = 1e-8  # below this multiple of sigma_1 a gap flags a subgradient
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Quadrature-weighted Gram matrix of the feature columns."""
-
-    matrix: np.ndarray
-    quad_weight: float
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise SpectralError(f"correlation matrix must be square, got {m.shape}")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def k(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -112,13 +94,6 @@ def _canonical_order(entries: np.ndarray) -> np.ndarray:
             order[pos:end] = group[sub]
         pos = end
     return order
-
-
-def gram(fm: FeatureMatrix) -> CorrelationMatrix:
-    """Correlation matrix ``C = quad_weight * F^T F``, symmetrized."""
-    _validate(fm)
-    raw = fm.quad_weight * (fm.entries.T @ fm.entries)
-    return CorrelationMatrix(0.5 * (raw + raw.T), fm.quad_weight)
 
 
 def thin_svd(fm: FeatureMatrix) -> ThinSvd:
@@ -186,20 +161,3 @@ def sigma_gradient(svd: ThinSvd, coeffs: np.ndarray) -> np.ndarray:
         kernel = (vc * (svd.quad_weight * coeffs[cols] / svd.sigma[cols])) @ vc.T
         grad[:, svd.order] = svd.ordered_entries @ kernel
     return grad
-
-
-def dsigma(svd: ThinSvd, k: int):
-    """Derivative of ``sigma_k`` with respect to the feature-matrix entries.
-
-    Returns ``(matrix, subgradient_flag)`` where the matrix is the rank-1
-    ``sqrt(w) u_k v_k^T`` (the quadrature factor mirrors the weighted Gram
-    convention), formed by ``sigma_gradient``, and the flag marks a
-    near-degenerate gap to a neighboring singular value.
-    """
-    if not 0 <= k < svd.k:
-        raise SpectralError(f"singular value index {k} out of range 0..{svd.k - 1}")
-    if not svd.u_valid[k]:
-        raise SpectralError("singular value too small for stable derivative")
-    coeffs = np.zeros(svd.k)
-    coeffs[k] = 1.0
-    return sigma_gradient(svd, coeffs), bool(svd.gap_flags[k])

@@ -8,6 +8,20 @@ def rng_for(seed):
     return np.random.default_rng(seed)
 
 
+def relative_error(a, b):
+    """Norm of the difference relative to the larger of the two norms."""
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    denom = max(np.linalg.norm(a), np.linalg.norm(b), 1e-300)
+    return float(np.linalg.norm(a - b) / denom)
+
+
+def gram_matrix(fm):
+    """Reference correlation matrix ``w * F^T F`` of a feature matrix, symmetrized."""
+    raw = fm.quad_weight * (fm.entries.T @ fm.entries)
+    return 0.5 * (raw + raw.T)
+
+
 def random_image(grid, rng, lo=0.1, hi=1.0):
     data = rng.uniform(lo, hi, size=grid.dims)
     return Image(grid, data)

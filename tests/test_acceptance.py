@@ -33,17 +33,17 @@ from sqnreg.measures import (
     NgfPair,
     SchattenQ,
     SsdPair,
+    _sqn_coeffs,
     measure_eval,
     resolve_measure,
-    sqn,
 )
 from sqnreg.optimize import ObjectiveSpec, SolveOptions, multilevel_solve, objective
 from sqnreg.oracles import fd_gradient
 from sqnreg.regularize import Diffusion, Elastic, reg_eval
-from sqnreg.spectral import gram, thin_svd
+from sqnreg.spectral import thin_svd
 from sqnreg.synth import rng_for_purpose, synth_stack
 
-from conftest import fd_instance, rng_for
+from conftest import fd_instance, gram_matrix, rng_for
 
 GRAD_TOL = 1e-6
 
@@ -256,7 +256,7 @@ class TestSpectralIdentities:
             k = int(rng.integers(2, 11))
             n = k + int(rng.integers(2, 40))
             fm = unit_column_matrix(rng, n, k)
-            c = gram(fm).matrix
+            c = gram_matrix(fm)
 
             # route A: entrywise Frobenius norm of C - I
             lhs = float(np.sum((c - np.eye(k)) ** 2))
@@ -266,12 +266,12 @@ class TestSpectralIdentities:
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
             # route C: the packaged measure evaluates the same quantity
-            value, _, _ = sqn(fm, 4.0)
+            svd = thin_svd(fm)
+            value, _, _ = _sqn_coeffs(svd, 4.0)
             sum4 = k - value
             assert abs((sum4 - k) - lhs) <= 1e-10 * max(1.0, abs(lhs))
 
             eig = np.linalg.eigvalsh(c)[::-1]
-            svd = thin_svd(fm)
             top = max(eig[0], 1.0)
             assert np.max(np.abs(svd.sigma**2 - eig)) <= 1e-10 * top
             assert np.max(np.abs(s_ref**2 - eig)) <= 1e-10 * top
@@ -287,17 +287,17 @@ class TestAnalyticExtremes:
         for k in range(2, 11):
             n = k + 15
             q_mat, _ = np.linalg.qr(rng.standard_normal((n, k)))
-            fm = FeatureMatrix(q_mat, quad_weight=1.0)
-            v4, _, _ = sqn(fm, 4.0)
-            vinf, _, _ = sqn(fm, math.inf)
+            svd = thin_svd(FeatureMatrix(q_mat, quad_weight=1.0))
+            v4, _, _ = _sqn_coeffs(svd, 4.0)
+            vinf, _, _ = _sqn_coeffs(svd, math.inf)
             assert abs(v4 - 0.0) <= 1e-10
             assert abs(vinf - (-1.0)) <= 1e-10
 
             col = rng.standard_normal(n)
             col /= np.linalg.norm(col)
-            fm1 = FeatureMatrix(np.tile(col[:, None], (1, k)), quad_weight=1.0)
-            v4, _, _ = sqn(fm1, 4.0)
-            vinf, _, _ = sqn(fm1, math.inf)
+            svd1 = thin_svd(FeatureMatrix(np.tile(col[:, None], (1, k)), quad_weight=1.0))
+            v4, _, _ = _sqn_coeffs(svd1, 4.0)
+            vinf, _, _ = _sqn_coeffs(svd1, math.inf)
             assert abs(v4 - (k - k**2)) <= 1e-10 * k**2
             assert abs(vinf - (-math.sqrt(k))) <= 1e-10
 
@@ -306,9 +306,9 @@ class TestAnalyticExtremes:
         for trial in range(1000):
             k = int(rng.integers(2, 11))
             n = k + int(rng.integers(1, 30))
-            fm = unit_column_matrix(rng, n, k)
-            v4, _, _ = sqn(fm, 4.0)
-            vinf, _, _ = sqn(fm, math.inf)
+            svd = thin_svd(unit_column_matrix(rng, n, k))
+            v4, _, _ = _sqn_coeffs(svd, 4.0)
+            vinf, _, _ = _sqn_coeffs(svd, math.inf)
             assert k - k**2 - 1e-12 <= v4 <= 1e-12
             assert -math.sqrt(k) - 1e-12 <= vinf <= -1.0 + 1e-10
 

@@ -5,8 +5,15 @@ import pytest
 
 from sqnreg import cli
 from sqnreg.cli import main
-from sqnreg.fileio import load_field, load_metrics_csv, load_pgm
-from sqnreg.optimize import multilevel_solve
+from sqnreg.fileio import (
+    load_config,
+    load_field,
+    load_manifest,
+    load_metrics_csv,
+    load_pgm,
+    load_stack,
+)
+from sqnreg.optimize import multilevel_solve, objective
 
 
 def run_synth(tmp_path, extra=()):
@@ -102,6 +109,8 @@ class TestRegisterCommand:
         summary = capsys.readouterr().out
         assert "registered 3 images" in summary
         (report,) = reports
+        # a groupwise solve's last record is J at the written fields
+        assert f" J={report.final_value!r} " in summary
         for key in ("fevals", "gevals", "line_search_failures", "rejected_trials",
                     "metric_solves_capped"):
             assert f" {key}={getattr(report, key)} " in summary
@@ -114,6 +123,22 @@ class TestRegisterCommand:
         assert main(["register", "--config", str(cfg)]) == 0
         field0 = load_field(tmp_path / "results" / "field_000.sqnfield")
         assert np.all(field0.u == 0.0)
+
+    def test_sequential_run_reports_stack_objective(self, tmp_path, capsys):
+        # the last record of a sequential solve is a one-field objective; the
+        # summary reports J of the whole chain at the written fields
+        data = run_synth(tmp_path)
+        cfg = self.write_config(
+            tmp_path, data, measure="ssd", mode="sequential", maxiter="6", sweeps="1"
+        )
+        assert main(["register", "--config", str(cfg)]) == 0
+        summary = capsys.readouterr().out
+        printed = float(summary.split(" J=")[1].split()[0])
+        run = load_config(cfg)
+        stack = load_stack(load_manifest(run.manifest))
+        results = tmp_path / "results"
+        fields = [load_field(results / f"field_{i:03d}.sqnfield") for i in range(stack.k)]
+        assert printed == objective(cli.build_spec(run), stack, fields)[0]
 
     def test_missing_config_flag(self, capsys):
         assert main(["register"]) == 2

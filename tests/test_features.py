@@ -17,9 +17,9 @@ from sqnreg.features import (
     stack_gradient_scale,
 )
 from sqnreg.grids import GridSpec, Image, gradient_central, zero_field
-from sqnreg.oracles import fd_gradient, relative_error
+from sqnreg.oracles import fd_gradient
 
-from conftest import random_image, rng_for, smooth_random_field, stack_of
+from conftest import random_image, relative_error, rng_for, smooth_random_field, stack_of
 
 
 def quad_norm_sq(column, w):

@@ -11,7 +11,6 @@ from sqnreg.grids import (
     ImageStack,
     gradient_central,
     gradient_central_adjoint,
-    interp_bilinear,
     prolong,
     restrict,
     smooth_binomial,
@@ -19,9 +18,9 @@ from sqnreg.grids import (
     warp_with_jacobian,
     zero_field,
 )
-from sqnreg.oracles import fd_gradient, relative_error
+from sqnreg.oracles import fd_gradient
 
-from conftest import fd_safe_instance, random_image, rng_for, smooth_random_field
+from conftest import fd_safe_instance, random_image, relative_error, rng_for, smooth_random_field
 
 
 # ---------------------------------------------------------------------------
@@ -68,41 +67,51 @@ def test_cell_centers_layout():
 
 
 # ---------------------------------------------------------------------------
-# bilinear interpolation
+# bilinear interpolation, sampled by the warp
+
+
+def sample_at(img, points):
+    """Warp ``img`` so that every cell samples the physical point ``points[i, j]``."""
+    u = np.asarray(points, dtype=float) - img.grid.cell_centers()
+    return warp(img, DisplacementField(img.grid, u)).data
 
 
 def test_interp_center_of_2x2_square():
     g = GridSpec((2, 2))
     img = Image(g, np.array([[0.0, 1.0], [1.0, 2.0]]))
-    mid = np.array([1.0, 1.0])  # equidistant from all four cell centers
-    assert interp_bilinear(img, mid) == pytest.approx(1.0, abs=1e-15)
+    mid = np.full((2, 2, 2), 1.0)  # equidistant from all four cell centers
+    assert np.abs(sample_at(img, mid) - 1.0).max() <= 1e-15
 
 
 def test_interp_reproduces_cell_center_values():
     rng = rng_for(3)
     g = GridSpec((7, 5), origin=(-0.3, 0.4), spacing=(1.0 / 3, 0.7))
     img = random_image(g, rng)
-    vals = interp_bilinear(img, g.cell_centers())
+    vals = sample_at(img, g.cell_centers())
     assert np.abs(vals - img.data).max() <= 1e-13
 
 
 def test_interp_clamps_to_nearest_boundary_value():
     g = GridSpec((3, 3))
     img = Image(g, np.arange(9.0).reshape(3, 3))
-    far = np.array([[-100.0, -100.0], [100.0, -100.0], [100.0, 100.0]])
-    vals = interp_bilinear(img, far)
-    assert vals[0] == img.data[0, 0]
-    assert vals[1] == img.data[2, 0]
-    assert vals[2] == img.data[2, 2]
+    pts = g.cell_centers()
+    pts[0, 0], pts[1, 1], pts[2, 2] = (-100.0, -100.0), (100.0, -100.0), (100.0, 100.0)
+    vals = sample_at(img, pts)
+    assert vals[0, 0] == img.data[0, 0]
+    assert vals[1, 1] == img.data[2, 0]
+    assert vals[2, 2] == img.data[2, 2]
 
 
 def test_interp_rejects_non_finite_points():
+    # the field's array is writable, so the warp checks its sample points
+    # again instead of trusting the construction-time check
     g = GridSpec((3, 3))
     img = Image(g, np.zeros((3, 3)))
-    with pytest.raises(GridError, match="invalid sample point"):
-        interp_bilinear(img, np.array([np.nan, 0.5]))
-    with pytest.raises(GridError, match="invalid sample point"):
-        interp_bilinear(img, np.array([np.inf, 0.5]))
+    for bad in (np.nan, np.inf):
+        field = zero_field(g)
+        field.u[1, 1, 0] = bad
+        with pytest.raises(GridError, match="invalid sample point"):
+            warp_with_jacobian(img, field)
 
 
 @settings(max_examples=25, deadline=None)
@@ -113,18 +122,19 @@ def test_interp_linear_in_intensities(seed):
     a = random_image(g, rng, -1.0, 1.0)
     b = random_image(g, rng, -1.0, 1.0)
     al, be = rng.uniform(-2, 2, size=2)
-    pts = rng.uniform(-0.5, 2.0, size=(40, 2))
+    pts = rng.uniform(-0.5, 2.0, size=(6, 6, 2))
     combo = Image(g, al * a.data + be * b.data)
-    lhs = interp_bilinear(combo, pts)
-    rhs = al * interp_bilinear(a, pts) + be * interp_bilinear(b, pts)
+    lhs = sample_at(combo, pts)
+    rhs = al * sample_at(a, pts) + be * sample_at(b, pts)
     assert np.abs(lhs - rhs).max() <= 1e-12
 
 
 def test_constant_image_interpolates_constant_everywhere():
     g = GridSpec((4, 4), spacing=(0.1, 0.2))
     img = Image(g, np.full((4, 4), 3.7))
-    pts = np.array([[0.05, 0.1], [-5.0, 9.0], [0.21, 0.33]])
-    assert np.abs(interp_bilinear(img, pts) - 3.7).max() == 0.0
+    pts = g.cell_centers()
+    pts[0, 0], pts[1, 2], pts[3, 3] = (0.05, 0.1), (-5.0, 9.0), (0.21, 0.33)
+    assert np.abs(sample_at(img, pts) - 3.7).max() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +153,7 @@ def test_gradient_matches_interpolant_difference_quotients():
         delta = 0.5 * g.spacing[axis]
         e = np.zeros(2)
         e[axis] = delta
-        quot = (interp_bilinear(img, centers + e) - interp_bilinear(img, centers - e)) / (
-            2.0 * delta
-        )
+        quot = (sample_at(img, centers + e) - sample_at(img, centers - e)) / (2.0 * delta)
         interior = np.s_[1:-1, 1:-1]
         assert np.abs(grad[..., axis][interior] - quot[interior]).max() <= 1e-12
 

@@ -21,17 +21,17 @@ from sqnreg.measures import (
     NgfPair,
     SchattenQ,
     SsdPair,
-    corr_dev,
-    logdet_total_correlation,
+    _corr_dev2_coeffs,
+    _logdet_coeffs,
+    _sqn_coeffs,
     measure_eval,
     pair_chain,
     resolve_measure,
-    sqn,
 )
-from sqnreg.oracles import fd_gradient, relative_error
-from sqnreg.spectral import thin_svd
+from sqnreg.oracles import fd_gradient
+from sqnreg.spectral import sigma_gradient, thin_svd
 
-from conftest import fd_instance, fd_safe_instance, rng_for, stack_of
+from conftest import fd_instance, fd_safe_instance, relative_error, rng_for, stack_of
 
 
 def sixty_degree_fm():
@@ -51,18 +51,24 @@ def unit_columns_fm(rng, n=16, k=4, w=0.125, correlated=0.0):
     return FeatureMatrix(entries, quad_weight=w)
 
 
+def sqn_value(fm, q):
+    return _sqn_coeffs(thin_svd(fm), q)[0]
+
+
+def corr_dev2(fm):
+    return _corr_dev2_coeffs(thin_svd(fm))[0]
+
+
 # ---------------------------------------------------------------------------
 # Schatten measures on feature matrices
 
 
 def test_sixty_degree_frozen_values():
     fm = sixty_degree_fm()
-    v4, _, _ = sqn(fm, 4.0)
-    assert v4 == pytest.approx(-0.5, abs=1e-12)
-    vinf, _, _ = sqn(fm, math.inf)
-    assert vinf == pytest.approx(-1.224744871391589, abs=1e-12)
-    assert corr_dev(fm, 2.0) == pytest.approx(0.5, abs=1e-12)
-    vld, _ = logdet_total_correlation(fm, 0.0)
+    assert sqn_value(fm, 4.0) == pytest.approx(-0.5, abs=1e-12)
+    assert sqn_value(fm, math.inf) == pytest.approx(-1.224744871391589, abs=1e-12)
+    assert corr_dev2(fm) == pytest.approx(0.5, abs=1e-12)
+    vld, _ = _logdet_coeffs(thin_svd(fm), 0.0)
     assert vld == pytest.approx(math.log(0.75), abs=1e-12)
 
 
@@ -73,14 +79,14 @@ def test_orthonormal_and_rank_one_extremes():
     for j in range(k):
         ortho[2 * j, j] = 1.0 / np.sqrt(w)
     fm = FeatureMatrix(ortho, quad_weight=w)
-    assert sqn(fm, 4.0)[0] == pytest.approx(0.0, abs=1e-10)
-    assert sqn(fm, math.inf)[0] == pytest.approx(-1.0, abs=1e-10)
+    assert sqn_value(fm, 4.0) == pytest.approx(0.0, abs=1e-10)
+    assert sqn_value(fm, math.inf) == pytest.approx(-1.0, abs=1e-10)
 
     col = np.zeros(8)
     col[0] = 1.0 / np.sqrt(w)
     rank1 = FeatureMatrix(np.tile(col[:, None], (1, k)), quad_weight=w)
-    assert sqn(rank1, 4.0)[0] == pytest.approx(k - k**2, abs=1e-10)
-    assert sqn(rank1, math.inf)[0] == pytest.approx(-np.sqrt(k), abs=1e-10)
+    assert sqn_value(rank1, 4.0) == pytest.approx(k - k**2, abs=1e-10)
+    assert sqn_value(rank1, math.inf) == pytest.approx(-np.sqrt(k), abs=1e-10)
 
 
 def test_sqn_inf_all_zero_columns_is_flagged_supremum():
@@ -88,7 +94,9 @@ def test_sqn_inf_all_zero_columns_is_flagged_supremum():
     # region: the value -sigma_1 = 0 is the supremum and 0 is a valid
     # subgradient, so callers can reject the point instead of crashing
     fm = FeatureMatrix(np.zeros((8, 3)), quad_weight=0.25)
-    value, grad, flagged = sqn(fm, math.inf)
+    svd = thin_svd(fm)
+    value, coeffs, flagged = _sqn_coeffs(svd, math.inf)
+    grad = sigma_gradient(svd, coeffs)
     assert value == 0.0
     assert np.array_equal(grad, np.zeros((8, 3)))
     assert flagged
@@ -99,8 +107,8 @@ def test_sqn_bounds_on_random_unit_columns():
     for _ in range(200):
         k = int(rng.integers(2, 8))
         fm = unit_columns_fm(rng, n=12, k=k)
-        v4 = sqn(fm, 4.0)[0]
-        vinf = sqn(fm, math.inf)[0]
+        v4 = sqn_value(fm, 4.0)
+        vinf = sqn_value(fm, math.inf)
         assert k - k**2 - 1e-10 <= v4 <= 1e-10
         assert -np.sqrt(k) - 1e-10 <= vinf <= -1.0 + 1e-10
 
@@ -115,7 +123,7 @@ def test_gram_schatten_identity_against_entrywise_route():
         sigma = np.linalg.svd(np.sqrt(fm.quad_weight) * fm.entries, compute_uv=False)
         schatten4_4 = float(np.sum(sigma**4))
         assert frob_sq == pytest.approx(schatten4_4 - 5.0, abs=1e-10)
-        assert corr_dev(fm, 2.0) == pytest.approx(frob_sq, abs=1e-10)
+        assert corr_dev2(fm) == pytest.approx(frob_sq, abs=1e-10)
 
 
 def test_sup_norm_deviation_equals_top_eigen_excess_when_aligned():
@@ -126,7 +134,7 @@ def test_sup_norm_deviation_equals_top_eigen_excess_when_aligned():
         fm = unit_columns_fm(rng, n=24, k=5, w=0.2, correlated=0.8)
         svd = thin_svd(fm)
         assert svd.eigenvalues[0] >= 2.0
-        dev_inf = corr_dev(fm, math.inf)
+        dev_inf = float(np.max(np.abs(svd.eigenvalues - 1.0)))
         sig_top = float(np.linalg.svd(np.sqrt(fm.quad_weight) * fm.entries, compute_uv=False)[0])
         assert dev_inf == pytest.approx(sig_top**2 - 1.0, abs=1e-10)
 
@@ -135,7 +143,7 @@ def test_identical_columns_corr_dev_is_two():
     col = np.zeros(6)
     col[0] = 1.0
     fm = FeatureMatrix(np.tile(col[:, None], (1, 2)))
-    assert corr_dev(fm, 2.0) == pytest.approx(2.0, abs=1e-12)
+    assert corr_dev2(fm) == pytest.approx(2.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("q", [4.0, 3.0, math.inf])
@@ -146,11 +154,12 @@ def test_sqn_gradients_match_fd_on_entries(q):
         fm = unit_columns_fm(rng, n=12, k=4, w=w)
         svd = thin_svd(fm)
         assert np.min(np.abs(np.diff(svd.sigma))) > 1e-3
-        _, grad, flagged = sqn(fm, q)
+        _, coeffs, flagged = _sqn_coeffs(svd, q)
         assert not flagged
+        grad = sigma_gradient(svd, coeffs)
 
         def value_of(entries):
-            return sqn(FeatureMatrix(entries, quad_weight=w), q)[0]
+            return sqn_value(FeatureMatrix(entries, quad_weight=w), q)
 
         fd = fd_gradient(value_of, fm.entries.copy(), step=1e-6)
         assert relative_error(grad, fd) <= 1e-6
@@ -160,11 +169,12 @@ def test_logdet_gradient_matches_fd_on_entries():
     rng = rng_for(18)
     w = 0.125
     fm = unit_columns_fm(rng, n=12, k=4, w=w)
+    svd = thin_svd(fm)
     for jitter in (0.0, 1e-3):
-        _, grad = logdet_total_correlation(fm, jitter)
+        grad = sigma_gradient(svd, _logdet_coeffs(svd, jitter)[1])
 
         def value_of(entries, jitter=jitter):
-            return logdet_total_correlation(FeatureMatrix(entries, quad_weight=w), jitter)[0]
+            return _logdet_coeffs(thin_svd(FeatureMatrix(entries, quad_weight=w)), jitter)[0]
 
         fd = fd_gradient(value_of, fm.entries.copy(), step=1e-6)
         assert relative_error(grad, fd) <= 1e-6
@@ -177,10 +187,11 @@ def test_logdet_rank_deficient_error():
     other[1] = 1.0
     entries = np.stack([col, col, other], axis=1)
     fm = FeatureMatrix(entries)
+    svd = thin_svd(fm)
     with pytest.raises(MeasureError, match="rank-deficient correlation"):
-        logdet_total_correlation(fm, 0.0)
+        _logdet_coeffs(svd, 0.0)
     # a jitter makes it evaluable again
-    value, _ = logdet_total_correlation(fm, 1e-4)
+    value, _ = _logdet_coeffs(svd, 1e-4)
     assert np.isfinite(value)
 
 
@@ -435,7 +446,7 @@ def test_corrdev_is_negated_as_objective():
     from sqnreg.features import assemble
 
     fm = assemble(stack, fields, IntensityFeature())
-    assert ev.value == pytest.approx(-corr_dev(fm, 2.0), rel=1e-12)
+    assert ev.value == pytest.approx(-corr_dev2(fm), rel=1e-12)
 
 
 def test_logdet_degenerates_when_an_image_leaves_the_overlap():

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from sqnreg.accum import sorted_sum
 from sqnreg.errors import ConfigError, GridError, MeasureError, OptimError
 from sqnreg.grids import DisplacementField, GridSpec, Image, ImageStack, zero_field
 from sqnreg.measures import CorrDev, LogDet, NgfPair, SchattenQ, SsdPair, measure_eval
@@ -279,6 +280,20 @@ class TestObjective:
         me = measure_eval(stack, fields, spec.measure)
         rv, _ = reg_glo(fields, spec.regularizer)
         assert value == pytest.approx(me.value + rv, rel=1e-14)
+
+    @pytest.mark.parametrize("reg", [Diffusion(alpha=1e-2), Elastic(mu=1.0, lam=0.5, alpha=1e-2)])
+    def test_sequential_regularizer_is_per_field_reference_bitexact(self, reg):
+        # the anchor carries no regularization term; every other field's term
+        # and gradient are the bits of ``reg_eval`` on that field alone
+        stack, fields = fd_instance(9, k=4)
+        spec = ObjectiveSpec(SsdPair(), reg, mode="sequential", constraint="none")
+        value, grads, _ = objective(spec, stack, fields)
+        me = measure_eval(stack, fields, spec.measure)
+        parts = [reg_eval(reg, f) for f in fields[1:]]
+        assert value == me.value + sorted_sum([v for v, _ in parts])
+        assert np.array_equal(grads[0], me.grads[0])
+        for k, (_, g) in enumerate(parts, start=1):
+            assert np.array_equal(grads[k], me.grads[k] + g)
 
     @pytest.mark.slow
     @pytest.mark.parametrize(

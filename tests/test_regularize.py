@@ -7,21 +7,18 @@ from hypothesis import strategies as st
 
 from sqnreg.errors import RegularizerError
 from sqnreg.grids import DisplacementField, GridSpec, gradient_central_adjoint, zero_field
-from sqnreg.oracles import fd_gradient, relative_error
+from sqnreg.oracles import fd_gradient
 from sqnreg.regularize import (
     Diffusion,
     Elastic,
     _divide,
     _stack_value_deferred,
-    _stack_value_grad,
-    diffusion,
-    elastic,
     reg_eval,
     reg_glo,
     reg_hessian_apply,
 )
 
-from conftest import rng_for, smooth_random_field
+from conftest import relative_error, rng_for, smooth_random_field
 
 
 def grid16():
@@ -42,8 +39,8 @@ def test_rigid_shift_costs_nothing():
     u[..., 0] = 0.3
     u[..., 1] = -0.1
     field = DisplacementField(g, u)
-    assert diffusion(field, 0.5)[0] == 0.0
-    assert elastic(field, 1.0, 0.7, 0.5)[0] == 0.0
+    assert reg_eval(Diffusion(alpha=0.5), field)[0] == 0.0
+    assert reg_eval(Elastic(mu=1.0, lam=0.7, alpha=0.5), field)[0] == 0.0
 
 
 def test_diffusion_value_against_handwritten_sum():
@@ -61,7 +58,7 @@ def test_diffusion_value_against_handwritten_sum():
             for j in range(3):
                 total += ((u[i, j + 1, c] - u[i, j, c]) / 0.25) ** 2
     expected = 0.5 * alpha * g.cell_area * total
-    value, _ = diffusion(DisplacementField(g, u), alpha)
+    value, _ = reg_eval(Diffusion(alpha=alpha), DisplacementField(g, u))
     assert value == pytest.approx(expected, rel=1e-12)
 
 
@@ -70,7 +67,7 @@ def test_elastic_dilation_frozen_formula():
     c = g.cell_centers()
     eps, mu, lam, alpha = 0.01, 1.3, 0.6, 0.25
     u = eps * c  # uniform dilation about the origin
-    value, _ = elastic(DisplacementField(g, u), mu, lam, alpha)
+    value, _ = reg_eval(Elastic(mu=mu, lam=lam, alpha=alpha), DisplacementField(g, u))
     expected = alpha * (2.0 * mu * eps**2 + 2.0 * lam * eps**2) * g.domain_area
     assert value == pytest.approx(expected, rel=1e-10)
 
@@ -79,7 +76,7 @@ def test_elastic_ignores_linearized_rotation():
     g = grid16()
     c = g.cell_centers()
     u = np.stack([-0.01 * c[..., 1], 0.01 * c[..., 0]], axis=-1)
-    value, grad = elastic(DisplacementField(g, u), 1.0, 0.8, 1.0)
+    value, grad = reg_eval(Elastic(mu=1.0, lam=0.8, alpha=1.0), DisplacementField(g, u))
     assert abs(value) <= 1e-14
     assert np.abs(grad).max() <= 1e-12
 
@@ -202,6 +199,12 @@ def _reference_value_grad(kind, grid, u):
 STACK_KINDS = [Diffusion(alpha=0.37), Elastic(mu=1.3, lam=0.6, alpha=0.21)]
 
 
+def stack_value_grad(kind, grid, u):
+    """Per-field values and gradients of the stack kernel, gradient forced."""
+    values, grad = _stack_value_deferred(kind, grid, u)
+    return values, grad()
+
+
 def odd_grid():
     return GridSpec((9, 7), origin=(0.2, -0.1), spacing=(0.45, 0.7))
 
@@ -230,7 +233,7 @@ def grid_id(g):
 @pytest.mark.parametrize("kind", STACK_KINDS)
 def test_stack_kernel_matches_per_field_reference_bitexact(kind, g):
     u = random_stack(5, g)
-    values, grads = _stack_value_grad(kind, g, u)
+    values, grads = stack_value_grad(kind, g, u)
     assert values.shape == (u.shape[0],)
     hess = reg_hessian_apply(kind, g, u)
     for k in range(u.shape[0]):
@@ -248,7 +251,7 @@ def test_stack_kernel_matches_per_field_reference_bitexact(kind, g):
     # order) gives the bits of the reference on its fields
     for v in (u[:, :, ::-1], np.asfortranarray(u)):
         assert not v.flags.c_contiguous
-        values_v, grads_v = _stack_value_grad(kind, g, v)
+        values_v, grads_v = stack_value_grad(kind, g, v)
         hess_v = reg_hessian_apply(kind, g, v)
         for k in range(v.shape[0]):
             v_ref, g_ref = _reference_value_grad(kind, g, np.ascontiguousarray(v[k]))
@@ -277,8 +280,8 @@ def test_stack_kernel_permutation_equivariant_bitexact(kind):
     g = odd_grid()
     u = random_stack(7, g)
     perm = [3, 0, 4, 2, 1]
-    values, grads = _stack_value_grad(kind, g, u)
-    values_p, grads_p = _stack_value_grad(kind, g, u[perm])
+    values, grads = stack_value_grad(kind, g, u)
+    values_p, grads_p = stack_value_grad(kind, g, u[perm])
     assert np.array_equal(values_p, values[perm])
     assert np.array_equal(grads_p, grads[perm])
     assert np.array_equal(reg_hessian_apply(kind, g, u[perm]), reg_hessian_apply(kind, g, u)[perm])

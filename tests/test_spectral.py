@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from sqnreg.errors import SpectralError
 from sqnreg.features import FeatureMatrix
 from sqnreg.measures import _corr_dev2_coeffs, _logdet_coeffs, _sqn_coeffs
-from sqnreg.oracles import fd_gradient, relative_error
-from sqnreg.spectral import EIG_RESOLUTION_C, dsigma, gram, sigma_gradient, thin_svd
+from sqnreg.oracles import fd_gradient
+from sqnreg.spectral import EIG_RESOLUTION_C, sigma_gradient, thin_svd
 
-from conftest import rng_for
+from conftest import gram_matrix, relative_error, rng_for
 
 
 def fm_random(rng, n=12, k=4, w=1.0, unit_columns=False):
@@ -30,33 +30,41 @@ def sixty_degree_fm():
     return FeatureMatrix(entries, quad_weight=1.0)
 
 
+def unit_coeffs(svd, k):
+    """Coefficients that pick ``sigma_k`` alone: ``sigma_gradient`` of them
+    is the derivative of ``sigma_k``, the rank-1 ``sqrt(w) u_k v_k^T``."""
+    coeffs = np.zeros(svd.k)
+    coeffs[k] = 1.0
+    return coeffs
+
+
 # ---------------------------------------------------------------------------
-# gram
+# Gram spectrum
 
 
 def test_gram_is_weighted_cross_products():
     rng = rng_for(0)
     fm = fm_random(rng, n=10, k=3, w=0.25)
-    c = gram(fm)
+    svd = thin_svd(fm)
+    rebuilt = svd.v @ np.diag(svd.eigenvalues) @ svd.v.T
     expected = 0.25 * fm.entries.T @ fm.entries
-    assert np.abs(c.matrix - expected).max() <= 1e-12
-    assert np.abs(c.matrix - c.matrix.T).max() == 0.0
+    assert np.abs(rebuilt - expected).max() <= 1e-12
 
 
-def test_gram_of_orthonormal_columns_is_identity():
+def test_orthonormal_columns_have_unit_gram_eigenvalues():
     w = 0.5
     entries = np.zeros((6, 3))
     for j in range(3):
         entries[2 * j, j] = 1.0 / np.sqrt(w)
-    c = gram(FeatureMatrix(entries, quad_weight=w))
-    assert np.abs(c.matrix - np.eye(3)).max() <= 1e-12
+    svd = thin_svd(FeatureMatrix(entries, quad_weight=w))
+    assert np.abs(svd.eigenvalues - 1.0).max() <= 1e-12
 
 
-def test_gram_rejects_wide_or_single_column():
+def test_thin_svd_rejects_wide_or_single_column():
     with pytest.raises(SpectralError):
-        gram(FeatureMatrix(np.ones((2, 4))))
+        thin_svd(FeatureMatrix(np.ones((2, 4))))
     with pytest.raises(SpectralError):
-        gram(FeatureMatrix(np.ones((4, 1))))
+        thin_svd(FeatureMatrix(np.ones((4, 1))))
 
 
 @settings(max_examples=25, deadline=None)
@@ -64,8 +72,7 @@ def test_gram_rejects_wide_or_single_column():
 def test_trace_of_gram_counts_unit_columns(seed, k):
     rng = rng_for(seed)
     fm = fm_random(rng, n=16, k=k, w=0.125, unit_columns=True)
-    c = gram(fm)
-    assert np.trace(c.matrix) == pytest.approx(k, rel=1e-12)
+    assert np.trace(gram_matrix(fm)) == pytest.approx(k, rel=1e-12)
     svd = thin_svd(fm)
     assert np.sum(svd.eigenvalues) == pytest.approx(k, rel=1e-10)
 
@@ -117,7 +124,8 @@ def test_sigma_invariant_and_v_equivariant_under_permutation():
     assert np.array_equal(svd.sigma, svd_p.sigma)
     assert np.array_equal(svd_p.v, svd.v[perm, :])
     for k in range(6):
-        assert np.array_equal(dsigma(svd_p, k)[0], dsigma(svd, k)[0][:, perm])
+        grad = sigma_gradient(svd, unit_coeffs(svd, k))
+        assert np.array_equal(sigma_gradient(svd_p, unit_coeffs(svd_p, k)), grad[:, perm])
 
 
 def test_rank_deficiency_is_visible_in_spectrum():
@@ -207,48 +215,48 @@ def test_sigma_gradient_skips_invalid_and_zero_modes():
 
 
 # ---------------------------------------------------------------------------
-# singular-value derivatives
+# singular-value derivatives: sigma_gradient of a single unit coefficient
 
 
-def test_dsigma_frozen_diag_example():
+def test_sigma_derivative_frozen_diag_example():
     entries = np.diag([3.0, 1.0])
     svd = thin_svd(FeatureMatrix(entries))
-    mat, flagged = dsigma(svd, 0)
-    assert not flagged
+    assert not svd.gap_flags[0]
+    mat = sigma_gradient(svd, unit_coeffs(svd, 0))
     assert np.abs(mat - np.array([[1.0, 0.0], [0.0, 0.0]])).max() <= 1e-12
 
 
-def test_dsigma_is_rank_one_with_weighted_unit_norm():
+def test_sigma_derivative_is_rank_one_with_weighted_unit_norm():
     rng = rng_for(3)
     for w in (1.0, 0.0625):
         fm = fm_random(rng, n=12, k=4, w=w)
         svd = thin_svd(fm)
         for k in range(4):
-            mat, _ = dsigma(svd, k)
+            mat = sigma_gradient(svd, unit_coeffs(svd, k))
             s = np.linalg.svd(mat, compute_uv=False)
             assert s[0] == pytest.approx(np.sqrt(w), rel=1e-10)
             assert s[1] <= 1e-12 * s[0]
 
 
-def test_dsigma_euler_identity():
+def test_sigma_derivative_euler_identity():
     rng = rng_for(4)
     fm = fm_random(rng, n=12, k=4, w=0.3)
     svd = thin_svd(fm)
     for k in range(4):
-        mat, _ = dsigma(svd, k)
+        mat = sigma_gradient(svd, unit_coeffs(svd, k))
         assert np.sum(mat * fm.entries) == pytest.approx(svd.sigma[k], rel=1e-10)
 
 
 @pytest.mark.parametrize("w", [1.0, 0.0625])
-def test_dsigma_matches_fd_oracle(w):
+def test_sigma_derivative_matches_fd_oracle(w):
     rng = rng_for(5)
     for _ in range(5):
         fm = fm_random(rng, n=12, k=4, w=w)
         svd = thin_svd(fm)
         assert np.min(np.diff(svd.sigma[::-1])) > 1e-3  # healthy gaps only
+        assert not svd.gap_flags.any()
         for k in range(4):
-            mat, flagged = dsigma(svd, k)
-            assert not flagged
+            mat = sigma_gradient(svd, unit_coeffs(svd, k))
 
             def sigma_k(entries, k=k):
                 return float(thin_svd(FeatureMatrix(entries, quad_weight=w)).sigma[k])
@@ -257,26 +265,9 @@ def test_dsigma_matches_fd_oracle(w):
             assert relative_error(mat, fd) <= 1e-6
 
 
-def test_dsigma_refuses_vanishing_singular_value():
-    entries = np.zeros((6, 3))
-    entries[0, 0] = 1.0
-    entries[0, 1] = 1.0
-    entries[1, 2] = 1.0
-    svd = thin_svd(FeatureMatrix(entries))
-    with pytest.raises(SpectralError, match="singular value too small"):
-        dsigma(svd, 2)
-
-
 def test_equal_singular_values_raise_subgradient_flag():
     entries = np.eye(4, 3)  # orthonormal columns, all sigma equal to 1
     svd = thin_svd(FeatureMatrix(entries))
     assert svd.gap_flags.all()
-    mat, flagged = dsigma(svd, 0)
-    assert flagged
+    mat = sigma_gradient(svd, unit_coeffs(svd, 0))
     assert np.linalg.svd(mat, compute_uv=False)[0] == pytest.approx(1.0, rel=1e-10)
-
-
-def test_dsigma_index_range_checked():
-    svd = thin_svd(sixty_degree_fm())
-    with pytest.raises(SpectralError, match="out of range"):
-        dsigma(svd, 2)
