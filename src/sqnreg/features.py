@@ -63,8 +63,6 @@ class FeatureMatrix:
 
     entries: np.ndarray
     quad_weight: float = 1.0
-    kind: FeatureMap | None = None
-    grid: GridSpec | None = None
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
@@ -75,10 +73,6 @@ class FeatureMatrix:
         if not np.isfinite(self.quad_weight) or self.quad_weight <= 0:
             raise FeatureError(f"quad_weight must be positive, got {self.quad_weight}")
         object.__setattr__(self, "entries", entries)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
     @property
     def k(self) -> int:
@@ -211,5 +205,4 @@ def assemble_with_chain(stack: ImageStack, fields, kind: FeatureMap):
             raise FeatureError(f"image {idx}: {exc}") from exc
         warped_images.append(warped)
         jacobians.append(jac)
-    fm = FeatureMatrix(entries, quad_weight=grid.cell_area, kind=kind, grid=grid)
-    return fm, warped_images, jacobians
+    return FeatureMatrix(entries, quad_weight=grid.cell_area), warped_images, jacobians

@@ -6,8 +6,9 @@ Three formats, all round-tripping bit-exactly at their stored precision:
   big-endian per the PGM convention), rescaled to [0, 1] on load;
 * ``SQNFIELD v1`` displacement fields: one ASCII header line followed by
   raw little-endian float64 planes;
-* per-iteration metrics as CSV with a fixed header, floats written with
-  ``repr`` so parsing recovers them exactly.
+* per-iteration metrics as CSV, one column per ``IterRecord`` field under
+  a fixed header, floats written with ``repr`` so parsing recovers them
+  exactly.
 
 Run configuration is flat ``key = value`` text.  Unknown and duplicate
 keys are hard errors; that catches typos before a long solve starts.
@@ -19,6 +20,7 @@ import csv
 import math
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -310,19 +312,12 @@ def load_config(path) -> RunConfig:
 # ---------------------------------------------------------------------------
 # metrics CSV
 
-_CSV_HEADER = [
-    "level",
-    "component",
-    "iteration",
-    "value",
-    "grad_norm",
-    "step",
-    "wolfe_ok",
-    "subgradient",
-    "fevals",
-    "gevals",
-    "elapsed",
-]
+# one column per IterRecord field, in declaration order; a field's type
+# picks how it is written and parsed: (to text, from text)
+_CSV_CODECS = {int: (str, int), float: (repr, float), bool: (int, lambda v: bool(int(v)))}
+_CSV_TYPES = get_type_hints(IterRecord)
+_CSV_COLUMNS = [(f.name, *_CSV_CODECS[_CSV_TYPES[f.name]]) for f in dc_fields(IterRecord)]
+_CSV_HEADER = [name for name, _, _ in _CSV_COLUMNS]
 
 
 def metrics_csv(report, path) -> None:
@@ -335,21 +330,7 @@ def metrics_csv(report, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
         for r in report.all_records():
-            writer.writerow(
-                [
-                    r.level,
-                    r.component,
-                    r.iteration,
-                    repr(r.value),
-                    repr(r.grad_norm),
-                    repr(r.step),
-                    int(r.wolfe_ok),
-                    int(r.subgradient),
-                    r.fevals,
-                    r.gevals,
-                    repr(r.elapsed),
-                ]
-            )
+            writer.writerow([write(getattr(r, name)) for name, write, _ in _CSV_COLUMNS])
 
 
 def load_metrics_csv(path) -> list[IterRecord]:
@@ -363,18 +344,6 @@ def load_metrics_csv(path) -> list[IterRecord]:
             if len(row) != len(_CSV_HEADER):
                 raise FormatError(f"metrics CSV row has {len(row)} fields: {row!r}")
             records.append(
-                IterRecord(
-                    level=int(row[0]),
-                    component=int(row[1]),
-                    iteration=int(row[2]),
-                    value=float(row[3]),
-                    grad_norm=float(row[4]),
-                    step=float(row[5]),
-                    wolfe_ok=bool(int(row[6])),
-                    subgradient=bool(int(row[7])),
-                    fevals=int(row[8]),
-                    gevals=int(row[9]),
-                    elapsed=float(row[10]),
-                )
+                IterRecord(**{name: parse(v) for (name, _, parse), v in zip(_CSV_COLUMNS, row)})
             )
     return records

@@ -7,10 +7,10 @@ Pairwise measures (for the sequential baseline):
   stabilizer ``eta_pt``.
 
 The sequential data term ``sum_i D(T_{i-1}, T_i)`` is one chain,
-``pair_chain``, over warped images.  The stack objective runs it on the
-whole warped stack; the sequential solver's one-field objective
-(``optimize._component_objective``) runs it on the image and its frozen
-neighbors.
+``pair_chain``, over the ``pair_state`` of each warped image.  The stack
+objective runs it on the whole warped stack; the sequential solver's
+one-field objective (``optimize._component_objective``) runs it on the
+image and its frozen neighbors, whose states it computes once.
 
 Groupwise measures (functions of the feature-matrix spectrum):
 
@@ -193,8 +193,8 @@ def _logdet_coeffs(svd: ThinSvd, jitter: float):
 # pairwise cores (cotangents with respect to warped intensities)
 
 
-def _ssd_forward(a: Image, b: Image):
-    w = a.grid.cell_area
+def _ssd_forward(grid, a: Image, b: Image):
+    w = grid.cell_area
     diff = b.data - a.data
     value = 0.5 * w * float(np.sum(diff**2))
     return value, lambda: (-w * diff, w * diff)
@@ -223,28 +223,36 @@ def _ngf_forward(grid, a, b):
     return value, backward
 
 
-def pair_chain(kind, images):
+def pair_state(kind, img: Image):
+    """One image's input to ``pair_chain``.
+
+    The image itself for SSD; its ``_ngf_gradient`` (gradient and stabilized
+    pointwise norm) for NGF.
+    """
+    if isinstance(kind, SsdPair):
+        return img
+    return _ngf_gradient(img, kind.eta_pt)
+
+
+def pair_chain(kind, grid, states):
     """The sequential data term ``sum_i D(images[i-1], images[i])`` of a chain.
 
+    ``states`` holds the ``pair_state`` of each image, so an image's NGF
+    gradient and pointwise norm are taken once, shared by its two pairs.
     Returns ``(value, cotangents)``.  The value is summed in chain order,
     starting from 0.0.  ``cotangents()`` returns one (m1, m2) array per image,
     the derivative with respect to its intensities, accumulated from zeros
-    with the earlier pair first.  NGF takes each image's gradient and
-    pointwise norm once, shared by the image's two pairs.  Every pair keeps
-    its forward state until ``cotangents`` runs.
+    with the earlier pair first.  Every pair keeps its forward state until
+    ``cotangents`` runs.
     """
-    if isinstance(kind, SsdPair):
-        terms = [_ssd_forward(a, b) for a, b in zip(images, images[1:])]
-    else:
-        states = [_ngf_gradient(img, kind.eta_pt) for img in images]
-        grid = images[0].grid
-        terms = [_ngf_forward(grid, a, b) for a, b in zip(states, states[1:])]
+    forward = _ssd_forward if isinstance(kind, SsdPair) else _ngf_forward
+    terms = [forward(grid, a, b) for a, b in zip(states, states[1:])]
     value = 0.0
     for v, _ in terms:
         value += v
 
     def cotangents():
-        cots = [np.zeros(img.grid.dims) for img in images]
+        cots = [np.zeros(grid.dims) for _ in states]
         for idx, (_, backward) in enumerate(terms, start=1):
             da, db = backward()
             cots[idx - 1] += da
@@ -302,7 +310,7 @@ def _eval_pairwise(stack: ImageStack, fields, kind) -> MeasureEval:
         wimg, jac = warp_with_jacobian(img, field)
         warped.append(wimg)
         jacs.append(jac)
-    value, cotangents = pair_chain(kind, warped)
+    value, cotangents = pair_chain(kind, stack.grid, [pair_state(kind, w) for w in warped])
     # eager: the solver's sequential chain is ``optimize._component_objective``,
     # so nothing defers this stack-wide evaluation
     grads = np.stack([cot[..., None] * jac for cot, jac in zip(cotangents(), jacs)])

@@ -13,7 +13,7 @@ The objective couples a distance measure with a deformation regularizer:
   second.
 
 The solver is limited-memory BFGS with a strong Wolfe line search.  Its
-two-loop recursion is seeded by running conjugate gradients on
+two-loop recursion is always seeded by running conjugate gradients on
 ``(H_reg + eps I) z = q``, where ``H_reg`` is the (constant) regularizer
 Hessian, applied to the whole stack at once, and ``eps = 1e-6 * alpha``.
 CG is truncated, not converged: at 64x64 it stops at ``CG_MAXITER = 200``
@@ -21,7 +21,7 @@ with a relative residual of about 1.1, so the seed is a fixed polynomial in
 the metric rather than its inverse.  ``SolveReport.metric_solves_capped``
 counts the solves that stopped at the cap.  CG allocates its vectors and
 the Hessian's scratch arrays once per solve and updates them in place.
-Both solvers always seed with this metric.
+There is no identity seed.
 
 The line search brackets a strong Wolfe step (``WOLFE_C1``, ``WOLFE_C2``)
 and zooms in with safeguarded quadratic interpolation (Nocedal & Wright,
@@ -29,8 +29,8 @@ Alg. 3.6): each zoom trial minimizes the quadratic through the value and
 slope at the bracket's low end and the value at its high end, clamped to
 the inner 80 % of the bracket, and falls back to the midpoint when the high
 end was rejected or the quadratic is not convex.  It needs no extra
-gradient: the slope at the low end has always been read.  In metric-seeded
-runs the first trial is capped at ``first_step_scale / |p|_inf``.  A search
+gradient: the slope at the low end has always been read.  The first trial
+is capped at ``first_step_scale / |p|_inf``.  A search
 along the quasi-Newton direction that finds no decrease is retried once
 along ``-g`` with the L-BFGS memory cleared; at the zero field every sample
 sits on a grid node, where the gradient is a one-sided derivative and that
@@ -48,6 +48,9 @@ raises a grid, feature, spectral or measure error, or whose value is not
 finite, is a rejected step: it counts as ``+inf`` and the line search
 shrinks the step (``SolveReport.rejected_trials``).
 
+Every count a solve reports, line-search failures included, is tallied in
+one ledger, ``_Counters``, shared by all levels and all runs of a solve.
+
 All inner products run through order-canonical accumulation, so solves are
 exactly invariant under permutations of the input stack.
 
@@ -61,6 +64,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -73,6 +77,7 @@ from .measures import (
     MeasureKind,
     measure_eval,
     pair_chain,
+    pair_state,
     resolve_measure,
 )
 from .regularize import RegKind, reg_eval, reg_glo, reg_hessian_apply
@@ -345,12 +350,16 @@ def _make_metric_solve(reg_kind: RegKind, grid: GridSpec, eps_rel: float,
 
 @dataclass
 class _Counters:
+    """The ledger of one solve: what its ``SolveReport`` counts."""
+
     fevals: int = 0
     gevals: int = 0  # gradients actually computed
     budget: int | None = None
     metric_solves: int = 0
     metric_solves_capped: int = 0  # stopped at CG_MAXITER above CG_TOL
     rejected_trials: int = 0
+    # searches that ended without a Wolfe step, other than for the budget
+    line_search_failures: int = 0
 
     def charge(self):
         self.fevals += 1
@@ -363,7 +372,7 @@ class _Counters:
 class _Eval:
     """One point on the search line.
 
-    ``grad`` is an array, a zero-argument callable that computes it, or
+    ``grad`` is a zero-argument callable that computes the gradient, or
     None for a rejected trial.  The gradient and the slope along
     ``direction`` are computed on first access.
     """
@@ -435,12 +444,12 @@ def _strong_wolfe(fun, x, p, f0, slope0, counters: _Counters, first_trial: float
     Zoom trials come from ``_zoom_trial``.  Returns the accepted evaluation,
     or the best strictly-decreasing evaluation seen with ``ok=False`` when
     bracketing fails (``expansion_cap``) or zoom has spent ``LS_MAX_ZOOM``
-    trials without an acceptable one (``zoom_cap``).  ``fun`` may
-    return its gradient as a zero-argument callable; it is then called only
-    for trials that pass sufficient decrease and for the returned fallback,
-    and the forward state is kept only for the current trial and the best
-    one.  A trial that raises one of ``TRIAL_ERRORS`` or has a non-finite
-    value counts as ``+inf``.
+    trials without an acceptable one (``zoom_cap``).  ``fun`` returns its
+    gradient as a zero-argument callable, which is called only for trials
+    that pass sufficient decrease and for the returned fallback; the forward
+    state is kept only for the current trial and the best one.  A trial that
+    raises one of ``TRIAL_ERRORS`` or has a non-finite value counts as
+    ``+inf``.
     """
     c1, c2 = WOLFE_C1, WOLFE_C2
     best: _Eval | None = None
@@ -507,47 +516,45 @@ class _LbfgsOutcome:
     x: np.ndarray
     value: float
     termination: str
-    ls_failures: int
 
 
 def lbfgs(
     fun,
     x0: np.ndarray,
     opts: SolveOptions,
-    metric_solve=None,
-    project_point=None,
-    first_step_scale: float | None = None,
-    counters: _Counters | None = None,
-    trace: LevelTrace | None = None,
-    level: int = 0,
-    component: int = -1,
-    t0: float | None = None,
+    metric_solve,
+    project_point,
+    first_step_scale: float,
+    counters: _Counters,
+    trace: LevelTrace,
+    level: int,
+    component: int,
+    t0: float,
 ) -> _LbfgsOutcome:
-    """Limited-memory BFGS minimization of ``fun``.
+    """Limited-memory BFGS minimization of ``fun``, seeded by ``metric_solve``.
 
-    ``fun`` maps an array to ``(value, grad, subgradient_flag)``; ``grad``
-    may be an array or a zero-argument callable that computes it, which
-    the line search calls only when it needs the slope.  Only the start
-    point's errors propagate; a line-search trial that fails is a rejected
-    step (see ``_strong_wolfe``).  With
-    ``metric_solve`` the two-loop recursion seeds with the regularizer
-    metric; otherwise the usual ``s.y / y.y`` scaled identity is used.  In
-    metric-seeded runs the first trial of each line search is capped at
+    ``fun`` maps an array to ``(value, gradient, subgradient_flag)``, where
+    ``gradient`` is a zero-argument callable that the line search calls
+    only when it needs the slope.  Only the start point's errors propagate;
+    a line-search trial that fails is a rejected step (see
+    ``_strong_wolfe``).  The two-loop recursion always seeds with
+    ``metric_solve``; there is no identity seed.  ``project_point`` maps the
+    start point and every accepted iterate back onto the gauge constraint.
+    The first trial of each line search is capped at
     ``first_step_scale / |p|_inf``, because the metric's near-null
     directions carry no natural scale; Wolfe expansion can still grow the
     step from there.  When a search finds no decrease along a direction
     other than ``-g``, the memory is cleared and one more search runs along
     ``-g``; the run ends with ``line_search_failure`` only if that fails too.
+    Evaluations, gradients, rejected trials and line-search failures are
+    tallied in ``counters``; one ``IterRecord`` per iteration goes to
+    ``trace``, stamped with ``level``, ``component`` and the time since
+    ``t0``.
     """
-    counters = counters if counters is not None else _Counters()
-    t0 = t0 if t0 is not None else time.perf_counter()
 
     def charged(z):
         counters.charge()
         value, grad, sub = fun(z)
-        if not callable(grad):
-            counters.gevals += 1
-            return value, grad, sub
 
         def gradient():
             counters.gevals += 1
@@ -555,45 +562,37 @@ def lbfgs(
 
         return value, gradient, sub
 
-    x = x0.copy()
-    if project_point is not None:
-        x = project_point(x)
+    x = project_point(x0.copy())
     if counters.exhausted:
-        return _LbfgsOutcome(x, math.nan, "budget", 0)
+        return _LbfgsOutcome(x, math.nan, "budget")
     value, grad, sub = charged(x)
-    if callable(grad):
-        grad = grad()
+    grad = grad()
     gnorm = block_norm(grad)
     gnorm0 = gnorm
     s_list: list[np.ndarray] = []
     y_list: list[np.ndarray] = []
     rho_list: list[float] = []
-    ls_failures = 0
 
     def record(iteration, step, wolfe_ok, subflag):
-        if trace is not None:
-            trace.records.append(
-                IterRecord(
-                    level=level,
-                    component=component,
-                    iteration=iteration,
-                    value=value,
-                    grad_norm=gnorm,
-                    step=step,
-                    wolfe_ok=wolfe_ok,
-                    subgradient=subflag,
-                    fevals=counters.fevals,
-                    gevals=counters.gevals,
-                    elapsed=time.perf_counter() - t0,
-                )
+        trace.records.append(
+            IterRecord(
+                level=level,
+                component=component,
+                iteration=iteration,
+                value=value,
+                grad_norm=gnorm,
+                step=step,
+                wolfe_ok=wolfe_ok,
+                subgradient=subflag,
+                fevals=counters.fevals,
+                gevals=counters.gevals,
+                elapsed=time.perf_counter() - t0,
             )
+        )
 
     def search(p, slope):
-        first_trial = 1.0
-        if metric_solve is not None and first_step_scale is not None:
-            pinf = float(np.abs(p).max())
-            if pinf > first_step_scale:
-                first_trial = first_step_scale / pinf
+        pinf = float(np.abs(p).max())
+        first_trial = first_step_scale / pinf if pinf > first_step_scale else 1.0
         return _strong_wolfe(charged, x, p, value, slope, counters, first_trial)
 
     record(0, 0.0, True, sub)
@@ -607,9 +606,9 @@ def lbfgs(
             break
         p = -_two_loop(grad, s_list, y_list, rho_list, metric_solve)
         slope = block_dot(grad, p)
-        steepest = metric_solve is None and not s_list
-        if not np.isfinite(slope) or slope >= 0.0:
-            p, slope, steepest = -grad, -(gnorm**2), True
+        steepest = not (np.isfinite(slope) and slope < 0.0)
+        if steepest:
+            p, slope = -grad, -(gnorm**2)
         ls = search(p, slope)
         if ls.ev is None and ls.reason != "budget" and not steepest:
             # no decrease along the quasi-Newton direction, e.g. where the
@@ -620,18 +619,12 @@ def lbfgs(
             rho_list.clear()
             p, slope = -grad, -(gnorm**2)
             ls = search(p, slope)
-        if ls.ev is None:
-            if ls.reason == "budget":
-                termination = "budget"
-            else:
-                termination = "line_search_failure"
-                ls_failures += 1
-            break
         if not ls.ok and ls.reason != "budget":
-            ls_failures += 1
-        x_new = x + ls.ev.alpha * p
-        if project_point is not None:
-            x_new = project_point(x_new)
+            counters.line_search_failures += 1
+        if ls.ev is None:
+            termination = "budget" if ls.reason == "budget" else "line_search_failure"
+            break
+        x_new = project_point(x + ls.ev.alpha * p)
         s = x_new - x
         y = ls.ev.grad - grad
         x = x_new
@@ -655,7 +648,7 @@ def lbfgs(
         termination = "maxiter"
     if gnorm <= opts.gtol * max(1.0, gnorm0) and termination == "maxiter":
         termination = "gtol"
-    return _LbfgsOutcome(x, value, termination, ls_failures)
+    return _LbfgsOutcome(x, value, termination)
 
 
 def _two_loop(grad, s_list, y_list, rho_list, metric_solve):
@@ -665,13 +658,7 @@ def _two_loop(grad, s_list, y_list, rho_list, metric_solve):
         a = rho * block_dot(s, q)
         alphas.append(a)
         q -= a * y
-    if metric_solve is not None:
-        r = metric_solve(q)
-    elif s_list:
-        gamma = block_dot(s_list[-1], y_list[-1]) / block_dot(y_list[-1], y_list[-1])
-        r = gamma * q
-    else:
-        r = q
+    r = metric_solve(q)
     for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
         b = rho * block_dot(y, r)
         r += (a - b) * s
@@ -688,15 +675,12 @@ def _solve_level_groupwise(spec, stack, x0, opts, counters, trace, level, t0):
     def fun(x):
         return objective_trial(spec, stack, x)
 
-    def project(x):
-        return _project_point(x, spec.constraint)
-
     outcome = lbfgs(
         fun,
         x0,
         opts,
         metric_solve=metric,
-        project_point=project,
+        project_point=partial(_project_point, constraint=spec.constraint),
         first_step_scale=min(stack.grid.spacing),
         counters=counters,
         trace=trace,
@@ -705,24 +689,28 @@ def _solve_level_groupwise(spec, stack, x0, opts, counters, trace, level, t0):
         t0=t0,
     )
     trace.terminations.append(f"level{level}:{outcome.termination}")
-    return outcome.x, outcome.ls_failures
+    return outcome.x
 
 
 def _component_objective(spec, stack, fields, idx):
     """Objective restricted to field ``idx`` in a sequential chain.
 
     Only the pair terms touching image ``idx`` and its own regularizer vary.
-    The neighbors are warped once by their current (frozen) fields; each
-    evaluation runs ``pair_chain`` on ``[left] + [warped] + [right]`` and
-    takes the gradient from the cotangent of image ``idx``, so it matches
-    the stack objective's gradient for that field bit for bit.  Like
-    ``objective_trial`` it returns the gradient as a zero-argument callable.
+    The neighbors are warped by their current (frozen) fields and their
+    ``pair_state`` is taken once; each evaluation runs ``pair_chain`` on
+    ``[left] + [state of warped] + [right]`` and takes the gradient from the
+    cotangent of image ``idx``, so it matches the stack objective's gradient
+    for that field bit for bit.  Like ``objective_trial`` it returns the
+    gradient as a zero-argument callable.
     """
     # looked up in ``grids`` at call time, where perfbench's tracer wraps it
     from .grids import warp_with_jacobian
 
+    kind = spec.measure
     left, right = (
-        [warp_with_jacobian(stack[j], fields[j], want_jac=False)[0]] if 0 <= j < stack.k else []
+        [pair_state(kind, warp_with_jacobian(stack[j], fields[j], want_jac=False)[0])]
+        if 0 <= j < stack.k
+        else []
         for j in (idx - 1, idx + 1)
     )
     pos = len(left)
@@ -731,7 +719,7 @@ def _component_objective(spec, stack, fields, idx):
     def fun(x):
         u = DisplacementField(grid, x[0])
         warped, jac = warp_with_jacobian(stack[idx], u)
-        value, cotangents = pair_chain(spec.measure, left + [warped] + right)
+        value, cotangents = pair_chain(kind, grid, left + [pair_state(kind, warped)] + right)
         rv, reg_gradient = reg_eval(spec.regularizer, u, deferred=True)
         value += rv
 
@@ -749,35 +737,32 @@ def gauss_seidel_sweep(
     stack: ImageStack,
     fields,
     opts: SolveOptions,
-    counters: _Counters | None = None,
-    trace: LevelTrace | None = None,
-    level: int = 0,
-    t0: float | None = None,
+    counters: _Counters,
+    trace: LevelTrace,
+    level: int,
+    t0: float,
 ):
     """Sequential Gauss-Seidel sweeps: minimize over one field at a time.
 
     The first field stays exactly as given (the chain anchor).  Returns the
-    updated field list and the number of line-search failures.
+    updated field list; the counts go to ``counters``.
     """
     if spec.mode != "sequential":
         raise ConfigError("gauss_seidel_sweep needs a sequential spec")
-    counters = counters if counters is not None else _Counters()
-    trace = trace if trace is not None else LevelTrace(level, stack.grid.dims)
-    t0 = t0 if t0 is not None else time.perf_counter()
     fields = list(fields)
     metric = _make_metric_solve(spec.regularizer, stack.grid, opts.metric_eps_rel, counters)
-    failures = 0
     for sweep in range(opts.sweeps):
         for idx in range(1, stack.k):
             if counters.exhausted:
                 trace.terminations.append(f"level{level}:budget")
-                return fields, failures
+                return fields
             fun = _component_objective(spec, stack, fields, idx)
             outcome = lbfgs(
                 fun,
                 fields[idx].u[None, ...],
                 opts,
                 metric_solve=metric,
+                project_point=partial(_project_point, constraint=spec.constraint),
                 first_step_scale=min(stack.grid.spacing),
                 counters=counters,
                 trace=trace,
@@ -786,9 +771,8 @@ def gauss_seidel_sweep(
                 t0=t0,
             )
             fields[idx] = DisplacementField(stack.grid, outcome.x[0])
-            failures += outcome.ls_failures
             trace.terminations.append(f"level{level}:sweep{sweep}:field{idx}:{outcome.termination}")
-    return fields, failures
+    return fields
 
 
 def build_pyramid(stack: ImageStack, levels: int):
@@ -815,7 +799,6 @@ def multilevel_solve(
     pyramid = build_pyramid(stack, opts.levels)
     counters = _Counters(budget=opts.max_fevals)
     traces: list[LevelTrace] = []
-    failures = 0
     k = stack.k
     coarse_grid = pyramid[0].grid
     if initial_fields is not None:
@@ -833,11 +816,11 @@ def multilevel_solve(
         level_spec = replace(spec, measure=resolve_measure(spec.measure, level_stack))
         if spec.mode == "groupwise":
             x = _project_point(x, spec.constraint)
-            x, fails = _solve_level_groupwise(
+            x = _solve_level_groupwise(
                 level_spec, level_stack, x, opts, counters, trace, level, t0
             )
         else:
-            fields, fails = gauss_seidel_sweep(
+            fields = gauss_seidel_sweep(
                 level_spec,
                 level_stack,
                 _array_to_fields(level_stack.grid, x),
@@ -848,7 +831,6 @@ def multilevel_solve(
                 t0=t0,
             )
             x = _fields_to_array(fields)
-        failures += fails
         if level + 1 < len(pyramid):
             fine_grid = pyramid[level + 1].grid
             fields = _array_to_fields(level_stack.grid, x)
@@ -862,7 +844,7 @@ def multilevel_solve(
         fevals=counters.fevals,
         gevals=counters.gevals,
         elapsed=time.perf_counter() - t0,
-        line_search_failures=failures,
+        line_search_failures=counters.line_search_failures,
         metric_solves=counters.metric_solves,
         metric_solves_capped=counters.metric_solves_capped,
         rejected_trials=counters.rejected_trials,

@@ -332,3 +332,25 @@ class TestMetricsCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(FormatError, match="unexpected metrics CSV header"):
             load_metrics_csv(path)
+
+    GOLDEN = (
+        "level,component,iteration,value,grad_norm,step,wolfe_ok,subgradient,fevals,gevals,elapsed\r\n"
+        "0,-1,0,0.30000000000000004,3.141592653589793,0.0,1,0,1,1,0.0123\r\n"
+        "0,-1,1,-1.5e-17,0.6666666666666666,1.0,1,1,3,3,0.5\r\n"
+        "1,2,0,1e+308,5e-324,0.25,0,0,9,9,1.75\r\n"
+    )
+
+    def test_golden_bytes(self, tmp_path):
+        report = self.make_report()
+        written = tmp_path / "metrics.csv"
+        metrics_csv(report, written)
+        assert written.read_bytes() == self.GOLDEN.encode()
+        golden = tmp_path / "golden.csv"
+        golden.write_bytes(self.GOLDEN.encode())
+        assert load_metrics_csv(golden) == list(report.all_records())
+
+    def test_row_length_checked(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text(self.GOLDEN.splitlines()[0] + "\n0,-1,0,1.0\n")
+        with pytest.raises(FormatError, match="metrics CSV row has 4 fields"):
+            load_metrics_csv(path)

@@ -26,6 +26,7 @@ from sqnreg.measures import (
     _sqn_coeffs,
     measure_eval,
     pair_chain,
+    pair_state,
     resolve_measure,
 )
 from sqnreg.oracles import fd_gradient
@@ -337,7 +338,7 @@ def per_pair_reference(kind, images):
 def test_pair_chain_matches_per_pair_reference_bitexact(kind, k):
     stack, fields = fd_instance(20 + k, k=k)
     warped = [warp(img, f) for img, f in zip(stack, fields)]
-    value, cotangents = pair_chain(kind, warped)
+    value, cotangents = pair_chain(kind, warped[0].grid, [pair_state(kind, w) for w in warped])
     ref_value, ref_cots = per_pair_reference(kind, warped)
     assert value == ref_value
     cots = cotangents()
@@ -359,7 +360,8 @@ def test_ngf_chain_takes_each_image_gradient_once(k, monkeypatch):
     monkeypatch.setattr(measures, "gradient_central", counted)
     stack, fields = fd_instance(20 + k, k=k)
     warped = [warp(img, f) for img, f in zip(stack, fields)]
-    pair_chain(NgfPair(eta_pt=3e-2), warped)[1]()
+    kind = NgfPair(eta_pt=3e-2)
+    pair_chain(kind, warped[0].grid, [pair_state(kind, w) for w in warped])[1]()
     assert len(calls) == k
     assert all(got is img for got, img in zip(calls, warped))
 

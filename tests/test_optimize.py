@@ -3,6 +3,7 @@ registration drivers (groupwise, Gauss-Seidel, multilevel)."""
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ from conftest import fd_instance, rng_for, stack_of
 
 def quadratic_target(a):
     def fun(x):
-        return 0.5 * float(np.sum((x - a) ** 2)), x - a, False
+        return 0.5 * float(np.sum((x - a) ** 2)), lambda: x - a, False
 
     return fun
 
@@ -58,7 +59,24 @@ def rosenbrock(x):
             200.0 * (x[1] - x[0] ** 2),
         ]
     )
-    return float(v), g, False
+    return float(v), lambda: g, False
+
+
+def run_lbfgs(fun, x0, opts, metric_solve=lambda q: q, counters=None, trace=None):
+    """``lbfgs`` on a plain objective: no gauge, no first-step cap, M = I unless given."""
+    return lbfgs(
+        fun,
+        x0,
+        opts,
+        metric_solve=metric_solve,
+        project_point=lambda x: x,
+        first_step_scale=math.inf,
+        counters=counters if counters is not None else _Counters(),
+        trace=trace if trace is not None else LevelTrace(0, (0, 0)),
+        level=0,
+        component=-1,
+        t0=time.perf_counter(),
+    )
 
 
 def unit_grid(dims):
@@ -81,7 +99,7 @@ def shifted_blob_stack(dims, shifts, width=0.15):
 class TestLbfgsGeneric:
     def test_quadratic_converges_in_three_iterations(self):
         a = np.array([1.0, -2.0, 3.0, 0.5, 2.0])
-        out = lbfgs(quadratic_target(a), np.zeros(5), SolveOptions(gtol=1e-12))
+        out = run_lbfgs(quadratic_target(a), np.zeros(5), SolveOptions(gtol=1e-12))
         assert out.value <= 1e-10
         assert np.allclose(out.x, a, atol=1e-10)
         assert out.termination == "gtol"
@@ -91,22 +109,23 @@ class TestLbfgsGeneric:
 
         a = np.array([3.0, -1.0, 0.25])
         trace = LevelTrace(0, (0, 0))
-        lbfgs(quadratic_target(a), np.zeros(3), SolveOptions(gtol=1e-12), trace=trace)
+        run_lbfgs(quadratic_target(a), np.zeros(3), SolveOptions(gtol=1e-12), trace=trace)
         # record 0 is the starting point; one step lands on the minimizer
         assert len(trace.records) <= 3
         assert trace.records[-1].value <= 1e-10
 
     def test_rosenbrock_reaches_minimum(self):
-        out = lbfgs(rosenbrock, np.array([-1.2, 1.0]), SolveOptions(maxiter=200, gtol=1e-9))
-        _, g, _ = rosenbrock(out.x)
-        assert np.linalg.norm(g) < 1e-6
+        out = run_lbfgs(rosenbrock, np.array([-1.2, 1.0]), SolveOptions(maxiter=200, gtol=1e-9))
+        assert np.linalg.norm(rosenbrock(out.x)[1]()) < 1e-6
         assert np.allclose(out.x, [1.0, 1.0], atol=1e-6)
 
     def test_values_strictly_decrease_within_run(self):
         from sqnreg.optimize import LevelTrace
 
         trace = LevelTrace(0, (0, 0))
-        lbfgs(rosenbrock, np.array([-1.2, 1.0]), SolveOptions(maxiter=200, gtol=1e-9), trace=trace)
+        run_lbfgs(
+            rosenbrock, np.array([-1.2, 1.0]), SolveOptions(maxiter=200, gtol=1e-9), trace=trace
+        )
         values = [r.value for r in trace.records]
         assert len(values) > 5
         for prev, cur in zip(values, values[1:]):
@@ -117,20 +136,20 @@ class TestLbfgsGeneric:
 
         def fun(z):
             t = z[0]
-            return float(t**4 - 2 * t**2 + 0.5), np.array([4 * t**3 - 4 * t]), False
+            return float(t**4 - 2 * t**2 + 0.5), lambda: np.array([4 * t**3 - 4 * t]), False
 
         f0, g0, _ = fun(x)
-        p = -g0
-        slope0 = float(g0 @ p)
+        p = -g0()
+        slope0 = float(g0() @ p)
         ls = _strong_wolfe(fun, x, p, f0, slope0, _Counters())
         assert ls.ok
         fa, ga, _ = fun(x + ls.ev.alpha * p)
         assert fa <= f0 + WOLFE_C1 * ls.ev.alpha * slope0
-        assert abs(float(ga @ p)) <= WOLFE_C2 * abs(slope0)
+        assert abs(float(ga() @ p)) <= WOLFE_C2 * abs(slope0)
 
     def test_budget_cap_stops_early(self):
         counters = _Counters(budget=5)
-        out = lbfgs(
+        out = run_lbfgs(
             rosenbrock,
             np.array([-1.2, 1.0]),
             SolveOptions(maxiter=200, gtol=1e-12),
@@ -144,7 +163,7 @@ def kinked(c):
     """``c |x_0| + x_1^2`` whose gradient at the kink is the right derivative."""
 
     def fun(x):
-        return c * abs(x[0]) + x[1] ** 2, np.array([c if x[0] >= 0 else -c, 2 * x[1]]), False
+        return c * abs(x[0]) + x[1] ** 2, lambda: np.array([c if x[0] >= 0 else -c, 2 * x[1]]), False
 
     return fun
 
@@ -158,10 +177,11 @@ class TestSteepestDescentRestart:
     def test_failed_search_retries_along_negative_gradient(self):
         fun, trials = recorded_points(kinked(1.0))
         x0 = np.array([0.0, 1.0])
-        out = lbfgs(fun, x0, SolveOptions(maxiter=1), metric_solve=stretch_first)
+        counters = _Counters()
+        out = run_lbfgs(fun, x0, SolveOptions(maxiter=1), stretch_first, counters)
         # no trial along -M^-1 g decreases J; -g = (-1, -2) does
         assert out.termination == "maxiter"
-        assert out.ls_failures == 0
+        assert counters.line_search_failures == 0
         assert out.value < 1.0
         step = out.x - x0
         assert step[0] < 0 and step[1] == pytest.approx(2.0 * step[0], rel=1e-12)
@@ -169,16 +189,18 @@ class TestSteepestDescentRestart:
 
     def test_failed_restart_ends_run(self):
         x0 = np.array([0.0, 1.0])
-        out = lbfgs(kinked(10.0), x0, SolveOptions(maxiter=5), metric_solve=stretch_first)
+        counters = _Counters()
+        out = run_lbfgs(kinked(10.0), x0, SolveOptions(maxiter=5), stretch_first, counters)
         assert out.termination == "line_search_failure"
-        assert out.ls_failures == 1
+        assert counters.line_search_failures == 1
         assert np.array_equal(out.x, x0)
         assert out.value == 1.0
 
     def test_no_retry_when_direction_already_steepest(self):
         fun, trials = recorded_points(kinked(10.0))
         x0 = np.array([0.0, 1.0])
-        out = lbfgs(fun, x0, SolveOptions(maxiter=5))
+        # an uphill metric direction falls back to -g before the first search
+        out = run_lbfgs(fun, x0, SolveOptions(maxiter=5), metric_solve=lambda q: -q)
         assert out.termination == "line_search_failure"
         # the start point and one search, not a second one along the same ray
         assert len(trials) <= 1 + LS_MAX_EXPAND + LS_MAX_ZOOM
@@ -214,7 +236,7 @@ class TestZoomInterpolation:
         # phi(t) = (t - 1/4)^2: the first trial t = 1 fails sufficient
         # decrease, and the quadratic through phi(0), phi'(0) and phi(1) is
         # phi itself, so the next trial is its minimizer, exactly
-        fun, trials = recorded(lambda z: ((z[0] - 0.25) ** 2, 2.0 * (z - 0.25), False))
+        fun, trials = recorded(lambda z: ((z[0] - 0.25) ** 2, lambda: 2.0 * (z - 0.25), False))
         ls = _strong_wolfe(fun, np.zeros(1), np.ones(1), 0.0625, -0.5, _Counters())
         assert ls.ok and ls.reason == "wolfe"
         assert trials == [1.0, 0.25]
@@ -247,7 +269,7 @@ class TestZoomInterpolation:
         def fun(z):
             if z[0] > 0.6:
                 raise MeasureError("outside the valid region")
-            return (z[0] - 0.25) ** 2, 2.0 * (z - 0.25), False
+            return (z[0] - 0.25) ** 2, lambda: 2.0 * (z - 0.25), False
 
         fun, trials = recorded(fun)
         counters = _Counters()
@@ -433,8 +455,15 @@ class TestSolvers:
         fields = [zero_field(stack.grid) for _ in range(3)]
         j0 = objective(spec, stack, fields)[0]
         d0 = measure_eval(stack, fields, spec.measure).value
-        out_fields, _ = gauss_seidel_sweep(
-            spec, stack, fields, SolveOptions(maxiter=25, gtol=1e-8)
+        out_fields = gauss_seidel_sweep(
+            spec,
+            stack,
+            fields,
+            SolveOptions(maxiter=25, gtol=1e-8),
+            _Counters(),
+            LevelTrace(0, stack.grid.dims),
+            0,
+            time.perf_counter(),
         )
         j1 = objective(spec, stack, out_fields)[0]
         d1 = measure_eval(stack, out_fields, spec.measure).value
@@ -580,7 +609,7 @@ class TestValueFirstTrials:
             _, gradient, _ = fun(fields[idx].u[None, ...])
             assert np.array_equal(gradient()[0], grads[idx])
 
-    def test_interior_component_takes_three_image_gradients(self, monkeypatch):
+    def test_interior_component_takes_neighbour_gradients_once(self, monkeypatch):
         import sqnreg.measures as measures
 
         calls = []
@@ -591,10 +620,12 @@ class TestValueFirstTrials:
         stack, fields = fd_instance(8, k=4)
         spec = ObjectiveSpec(NgfPair(eta_pt=1e-2), Diffusion(alpha=1e-2), mode="sequential")
         fun = _component_objective(spec, stack, fields, 2)
+        # the two frozen neighbours once per component, then one per evaluation
+        assert len(calls) == 2
         for _ in range(2):
             _, gradient, _ = fun(fields[2].u[None, ...])
             gradient()
-        assert len(calls) == 6
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("measure", [SsdPair(), NgfPair(eta_pt=1e-2)])
     def test_component_at_the_chain_start_reads_its_own_cotangent(self, measure):
@@ -670,10 +701,16 @@ class TestValueFirstTrials:
         report = multilevel_solve(spec, stack, SolveOptions(maxiter=10))
         assert 0 < report.gevals < report.fevals
         assert list(report.all_records())[-1].gevals == report.gevals
-        # a plain-array objective computes a gradient at every evaluation
+        # the ledger counts one gradient per call of the objective's thunk
+        calls = []
+
+        def counted(x):
+            value, grad, sub = rosenbrock(x)
+            return value, lambda: calls.append(x) or grad(), sub
+
         counters = _Counters()
-        lbfgs(rosenbrock, np.array([-1.2, 1.0]), SolveOptions(maxiter=30), counters=counters)
-        assert counters.gevals == counters.fevals
+        run_lbfgs(counted, np.array([-1.2, 1.0]), SolveOptions(maxiter=30), counters=counters)
+        assert 0 < counters.gevals == len(calls) < counters.fevals
 
     @pytest.mark.parametrize("failure", ["raise", "nan", "inf"])
     def test_failing_trials_are_rejected_steps(self, failure):
@@ -684,11 +721,11 @@ class TestValueFirstTrials:
                 if failure == "raise":
                     raise MeasureError("outside the valid region")
                 return (math.nan if failure == "nan" else math.inf), None, False
-            return 0.5 * float(np.sum((x - a) ** 2)), x - a, False
+            return 0.5 * float(np.sum((x - a) ** 2)), lambda: x - a, False
 
         counters = _Counters()
         trace = LevelTrace(0, (0, 0))
-        out = lbfgs(fun, np.zeros(2), SolveOptions(maxiter=20), counters=counters, trace=trace)
+        out = run_lbfgs(fun, np.zeros(2), SolveOptions(maxiter=20), counters=counters, trace=trace)
         values = [r.value for r in trace.records]
         assert len(values) > 2
         assert all(b < a for a, b in zip(values, values[1:]))
@@ -697,7 +734,7 @@ class TestValueFirstTrials:
         if failure == "raise":
             # the start point of a run is not a trial: its errors propagate
             with pytest.raises(MeasureError):
-                lbfgs(fun, np.full(2, 5.0), SolveOptions())
+                run_lbfgs(fun, np.full(2, 5.0), SolveOptions())
 
     def test_solve_report_counts_rejected_trials(self, monkeypatch):
         import sqnreg.optimize as optimize
