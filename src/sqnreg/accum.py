@@ -23,6 +23,33 @@ def sorted_sum(values) -> float:
     return float(np.sort(arr).sum())
 
 
+def block_dot_plan(a: np.ndarray, b: np.ndarray):
+    """``block_dot(a, b)`` bound once to the operands' buffers.
+
+    Returns a zero-argument callable that computes the dot of the current
+    entries of ``a`` and ``b``, so an iterative solver that updates them in
+    place binds its dots once.  The views are taken here: the rows
+    ``(n, 1, m)`` of ``a`` and the columns ``(n, m, 1)`` of ``b`` for the
+    batched ``matmul``, or the raveled operands for one block.  Operands
+    with two or more axes must therefore be C-contiguous; a reshape would
+    otherwise copy them once and the plan would not see later updates.
+    """
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch in block_dot: {a.shape} vs {b.shape}")
+    if a.ndim == 1:
+        return lambda: float(np.dot(a, b))
+    if not (a.flags.c_contiguous and b.flags.c_contiguous):
+        raise ValueError("block_dot_plan needs C-contiguous operands")
+    n = a.shape[0]
+    if n == 1:
+        flat_a, flat_b = a.reshape(-1), b.reshape(-1)
+        # ``+ 0.0`` turns -0.0 into 0.0, as the sorted sum does
+        return lambda: float(np.dot(flat_a, flat_b)) + 0.0
+    m = math.prod(a.shape[1:])
+    rows, cols = a.reshape(n, 1, m), b.reshape(n, m, 1)
+    return lambda: sorted_sum(np.matmul(rows, cols))
+
+
 def block_dot(a: np.ndarray, b: np.ndarray) -> float:
     """Dot product of two arrays whose leading axis indexes stack blocks.
 
@@ -30,21 +57,14 @@ def block_dot(a: np.ndarray, b: np.ndarray) -> float:
     does not depend on how the blocks are arranged along axis 0.  They come
     from one batched ``matmul`` of contiguous rows, which runs the same
     BLAS dot per block as ``np.dot`` of the raveled blocks, bit for bit.
+    This is ``block_dot_plan`` bound once and run once, on C-contiguous
+    copies of operands that are not.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch in block_dot: {a.shape} vs {b.shape}")
-    if a.ndim == 1:
-        return float(np.dot(a, b))
-    n = a.shape[0]
-    if n == 1:
-        # ``+ 0.0`` turns -0.0 into 0.0, as the sorted sum does
-        return float(np.dot(a.ravel(), b.ravel())) + 0.0
-    m = math.prod(a.shape[1:])
-    rows = np.ascontiguousarray(a).reshape(n, 1, m)
-    cols = np.ascontiguousarray(b).reshape(n, m, 1)
-    return sorted_sum(np.matmul(rows, cols))
+    if a.ndim > 1:
+        a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return block_dot_plan(a, b)()
 
 
 def block_norm(a: np.ndarray) -> float:

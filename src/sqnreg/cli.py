@@ -115,6 +115,7 @@ def _cmd_register(args) -> int:
         f"line_search_failures={report.line_search_failures} "
         f"rejected_trials={report.rejected_trials} "
         f"metric_solves_capped={report.metric_solves_capped} "
+        f"metric_iterations={report.metric_iterations} "
         f"elapsed={report.elapsed:.2f}s -> {out}"
     )
     return 0

@@ -19,9 +19,14 @@ Hessian, applied to the whole stack at once, and ``eps = 1e-6 * alpha``.
 CG is truncated, not converged: at 64x64 it stops at ``CG_MAXITER = 200``
 with a relative residual of about 1.1, so the seed is a fixed polynomial in
 the metric rather than its inverse.  ``SolveReport.metric_solves_capped``
-counts the solves that stopped at the cap.  CG allocates its vectors and
-the Hessian's scratch arrays once per solve and updates them in place.
-There is no identity seed.
+counts the solves that stopped at the cap, and
+``SolveReport.metric_iterations`` sums the CG iterations.  Each metric solve
+allocates CG's vectors and the stencil's scratch once and binds a plan to
+them: the Hessian action on CG's direction (``regularize.hessian_plan``) and
+the two dots ``p·Bp`` and ``r·r`` (``accum.block_dot_plan``).  Every CG
+iteration then runs a fixed list of ufunc calls on those buffers, with the
+operations of ``reg_hessian_apply`` and ``block_dot`` in their order, so the
+iterates are the same bit for bit.  There is no identity seed.
 
 The line search brackets a strong Wolfe step (``WOLFE_C1``, ``WOLFE_C2``)
 and zooms in with safeguarded quadratic interpolation (Nocedal & Wright,
@@ -68,7 +73,7 @@ from functools import partial
 
 import numpy as np
 
-from .accum import block_dot, block_norm, mean_axis0
+from .accum import block_dot, block_dot_plan, block_norm, mean_axis0
 from .errors import ConfigError, FeatureError, GridError, MeasureError, OptimError, SpectralError
 from .grids import DisplacementField, GridSpec, ImageStack, prolong, restrict_stack
 from .measures import (
@@ -80,7 +85,12 @@ from .measures import (
     pair_state,
     resolve_measure,
 )
-from .regularize import RegKind, reg_eval, reg_glo, reg_hessian_apply
+from .regularize import RegKind, hessian_plan, reg_eval, reg_glo
+
+# Not called here: perfbench's tracer recomputes each metric solve's residual
+# with ``optimize.reg_hessian_apply``, and tests/test_perfbench_hooks.py
+# checks that the tracer finds the name where it looks.
+from .regularize import reg_hessian_apply  # noqa: F401
 
 CONSTRAINTS = ("none", "fix_first", "zero_mean")
 
@@ -193,6 +203,8 @@ class SolveReport:
     metric_solves: int = 0
     # metric solves whose CG hit ``CG_MAXITER`` with the residual above ``CG_TOL``
     metric_solves_capped: int = 0
+    # CG iterations summed over all metric solves
+    metric_iterations: int = 0
     # line-search trials that raised in their forward pass or had a non-finite value
     rejected_trials: int = 0
 
@@ -285,33 +297,40 @@ def objective(spec: ObjectiveSpec, stack: ImageStack, fields):
 # inner linear algebra
 
 
-def _cg_solve(apply_b, rhs: np.ndarray, tol: float, maxiter: int):
-    """Conjugate gradients for ``apply_b(x) = rhs`` from ``x = 0``.
+def _cg_solve(bind_b, rhs: np.ndarray, tol: float, maxiter: int):
+    """Conjugate gradients for ``B x = rhs`` from ``x = 0``.
 
-    Returns ``(x, iterations, residual)``: the number of completed CG
-    updates and the final recursive residual norm relative to ``|rhs|``.
-    The vectors and one temporary are allocated once and updated in place;
-    ``apply_b`` may return the same array on every call.
+    ``bind_b(p, bp)`` binds the action of ``B`` to CG's direction ``p`` and
+    its image ``bp``: it returns a zero-argument callable that writes
+    ``B p`` into ``bp`` from the current entries of ``p``.  CG binds it and
+    its two dots, ``p·bp`` and ``r·r``, once per solve and updates its
+    vectors in place, so every iteration runs the same calls on the same
+    buffers.  Returns ``(x, iterations, residual)``: the number of completed
+    CG updates and the final recursive residual norm relative to ``|rhs|``.
     """
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    rs = block_dot(r, r)
+    x = np.zeros(rhs.shape)
+    r = np.array(rhs, order="C")
+    r_dot_r = block_dot_plan(r, r)
+    rs = r_dot_r()
     rhs_norm = math.sqrt(max(rs, 0.0))
     if rhs_norm == 0.0:
         return x, 0, 0.0
     p = r.copy()
-    tmp = np.empty_like(rhs)
+    bp = np.empty(rhs.shape)
+    tmp = np.empty(rhs.shape)
+    apply_b = bind_b(p, bp)
+    p_dot_bp = block_dot_plan(p, bp)
     iterations = 0
     while iterations < maxiter:
-        bp = apply_b(p)
-        denom = block_dot(p, bp)
+        apply_b()
+        denom = p_dot_bp()
         if denom <= 0.0:
             break
         a = rs / denom
         x += np.multiply(p, a, out=tmp)
         r -= np.multiply(bp, a, out=tmp)
         iterations += 1
-        rs_new = block_dot(r, r)
+        rs_new = r_dot_r()
         rs_prev, rs = rs, rs_new
         if math.sqrt(max(rs_new, 0.0)) <= tol * rhs_norm:
             break
@@ -326,17 +345,21 @@ def _make_metric_solve(reg_kind: RegKind, grid: GridSpec, eps_rel: float,
     eps = eps_rel * reg_kind.alpha
 
     def solve(q: np.ndarray) -> np.ndarray:
-        # output and scratch of the matvec, shared by all CG iterations
-        bz = np.empty_like(q)
-        work = (np.empty_like(q), np.empty_like(q))
+        def bind_b(p: np.ndarray, bp: np.ndarray):
+            # the stencil's scratch; its first array then holds eps * p
+            work = (np.empty(q.shape), np.empty(q.shape))
+            hessian = hessian_plan(reg_kind, grid, p, bp, work)
+            shift = work[0]
 
-        def apply_b(z: np.ndarray) -> np.ndarray:
-            out = reg_hessian_apply(reg_kind, grid, z, out=bz, work=work)
-            out += np.multiply(z, eps, out=work[0])
-            return out
+            def apply_b():
+                hessian()
+                np.add(bp, np.multiply(p, eps, out=shift), out=bp)
 
-        z, iterations, residual = _cg_solve(apply_b, q, CG_TOL, CG_MAXITER)
+            return apply_b
+
+        z, iterations, residual = _cg_solve(bind_b, q, CG_TOL, CG_MAXITER)
         counters.metric_solves += 1
+        counters.metric_iterations += iterations
         if iterations == CG_MAXITER and residual > CG_TOL:
             counters.metric_solves_capped += 1
         return z
@@ -357,6 +380,7 @@ class _Counters:
     budget: int | None = None
     metric_solves: int = 0
     metric_solves_capped: int = 0  # stopped at CG_MAXITER above CG_TOL
+    metric_iterations: int = 0  # CG iterations over all metric solves
     rejected_trials: int = 0
     # searches that ended without a Wolfe step, other than for the budget
     line_search_failures: int = 0
@@ -847,5 +871,6 @@ def multilevel_solve(
         line_search_failures=counters.line_search_failures,
         metric_solves=counters.metric_solves,
         metric_solves_capped=counters.metric_solves_capped,
+        metric_iterations=counters.metric_iterations,
         rejected_trials=counters.rejected_trials,
     )

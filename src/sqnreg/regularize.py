@@ -23,6 +23,10 @@ that leave it out, and where the adjoint pass reads it, it writes the first
 or last row or column, which are then overwritten slice by slice.  So every
 result entry is computed from the same operands by the same operations in
 the same order as in the per-field slicing code, and the bits are equal.
+The stencil is built as lists of ``(ufunc, x, y, out)`` calls on views of
+the flat buffers (``_diff_ops``, ``_grad_ops``).  The value and the
+gradient run their list once; ``hessian_plan`` binds both lists once to an
+iterative solver's buffers and reruns them on every call.
 The elastic kernels take their central differences with ``np.gradient``,
 as ``grids.gradient_central`` does, and the adjoint with
 ``grids.grad_axis_adjoint``; the field axes are batch axes.
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -103,11 +108,16 @@ def _once(fn):
     return call
 
 
-def _divide(a: np.ndarray, h: float):
-    """``a /= h`` in place; nothing is done for ``h = 1``, where division is
-    the identity."""
-    if h != 1.0:
-        a /= h
+def _run(ops):
+    """Run the ``(ufunc, x, y, out)`` calls of a stencil builder in order."""
+    for ufunc, x, y, out in ops:
+        ufunc(x, y, out)
+
+
+def _divide_ops(a: np.ndarray, h: float) -> list:
+    """The calls of ``a /= h`` in place: none for ``h = 1``, where division
+    is the identity."""
+    return [] if h == 1.0 else [(np.divide, a, h, a)]
 
 
 def _step(shape: tuple, axis: int) -> int:
@@ -116,26 +126,31 @@ def _step(shape: tuple, axis: int) -> int:
     return 2 * shape[-2] if axis == 0 else 2
 
 
-def _flat_diffs(grid: GridSpec, shape: tuple, uf: np.ndarray, d1: np.ndarray, d2: np.ndarray):
-    """Forward differences of the flat buffer ``uf`` of ``shape``, divided
-    by the spacing, into the flat buffers ``d1`` and ``d2``.
+def _diff_ops(grid: GridSpec, shape: tuple, uf: np.ndarray, d1: np.ndarray,
+              d2: np.ndarray) -> list:
+    """The calls that write the forward differences of the flat buffer
+    ``uf`` of ``shape``, divided by the spacing, into the flat buffers ``d1``
+    and ``d2``.
 
     One contiguous pass per grid axis: ``d[p] = u[p + step] - u[p]``.  Entries
     in the last row (``d1``) or last column (``d2``) of a field straddle a
     field or row boundary and are scratch; the final ``step`` entries are
     not written at all.
     """
+    ops = []
     for axis, d in enumerate((d1, d2)):
         step = _step(shape, axis)
-        np.subtract(uf[step:], uf[:-step], out=d[:-step])
-        _divide(d[:-step], grid.spacing[axis])
+        ops.append((np.subtract, uf[step:], uf[:-step], d[:-step]))
+        ops += _divide_ops(d[:-step], grid.spacing[axis])
+    return ops
 
 
-def _flat_diff_adjoint(df: np.ndarray, axis: int, shape: tuple, out: np.ndarray):
-    """``out = D^T d`` for the forward difference ``D`` along grid ``axis``.
+def _diff_adjoint_ops(df: np.ndarray, axis: int, shape: tuple, out: np.ndarray) -> list:
+    """The calls of ``out = D^T d`` for the forward difference ``D`` along
+    grid ``axis``.
 
     ``df`` and ``out`` are flat buffers of ``shape``, and ``df`` is laid out
-    as ``_flat_diffs`` writes it.  Inside, ``d[i-1] - d[i]`` is one
+    as ``_diff_ops`` writes it.  Inside, ``d[i-1] - d[i]`` is one
     contiguous pass that reads only written entries; where it reads scratch
     it lands on the first or last entry along ``axis``, which are then
     written slice by slice as ``0 - d[0]`` and ``d[-1] + 0``.  Each entry has
@@ -143,34 +158,39 @@ def _flat_diff_adjoint(df: np.ndarray, axis: int, shape: tuple, out: np.ndarray)
     ``+d`` into zeros gives.
     """
     step, n = _step(shape, axis), df.size
-    np.subtract(df[: n - 2 * step], df[step : n - step], out=out[step : n - step])
     d, o = df.reshape(shape), out.reshape(shape)
-    np.subtract(0.0, d[_along(axis, 0)], out=o[_along(axis, 0)])
-    np.add(d[_along(axis, -2)], 0.0, out=o[_along(axis, -1)])
+    return [
+        (np.subtract, df[: n - 2 * step], df[step : n - step], out[step : n - step]),
+        (np.subtract, 0.0, d[_along(axis, 0)], o[_along(axis, 0)]),
+        (np.add, d[_along(axis, -2)], 0.0, o[_along(axis, -1)]),
+    ]
 
 
-def _diffusion_grad(grid: GridSpec, shape: tuple, d1: np.ndarray, d2: np.ndarray,
-                    alpha: float, out: np.ndarray, part: np.ndarray):
-    """``alpha * w`` times the adjoint differences of ``(d1, d2)``, into ``out``.
+def _grad_ops(grid: GridSpec, shape: tuple, d1: np.ndarray, d2: np.ndarray,
+              alpha: float, out: np.ndarray, part: np.ndarray) -> list:
+    """The calls that write ``alpha * w`` times the adjoint differences of
+    ``(d1, d2)`` into ``out``.
 
-    All four are flat buffers of ``shape``.  Divides the written entries of
-    ``d1`` and ``d2`` by the spacing once more, in place.  The axis-1 part
-    goes through ``part`` so that each entry is rounded as
+    All four are flat buffers of ``shape``.  The calls divide the written
+    entries of ``d1`` and ``d2`` by the spacing once more, in place.  The
+    axis-1 part goes through ``part`` so that each entry is rounded as
     ``part0 + part1``; ``d1`` is consumed before ``part`` is written, so the
     two may share memory.
     """
+    ops = []
     for axis, (d, adjoint) in enumerate(((d1, out), (d2, part))):
-        _divide(d[: -_step(shape, axis)], grid.spacing[axis])
-        _flat_diff_adjoint(d, axis, shape, adjoint)
-    out += part
-    out *= alpha * grid.cell_area
+        ops += _divide_ops(d[: -_step(shape, axis)], grid.spacing[axis])
+        ops += _diff_adjoint_ops(d, axis, shape, adjoint)
+    ops.append((np.add, out, part, out))
+    ops.append((np.multiply, out, alpha * grid.cell_area, out))
+    return ops
 
 
 def _diffusion_value(grid: GridSpec, u: np.ndarray, alpha: float):
     u = np.ascontiguousarray(u)
     shape, uf = u.shape, u.reshape(-1)
     d1, d2 = np.empty_like(uf), np.empty_like(uf)
-    _flat_diffs(grid, shape, uf, d1, d2)
+    _run(_diff_ops(grid, shape, uf, d1, d2))
     # squares of the entries that are not scratch, each field's block in the
     # order of a single-field array
     value = (_field_sums(d1.reshape(shape)[..., :-1, :, :] ** 2, 3)
@@ -180,7 +200,7 @@ def _diffusion_value(grid: GridSpec, u: np.ndarray, alpha: float):
         # not ``empty_like(u)``: the closure would keep ``u`` alive with the
         # differences of every trial the line search holds
         out = np.empty(shape)
-        _diffusion_grad(grid, shape, d1, d2, alpha, out.reshape(-1), part=d1)
+        _run(_grad_ops(grid, shape, d1, d2, alpha, out.reshape(-1), part=d1))
         return out
 
     return 0.5 * alpha * grid.cell_area * value, _once(grad)
@@ -250,8 +270,8 @@ def reg_glo(fields, kind: RegKind, deferred: bool = False):
 
 
 def _flat(a: np.ndarray, shape: tuple, name: str) -> np.ndarray:
-    """A flat view of the caller's buffer ``a``; it is written in place, so
-    it must have ``shape`` and be C-contiguous (no copy is made)."""
+    """A flat view of the caller's buffer ``a``; a plan reads or writes it in
+    place, so it must have ``shape`` and be C-contiguous (no copy is made)."""
     if a.shape != shape:
         raise RegularizerError(f"{name} has shape {a.shape}, expected {shape}")
     if not a.flags.c_contiguous:
@@ -259,29 +279,50 @@ def _flat(a: np.ndarray, shape: tuple, name: str) -> np.ndarray:
     return a.reshape(-1)
 
 
-def reg_hessian_apply(kind: RegKind, grid: GridSpec, u: np.ndarray, out=None,
-                      work=None) -> np.ndarray:
+def hessian_plan(kind: RegKind, grid: GridSpec, u: np.ndarray, out: np.ndarray,
+                 work=None):
+    """The Hessian action ``out = H u``, bound once to the caller's buffers.
+
+    ``u`` is one field (m1, m2, 2) or a stack of them (K, m1, m2, 2) on
+    ``grid``; ``out`` has its shape.  Returns a zero-argument callable that
+    writes ``H u`` into ``out`` from ``u``'s current entries, so an iterative
+    solver that updates ``u`` in place binds the action once and calls it
+    on every iteration.  For ``Diffusion`` every flat view, boundary slice,
+    step and scratch array of the stencil is bound here, and a call runs the
+    fixed list of ufunc calls that the value and gradient run, in the same
+    order; ``work`` may give the two scratch arrays, shaped like ``u``, which
+    are allocated otherwise.  ``Elastic`` binds its gradient kernel and
+    ignores ``work``.  ``u``, ``out`` and ``work`` are read and written in
+    place, so they must have ``u``'s shape and be C-contiguous.
+    """
+    shape = u.shape
+    if shape[-3:] != (*grid.dims, 2):
+        raise RegularizerError(f"u has shape {shape}, expected (..., {grid.dims[0]}, "
+                               f"{grid.dims[1]}, 2)")
+    uf, flat_out = _flat(u, shape, "u"), _flat(out, shape, "out")
+    if isinstance(kind, Diffusion):
+        if work is None:
+            work = (np.empty(shape), np.empty(shape))
+        d1, d2 = (_flat(w, shape, f"work[{i}]") for i, w in enumerate(work))
+        ops = (_diff_ops(grid, shape, uf, d1, d2)
+               + _grad_ops(grid, shape, d1, d2, kind.alpha, flat_out, part=d1))
+        return partial(_run, ops)
+    if isinstance(kind, Elastic):
+        return lambda: _elastic_grad(grid, *_elastic_strain(grid, u), kind.mu, kind.lam,
+                                     kind.alpha, out)
+    raise RegularizerError(f"unknown regularizer kind {kind!r}")
+
+
+def reg_hessian_apply(kind: RegKind, grid: GridSpec, u: np.ndarray) -> np.ndarray:
     """Apply the (constant) regularizer Hessian to a raw displacement array.
 
     ``u`` is one field (m1, m2, 2) or a stack of them (K, m1, m2, 2); a
     non-contiguous ``u`` is copied once.  Both regularizers are quadratic,
     so the Hessian action equals the gradient evaluated at ``u``; the energy
-    value is not computed.  The result goes to ``out`` when it is given.
-    For ``Diffusion``, ``work`` may give two scratch arrays shaped like
-    ``u``; with ``out`` and ``work`` the action allocates nothing, which is
-    what an iterative metric solve wants.  ``out`` and ``work`` must be
-    C-contiguous.
+    value is not computed.  This is ``hessian_plan`` bound once and run once
+    into a new array; the metric solve binds its own plan instead.
     """
     u = np.ascontiguousarray(u)
-    out = np.empty_like(u) if out is None else out
-    flat_out = _flat(out, u.shape, "out")  # checked for either kind
-    if isinstance(kind, Diffusion):
-        a, b = work if work is not None else (np.empty_like(u), np.empty_like(u))
-        a, b = _flat(a, u.shape, "work[0]"), _flat(b, u.shape, "work[1]")
-        _flat_diffs(grid, u.shape, u.reshape(-1), a, b)
-        _diffusion_grad(grid, u.shape, a, b, kind.alpha, flat_out, part=a)
-        return out
-    if isinstance(kind, Elastic):
-        strain, tr = _elastic_strain(grid, u)
-        return _elastic_grad(grid, strain, tr, kind.mu, kind.lam, kind.alpha, out)
-    raise RegularizerError(f"unknown regularizer kind {kind!r}")
+    out = np.empty_like(u)
+    hessian_plan(kind, grid, u, out)()
+    return out

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sqnreg.accum import block_dot, sorted_sum
+from sqnreg.accum import block_dot, block_dot_plan, sorted_sum
 
 from conftest import rng_for
 
@@ -66,3 +66,41 @@ class TestBlockDot:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             block_dot(np.zeros((2, 3)), np.zeros((3, 2)))
+
+
+class TestBlockDotPlan:
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_gives_block_dot_bits_after_in_place_updates(self, n):
+        rng = rng_for(80 + n)
+        a = rng.standard_normal((n, 9, 7, 2))
+        b = rng.standard_normal((n, 9, 7, 2))
+        both = block_dot_plan(a, b)
+        same = block_dot_plan(a, a)
+        for scale in (1.0, -1e-3, 1e5):
+            assert_same_bits(both(), block_dot(a, b))
+            assert_same_bits(same(), block_dot(a, a))
+            # the plan reads the operands' current entries
+            a *= scale
+            b[...] = rng.standard_normal(b.shape)
+            a[0, 0, 0, 0] = -0.0
+
+    def test_permuting_blocks_keeps_bits(self):
+        rng = rng_for(90)
+        a = rng.standard_normal((8, 12, 12, 2))
+        b = rng.standard_normal((8, 12, 12, 2))
+        perm = rng.permutation(8)
+        a_p, b_p = a[perm], b[perm]
+        plan, plan_p = block_dot_plan(a, b), block_dot_plan(a_p, b_p)
+        assert_same_bits(plan_p(), plan())
+        a[...] = rng.standard_normal(a.shape)
+        a_p[...] = a[perm]
+        assert_same_bits(plan_p(), plan())
+        assert_same_bits(plan(), block_dot(a, b))
+
+    def test_rejects_operands_it_cannot_view(self):
+        rng = rng_for(91)
+        a = rng.standard_normal((3, 100, 2))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            block_dot_plan(np.asfortranarray(a), a)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            block_dot_plan(a, a[:2])

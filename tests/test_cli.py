@@ -112,7 +112,7 @@ class TestRegisterCommand:
         # a groupwise solve's last record is J at the written fields
         assert f" J={report.final_value!r} " in summary
         for key in ("fevals", "gevals", "line_search_failures", "rejected_trials",
-                    "metric_solves_capped"):
+                    "metric_solves_capped", "metric_iterations"):
             assert f" {key}={getattr(report, key)} " in summary
 
     def test_sequential_run(self, tmp_path):

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from sqnreg.accum import sorted_sum
+from sqnreg.accum import block_dot, sorted_sum
 from sqnreg.errors import ConfigError, GridError, MeasureError, OptimError
 from sqnreg.grids import DisplacementField, GridSpec, Image, ImageStack, zero_field
 from sqnreg.measures import CorrDev, LogDet, NgfPair, SchattenQ, SsdPair, measure_eval
@@ -534,37 +534,63 @@ class TestSolvers:
         assert [r.value for r in a.all_records()] == [r.value for r in b.all_records()]
 
 
+def textbook_cg(reg, grid, q, eps):
+    """CG on ``(H_reg + eps I) z = q`` as textbooks write it, with the
+    solver's constants and reductions and the Hessian applied field by
+    field; returns the solution and the iteration count."""
+
+    def apply_b(z):
+        return np.stack([reg_hessian_apply(reg, grid, zi) for zi in z]) + eps * z
+
+    x = np.zeros_like(q)
+    r = q.copy()
+    rs = block_dot(r, r)
+    rhs_norm = math.sqrt(rs)
+    p = r.copy()
+    for iteration in range(1, CG_MAXITER + 1):
+        bp = apply_b(p)
+        a = rs / block_dot(p, bp)
+        x = x + a * p
+        r = r - a * bp
+        rs_new = block_dot(r, r)
+        if math.sqrt(rs_new) <= CG_TOL * rhs_norm:
+            break
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return x, iteration
+
+
 class TestMetricSolve:
+    @pytest.mark.parametrize("k", [1, 4])
     @pytest.mark.parametrize("reg", [Diffusion(alpha=1e-2), Elastic(mu=1.0, lam=0.5, alpha=1e-2)])
-    def test_stack_apply_equals_per_field_loop_bitexact(self, reg):
+    def test_stack_apply_equals_per_field_loop_bitexact(self, reg, k):
+        # k = 1 is the shape of a sequential component solve
         rng = rng_for(21)
         grid = GridSpec((10, 7), spacing=(0.1, 0.15))
-        q = rng.standard_normal((4, *grid.dims, 2))
+        q = rng.standard_normal((k, *grid.dims, 2))
         eps_rel = SolveOptions().metric_eps_rel
-        eps = eps_rel * reg.alpha
-
-        def per_field_apply_b(z):
-            out = np.empty_like(z)
-            for i in range(z.shape[0]):
-                out[i] = reg_hessian_apply(reg, grid, z[i])
-            return out + eps * z
-
-        want, _, _ = _cg_solve(per_field_apply_b, q, CG_TOL, CG_MAXITER)
-        got = _make_metric_solve(reg, grid, eps_rel, _Counters())(q)
+        want, iterations = textbook_cg(reg, grid, q, eps_rel * reg.alpha)
+        counters = _Counters()
+        got = _make_metric_solve(reg, grid, eps_rel, counters)(q)
         assert np.array_equal(got, want)
+        assert (counters.metric_solves, counters.metric_iterations) == (1, iterations)
 
     def test_cg_reports_iterations_and_residual(self):
         rng = rng_for(22)
         diag = rng.uniform(1.0, 3.0, size=(2, 6))
         rhs = rng.standard_normal((2, 6))
-        x, iterations, residual = _cg_solve(lambda z: diag * z, rhs, 1e-12, 50)
+
+        def bind_diag(p, bp):
+            return lambda: np.multiply(diag, p, out=bp)
+
+        x, iterations, residual = _cg_solve(bind_diag, rhs, 1e-12, 50)
         assert 0 < iterations <= 12
         assert residual <= 1e-12
         assert np.allclose(x, rhs / diag, rtol=1e-10)
-        x, iterations, residual = _cg_solve(lambda z: diag * z, rhs, 1e-12, 2)
+        x, iterations, residual = _cg_solve(bind_diag, rhs, 1e-12, 2)
         assert iterations == 2
         assert residual > 1e-12
-        assert _cg_solve(lambda z: z, np.zeros((2, 3)), 1e-12, 5)[1:] == (0, 0.0)
+        assert _cg_solve(bind_diag, np.zeros((2, 6)), 1e-12, 5)[1:] == (0, 0.0)
 
     def test_capped_metric_solves_are_counted(self):
         # at 64x64 CG stops at its cap of CG_MAXITER iterations
@@ -573,6 +599,8 @@ class TestMetricSolve:
         report = multilevel_solve(spec, stack, SolveOptions(maxiter=3))
         assert report.metric_solves > 0
         assert 0 < report.metric_solves_capped <= report.metric_solves
+        assert (CG_MAXITER * report.metric_solves_capped <= report.metric_iterations
+                <= CG_MAXITER * report.metric_solves)
 
 
 class TestValueFirstTrials:

@@ -11,8 +11,10 @@ from sqnreg.oracles import fd_gradient
 from sqnreg.regularize import (
     Diffusion,
     Elastic,
-    _divide,
+    _divide_ops,
+    _run,
     _stack_value_deferred,
+    hessian_plan,
     reg_eval,
     reg_glo,
     reg_hessian_apply,
@@ -296,7 +298,7 @@ def test_divide_has_the_bits_of_a_division(h):
     a[:4] = [0.0, -0.0, 5e-324, -5e-324]
     got = a.copy()
     with np.errstate(over="ignore"):
-        _divide(got, h)
+        _run(_divide_ops(got, h))
         want = a / h
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -306,39 +308,49 @@ def test_divide_has_the_bits_of_a_division(h):
     [*(GridSpec((9, 7), spacing=h) for h in [(1.0, 2.0), (0.5, 0.25), (0.45, 0.7)]), *EDGE_GRIDS],
     ids=grid_id,
 )
+@pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("kind", STACK_KINDS)
-def test_hessian_apply_into_out_matches_allocating_call(kind, g):
-    u = random_stack(8, g, k=3)
-    want = reg_hessian_apply(kind, g, u)
-    for k in range(u.shape[0]):
-        assert np.array_equal(want[k], _reference_value_grad(kind, g, u[k])[1])
-    # one field, a stack, and a non-contiguous (reversed) stack
-    for x, ref in ((u, want), (u[1], want[1]), (u[::-1], want[::-1])):
-        # NaN-filled buffers: every entry of the result must be written
-        out = np.full_like(x, np.nan)
-        work = (np.full_like(x, np.nan), np.full_like(x, np.nan))
-        assert reg_hessian_apply(kind, g, x, out=out, work=work) is out
-        assert np.array_equal(out, ref)
-        # reused buffers give the same result again
-        assert np.array_equal(reg_hessian_apply(kind, g, x, out=out, work=work), ref)
-        out = np.full_like(x, np.nan)
-        assert np.array_equal(reg_hessian_apply(kind, g, x, out=out), ref)
+def test_hessian_plan_matches_per_field_reference_bitexact(kind, k, g):
+    u = random_stack(8, g, k=k)
+    # NaN-filled buffers: every entry of the result must be written
+    out = np.full_like(u, np.nan)
+    work = (np.full_like(u, np.nan), np.full_like(u, np.nan))
+    plan = hessian_plan(kind, g, u, out, work)
+    for seed in (13, 14):
+        plan()
+        for i in range(k):
+            assert np.array_equal(out[i], _reference_value_grad(kind, g, u[i])[1])
+        # the next call reads the bound input's new entries and writes
+        # every entry of the result again
+        u[...] = random_stack(seed, g, k=k)
+        for a in (out, *work):
+            a.fill(np.nan)
+    plan()
+    for i in range(k):
+        assert np.array_equal(out[i], _reference_value_grad(kind, g, u[i])[1])
 
 
 @pytest.mark.parametrize("kind", STACK_KINDS)
-def test_hessian_apply_rejects_buffers_it_cannot_write_in_place(kind):
+def test_hessian_plan_rejects_buffers_it_cannot_bind(kind):
     g = odd_grid()
     u = random_stack(11, g, k=2)
+    out = np.empty_like(u)
     strided = np.zeros((*u.shape[:-1], 4))[..., ::2]
     assert strided.shape == u.shape and not strided.flags.c_contiguous
     with pytest.raises(RegularizerError, match="out must be C-contiguous"):
-        reg_hessian_apply(kind, g, u, out=strided)
+        hessian_plan(kind, g, u, strided)
+    with pytest.raises(RegularizerError, match="u must be C-contiguous"):
+        hessian_plan(kind, g, strided, out)
     with pytest.raises(RegularizerError, match="out has shape"):
-        reg_hessian_apply(kind, g, u, out=np.empty_like(u[0]))
+        hessian_plan(kind, g, u, out[0])
+    with pytest.raises(RegularizerError, match="u has shape"):
+        hessian_plan(kind, g, np.zeros((2, 9, 6, 2)), np.zeros((2, 9, 6, 2)))
     assert np.all(strided == 0.0)
     if isinstance(kind, Diffusion):
         with pytest.raises(RegularizerError, match=r"work\[1\] must be C-contiguous"):
-            reg_hessian_apply(kind, g, u, work=(np.empty_like(u), strided))
+            hessian_plan(kind, g, u, out, work=(np.empty_like(u), strided))
+        with pytest.raises(RegularizerError, match=r"work\[0\] has shape"):
+            hessian_plan(kind, g, u, out, work=(u[0], np.empty_like(u)))
 
 
 @pytest.mark.parametrize("kind", STACK_KINDS)
