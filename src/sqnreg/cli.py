@@ -114,6 +114,7 @@ def _cmd_register(args) -> int:
         f"J={value!r} fevals={report.fevals} gevals={report.gevals} "
         f"line_search_failures={report.line_search_failures} "
         f"rejected_trials={report.rejected_trials} "
+        f"metric_solves={report.metric_solves} "
         f"metric_solves_capped={report.metric_solves_capped} "
         f"metric_iterations={report.metric_iterations} "
         f"elapsed={report.elapsed:.2f}s -> {out}"

@@ -17,7 +17,6 @@ keys are hard errors; that catches typos before a long solve starts.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 from typing import get_type_hints
@@ -223,11 +222,6 @@ class RunConfig:
     out: str = "out"
 
 
-def _parse_float(val: str) -> float:
-    if val.lower() in ("inf", "infinity"):
-        return math.inf
-    return float(val)
-
 def _parse_choice(*choices):
     def parse(val: str) -> str:
         if val not in choices:
@@ -246,7 +240,7 @@ _CONFIG_PARSERS = {
     "manifest": str,
     "mode": _parse_choice("groupwise", "sequential"),
     "measure": _parse_choice("sqn", "corr_dev", "logdet", "ssd", "ngf"),
-    "q": _parse_float,
+    "q": float,
     "feature": _parse_choice("ngf", "intensity"),
     "eta": float,
     "eta_pt": float,

@@ -12,6 +12,14 @@ The objective couples a distance measure with a deformation regularizer:
   the first case, on the field's image and its two frozen neighbors in the
   second.
 
+``multilevel_solve`` runs one loop over the pyramid for both modes.  A
+level's state is one ``(K, m1, m2, 2)`` array, from the zero stack at the
+coarsest level to the prolonged fields at the next.  Each level builds one
+``_LevelMinimizer`` (metric solve, gauge projection, first-step scale,
+ledger, trace), and every ``lbfgs`` call goes through it: once for a
+groupwise level, once per component of a Gauss-Seidel sweep, which writes
+each solved field back into the level array in place.
+
 The solver is limited-memory BFGS with a strong Wolfe line search.  Its
 two-loop recursion is always seeded by running conjugate gradients on
 ``(H_reg + eps I) z = q``, where ``H_reg`` is the (constant) regularizer
@@ -228,10 +236,6 @@ class SolveReport:
 
 # ---------------------------------------------------------------------------
 # objective
-
-
-def _fields_to_array(fields) -> np.ndarray:
-    return np.stack([f.u for f in fields])
 
 
 def _array_to_fields(grid: GridSpec, x: np.ndarray):
@@ -693,31 +697,51 @@ def _two_loop(grad, s_list, y_list, rho_list, metric_solve):
 # solvers
 
 
-def _solve_level_groupwise(spec, stack, x0, opts, counters, trace, level, t0):
-    metric = _make_metric_solve(spec.regularizer, stack.grid, opts.metric_eps_rel, counters)
+class _LevelMinimizer:
+    """The L-BFGS set-up that one pyramid level shares.
 
-    def fun(x):
-        return objective_trial(spec, stack, x)
+    It holds the level's metric solve, gauge projection and first-step scale
+    (the smallest grid spacing), the solve's ledger and start time, and the
+    level's trace.  The groupwise level and every Gauss-Seidel component are
+    minimized through ``run``.
+    """
 
-    outcome = lbfgs(
-        fun,
-        x0,
-        opts,
-        metric_solve=metric,
-        project_point=partial(_project_point, constraint=spec.constraint),
-        first_step_scale=min(stack.grid.spacing),
-        counters=counters,
-        trace=trace,
-        level=level,
-        component=-1,
-        t0=t0,
-    )
-    trace.terminations.append(f"level{level}:{outcome.termination}")
-    return outcome.x
+    def __init__(self, spec: ObjectiveSpec, grid: GridSpec, opts: SolveOptions,
+                 counters: _Counters, trace: LevelTrace, t0: float):
+        self.opts = opts
+        self.counters = counters
+        self.trace = trace
+        self.t0 = t0
+        self.metric_solve = _make_metric_solve(spec.regularizer, grid, opts.metric_eps_rel, counters)
+        self.project_point = partial(_project_point, constraint=spec.constraint)
+        self.first_step_scale = min(grid.spacing)
+
+    def terminate(self, reason: str):
+        self.trace.terminations.append(f"level{self.trace.level}:{reason}")
+
+    def run(self, fun, x0: np.ndarray, component: int = -1, label: str = "") -> np.ndarray:
+        """Minimize ``fun`` from ``x0``; the termination is logged after ``label``."""
+        # ``lbfgs`` is read from the module at each call, where perfbench's
+        # tracer replaces it and binds ``fun``, ``x0`` and ``metric_solve``
+        outcome = lbfgs(
+            fun,
+            x0,
+            self.opts,
+            metric_solve=self.metric_solve,
+            project_point=self.project_point,
+            first_step_scale=self.first_step_scale,
+            counters=self.counters,
+            trace=self.trace,
+            level=self.trace.level,
+            component=component,
+            t0=self.t0,
+        )
+        self.terminate(label + outcome.termination)
+        return outcome.x
 
 
-def _component_objective(spec, stack, fields, idx):
-    """Objective restricted to field ``idx`` in a sequential chain.
+def _component_objective(spec, stack, x, idx):
+    """Objective restricted to field ``idx`` of the level array ``x``.
 
     Only the pair terms touching image ``idx`` and its own regularizer vary.
     The neighbors are warped by their current (frozen) fields and their
@@ -731,17 +755,18 @@ def _component_objective(spec, stack, fields, idx):
     from .grids import warp_with_jacobian
 
     kind = spec.measure
+    grid = stack.grid
     left, right = (
-        [pair_state(kind, warp_with_jacobian(stack[j], fields[j], want_jac=False)[0])]
+        [pair_state(kind, warp_with_jacobian(stack[j], DisplacementField(grid, x[j]),
+                                             want_jac=False)[0])]
         if 0 <= j < stack.k
         else []
         for j in (idx - 1, idx + 1)
     )
     pos = len(left)
-    grid = stack.grid
 
-    def fun(x):
-        u = DisplacementField(grid, x[0])
+    def fun(z):
+        u = DisplacementField(grid, z[0])
         warped, jac = warp_with_jacobian(stack[idx], u)
         value, cotangents = pair_chain(kind, grid, left + [pair_state(kind, warped)] + right)
         rv, reg_gradient = reg_eval(spec.regularizer, u, deferred=True)
@@ -756,47 +781,26 @@ def _component_objective(spec, stack, fields, idx):
     return fun
 
 
-def gauss_seidel_sweep(
-    spec: ObjectiveSpec,
-    stack: ImageStack,
-    fields,
-    opts: SolveOptions,
-    counters: _Counters,
-    trace: LevelTrace,
-    level: int,
-    t0: float,
-):
-    """Sequential Gauss-Seidel sweeps: minimize over one field at a time.
+def gauss_seidel_sweep(spec: ObjectiveSpec, stack: ImageStack, x: np.ndarray,
+                       minimizer: _LevelMinimizer) -> np.ndarray:
+    """Sequential Gauss-Seidel sweeps on the level array, one field at a time.
 
-    The first field stays exactly as given (the chain anchor).  Returns the
-    updated field list; the counts go to ``counters``.
+    ``x`` is the level's ``(K, m1, m2, 2)`` displacement array.  Component
+    ``idx`` is minimized from ``x[idx:idx + 1]`` through ``minimizer``, the
+    level's set-up that a groupwise level solve uses too, and the result is
+    written into ``x[idx]`` in place.  The first field, the chain anchor, is
+    never touched.  Returns ``x``; the counts go to the minimizer's ledger.
     """
     if spec.mode != "sequential":
         raise ConfigError("gauss_seidel_sweep needs a sequential spec")
-    fields = list(fields)
-    metric = _make_metric_solve(spec.regularizer, stack.grid, opts.metric_eps_rel, counters)
-    for sweep in range(opts.sweeps):
+    for sweep in range(minimizer.opts.sweeps):
         for idx in range(1, stack.k):
-            if counters.exhausted:
-                trace.terminations.append(f"level{level}:budget")
-                return fields
-            fun = _component_objective(spec, stack, fields, idx)
-            outcome = lbfgs(
-                fun,
-                fields[idx].u[None, ...],
-                opts,
-                metric_solve=metric,
-                project_point=partial(_project_point, constraint=spec.constraint),
-                first_step_scale=min(stack.grid.spacing),
-                counters=counters,
-                trace=trace,
-                level=level,
-                component=idx,
-                t0=t0,
-            )
-            fields[idx] = DisplacementField(stack.grid, outcome.x[0])
-            trace.terminations.append(f"level{level}:sweep{sweep}:field{idx}:{outcome.termination}")
-    return fields
+            if minimizer.counters.exhausted:
+                minimizer.terminate("budget")
+                return x
+            fun = _component_objective(spec, stack, x, idx)
+            x[idx] = minimizer.run(fun, x[idx:idx + 1], idx, f"sweep{sweep}:field{idx}:")[0]
+    return x
 
 
 def build_pyramid(stack: ImageStack, levels: int):
@@ -812,59 +816,38 @@ def build_pyramid(stack: ImageStack, levels: int):
     return pyramid[::-1]
 
 
-def multilevel_solve(
-    spec: ObjectiveSpec,
-    stack: ImageStack,
-    opts: SolveOptions,
-    initial_fields=None,
-) -> SolveReport:
-    """Coarse-to-fine solve with warm starts prolonged between levels."""
+def multilevel_solve(spec: ObjectiveSpec, stack: ImageStack, opts: SolveOptions) -> SolveReport:
+    """Coarse-to-fine solve from the zero stack, warm-started between levels.
+
+    A level's state is one ``(K, m1, m2, 2)`` array, minimized through one
+    ``_LevelMinimizer``: as a whole in groupwise mode, by
+    ``gauss_seidel_sweep`` in sequential mode.  It is prolonged field by
+    field to the next level.
+    """
     t0 = time.perf_counter()
     pyramid = build_pyramid(stack, opts.levels)
     counters = _Counters(budget=opts.max_fevals)
     traces: list[LevelTrace] = []
-    k = stack.k
-    coarse_grid = pyramid[0].grid
-    if initial_fields is not None:
-        fields = list(initial_fields)
-        if len(fields) != k:
-            raise OptimError(f"expected {k} initial fields, got {len(fields)}")
-        if any(f.grid != coarse_grid for f in fields):
-            raise OptimError("initial fields must live on the coarsest grid")
-        x = _fields_to_array(fields)
-    else:
-        x = np.zeros((k, *coarse_grid.dims, 2))
+    x = np.zeros((stack.k, *pyramid[0].grid.dims, 2))
     for level, level_stack in enumerate(pyramid):
-        trace = LevelTrace(level, level_stack.grid.dims)
+        grid = level_stack.grid
+        trace = LevelTrace(level, grid.dims)
         traces.append(trace)
         level_spec = replace(spec, measure=resolve_measure(spec.measure, level_stack))
+        minimizer = _LevelMinimizer(level_spec, grid, opts, counters, trace, t0)
         if spec.mode == "groupwise":
             x = _project_point(x, spec.constraint)
-            x = _solve_level_groupwise(
-                level_spec, level_stack, x, opts, counters, trace, level, t0
-            )
+            x = minimizer.run(partial(objective_trial, level_spec, level_stack), x)
         else:
-            fields = gauss_seidel_sweep(
-                level_spec,
-                level_stack,
-                _array_to_fields(level_stack.grid, x),
-                opts,
-                counters=counters,
-                trace=trace,
-                level=level,
-                t0=t0,
-            )
-            x = _fields_to_array(fields)
+            x = gauss_seidel_sweep(level_spec, level_stack, x, minimizer)
         if level + 1 < len(pyramid):
             fine_grid = pyramid[level + 1].grid
-            fields = _array_to_fields(level_stack.grid, x)
-            x = _fields_to_array([prolong(f, fine_grid) for f in fields])
-    final_fields = _array_to_fields(pyramid[-1].grid, x)
+            x = np.stack([prolong(f, fine_grid).u for f in _array_to_fields(grid, x)])
     return SolveReport(
         spec=spec,
         options=opts,
         traces=traces,
-        fields=final_fields,
+        fields=_array_to_fields(pyramid[-1].grid, x),
         fevals=counters.fevals,
         gevals=counters.gevals,
         elapsed=time.perf_counter() - t0,

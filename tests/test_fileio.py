@@ -268,6 +268,9 @@ class TestConfig:
         assert cfg.max_fevals == 900
         assert cfg.seed == 42
         assert cfg.out == "results"
+        # ``q`` is parsed by ``float``, which takes every spelling of infinity
+        for spelling in ("Infinity", "INF"):
+            assert parse_config(f"q = {spelling}").q == math.inf
 
     def test_unknown_key_fails_fast(self):
         with pytest.raises(ConfigError, match="unknown config key 'alpa'"):

@@ -25,6 +25,7 @@ from sqnreg.optimize import (
     SolveOptions,
     _Counters,
     _Eval,
+    _LevelMinimizer,
     _cg_solve,
     _component_objective,
     _make_metric_solve,
@@ -455,21 +456,24 @@ class TestSolvers:
         fields = [zero_field(stack.grid) for _ in range(3)]
         j0 = objective(spec, stack, fields)[0]
         d0 = measure_eval(stack, fields, spec.measure).value
-        out_fields = gauss_seidel_sweep(
+        x = np.zeros((3, *stack.grid.dims, 2))
+        minimizer = _LevelMinimizer(
             spec,
-            stack,
-            fields,
+            stack.grid,
             SolveOptions(maxiter=25, gtol=1e-8),
             _Counters(),
             LevelTrace(0, stack.grid.dims),
-            0,
             time.perf_counter(),
         )
+        # the sweep writes each solved field into the level array in place
+        assert gauss_seidel_sweep(spec, stack, x, minimizer) is x
+        out_fields = [DisplacementField(stack.grid, u) for u in x]
         j1 = objective(spec, stack, out_fields)[0]
         d1 = measure_eval(stack, out_fields, spec.measure).value
         assert j1 < j0
         assert d1 < d0
-        assert np.all(out_fields[0].u == 0.0)
+        assert np.all(x[0] == 0.0)
+        assert minimizer.trace.terminations[0].startswith("level0:sweep0:field1:")
 
     def test_multilevel_identical_images_stays_zero(self):
         rng = rng_for(7)
@@ -489,20 +493,6 @@ class TestSolvers:
         assert levels[-1].grid.dims == (16, 16)
         with pytest.raises(OptimError, match="8x8 minimum"):
             build_pyramid(stack, 3)
-
-    def test_initial_fields_checked(self):
-        stack = shifted_blob_stack((16, 16), [(0.0, 0.0), (0.05, 0.0)])
-        spec = ObjectiveSpec(SchattenQ(q=4.0), Diffusion(alpha=1e-3))
-        bad = [zero_field(GridSpec(dims=(8, 8)))] * 2
-        with pytest.raises(OptimError, match="coarsest grid"):
-            multilevel_solve(spec, stack, SolveOptions(levels=1, maxiter=1), initial_fields=bad)
-        with pytest.raises(OptimError, match="initial fields"):
-            multilevel_solve(
-                spec,
-                stack,
-                SolveOptions(levels=1, maxiter=1),
-                initial_fields=[zero_field(stack.grid)],
-            )
 
     def test_permutation_equivariance_bitexact(self):
         rng = rng_for(11)
@@ -632,9 +622,10 @@ class TestValueFirstTrials:
         stack, fields = fd_instance(8, k=4)
         spec = ObjectiveSpec(measure, Diffusion(alpha=1e-2), mode="sequential")
         _, grads, _ = objective(spec, stack, fields)
+        x = np.stack([f.u for f in fields])
         for idx in range(1, stack.k):
-            fun = _component_objective(spec, stack, fields, idx)
-            _, gradient, _ = fun(fields[idx].u[None, ...])
+            fun = _component_objective(spec, stack, x, idx)
+            _, gradient, _ = fun(x[idx:idx + 1])
             assert np.array_equal(gradient()[0], grads[idx])
 
     def test_interior_component_takes_neighbour_gradients_once(self, monkeypatch):
@@ -647,11 +638,12 @@ class TestValueFirstTrials:
         )
         stack, fields = fd_instance(8, k=4)
         spec = ObjectiveSpec(NgfPair(eta_pt=1e-2), Diffusion(alpha=1e-2), mode="sequential")
-        fun = _component_objective(spec, stack, fields, 2)
+        x = np.stack([f.u for f in fields])
+        fun = _component_objective(spec, stack, x, 2)
         # the two frozen neighbours once per component, then one per evaluation
         assert len(calls) == 2
         for _ in range(2):
-            _, gradient, _ = fun(fields[2].u[None, ...])
+            _, gradient, _ = fun(x[2:3])
             gradient()
         assert len(calls) == 4
 
@@ -662,8 +654,9 @@ class TestValueFirstTrials:
         stack, fields = fd_instance(8, k=4)
         reg = Diffusion(alpha=1e-2)
         spec = ObjectiveSpec(measure, reg, mode="sequential")
-        fun = _component_objective(spec, stack, fields, 0)
-        _, gradient, _ = fun(fields[0].u[None, ...])
+        x = np.stack([f.u for f in fields])
+        fun = _component_objective(spec, stack, x, 0)
+        _, gradient, _ = fun(x[0:1])
         expected = measure_eval(stack, fields, measure).grads[0] + reg_eval(reg, fields[0])[1]
         assert np.array_equal(gradient()[0], expected)
 
