@@ -49,7 +49,6 @@ from sqnreg.grids import (
     GridSpec,
     Image,
     ImageStack,
-    warp,
     zero_field,
 )
 from sqnreg.measures import (
@@ -108,7 +107,6 @@ __all__ = [
     "GridSpec",
     "Image",
     "ImageStack",
-    "warp",
     "zero_field",
     "CorrDev",
     "LogDet",

@@ -30,14 +30,12 @@ def block_dot_plan(a: np.ndarray, b: np.ndarray):
     entries of ``a`` and ``b``, so an iterative solver that updates them in
     place binds its dots once.  The views are taken here: the rows
     ``(n, 1, m)`` of ``a`` and the columns ``(n, m, 1)`` of ``b`` for the
-    batched ``matmul``, or the raveled operands for one block.  Operands
-    with two or more axes must therefore be C-contiguous; a reshape would
-    otherwise copy them once and the plan would not see later updates.
+    batched ``matmul``, or the raveled operands for one block.  The operands
+    must therefore be C-contiguous; a reshape would otherwise copy them once
+    and the plan would not see later updates.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch in block_dot: {a.shape} vs {b.shape}")
-    if a.ndim == 1:
-        return lambda: float(np.dot(a, b))
     if not (a.flags.c_contiguous and b.flags.c_contiguous):
         raise ValueError("block_dot_plan needs C-contiguous operands")
     n = a.shape[0]
@@ -60,10 +58,8 @@ def block_dot(a: np.ndarray, b: np.ndarray) -> float:
     This is ``block_dot_plan`` bound once and run once, on C-contiguous
     copies of operands that are not.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim > 1:
-        a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
     return block_dot_plan(a, b)()
 
 

@@ -109,15 +109,10 @@ def _cmd_register(args) -> int:
     # the stack J at the written fields; a sequential solve's last record
     # holds a one-field objective instead
     value = objective(spec, stack, report.fields)[0]
+    counts = " ".join(f"{name}={n}" for name, n in report.counts().items())
     print(
         f"registered {stack.k} images on {stack.grid.dims[0]}x{stack.grid.dims[1]} grid: "
-        f"J={value!r} fevals={report.fevals} gevals={report.gevals} "
-        f"line_search_failures={report.line_search_failures} "
-        f"rejected_trials={report.rejected_trials} "
-        f"metric_solves={report.metric_solves} "
-        f"metric_solves_capped={report.metric_solves_capped} "
-        f"metric_iterations={report.metric_iterations} "
-        f"elapsed={report.elapsed:.2f}s -> {out}"
+        f"J={value!r} {counts} elapsed={report.elapsed:.2f}s -> {out}"
     )
     return 0
 

@@ -273,11 +273,6 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key == "deterministic":
-            raise ConfigError(
-                f"line {lineno}: config key 'deterministic' was removed:"
-                " every run is deterministic"
-            )
         if key not in _CONFIG_PARSERS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in seen:

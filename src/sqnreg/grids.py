@@ -191,11 +191,6 @@ def _sample_core(data: np.ndarray, q1: np.ndarray, q2: np.ndarray, want_jac: boo
     return val, d1, d2
 
 
-def warp(img: Image, field: DisplacementField) -> Image:
-    warped, _ = warp_with_jacobian(img, field, want_jac=False)
-    return warped
-
-
 def warp_with_jacobian(img: Image, field: DisplacementField, want_jac: bool = True):
     """Resample ``img`` at ``x + u(x)`` for every cell center x.
 

@@ -115,11 +115,12 @@ class MeasureEval:
     """Value and per-field displacement gradients of a measure on a stack.
 
     The value and the subgradient flag come from the forward pass.  The
-    gradients (K, m1, m2, 2) come from the backward pass, which runs on the
-    first access of ``grads`` and reuses what the forward pass kept (warped
-    images, warp Jacobians, the spectrum); that state is dropped once the
-    gradients exist.  An evaluation whose gradients are never read never
-    pays for them.
+    gradients (K, m1, m2, 2) come from the backward pass.  For a groupwise
+    kind it runs on the first access of ``grads`` and reuses what the
+    forward pass kept (warped images, warp Jacobians, the spectrum); that
+    state is dropped once the gradients exist, and an evaluation whose
+    gradients are never read never pays for them.  A pairwise kind runs its
+    backward pass with the forward pass (see ``_eval_pairwise``).
     """
 
     def __init__(self, value: float, backward, subgradient: bool = False):
@@ -311,8 +312,9 @@ def _eval_pairwise(stack: ImageStack, fields, kind) -> MeasureEval:
         warped.append(wimg)
         jacs.append(jac)
     value, cotangents = pair_chain(kind, stack.grid, [pair_state(kind, w) for w in warped])
-    # eager: the solver's sequential chain is ``optimize._component_objective``,
-    # so nothing defers this stack-wide evaluation
+    # eager: a deferred backward would keep every pair's forward state alive
+    # next to the regularizer's in ``optimize.objective_trial``, and that
+    # raises the memory peak of ``objective`` above the solve's own
     grads = np.stack([cot[..., None] * jac for cot, jac in zip(cotangents(), jacs)])
     return MeasureEval(float(value), lambda: grads)
 

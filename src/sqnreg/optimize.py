@@ -61,8 +61,9 @@ raises a grid, feature, spectral or measure error, or whose value is not
 finite, is a rejected step: it counts as ``+inf`` and the line search
 shrinks the step (``SolveReport.rejected_trials``).
 
-Every count a solve reports, line-search failures included, is tallied in
-one ledger, ``_Counters``, shared by all levels and all runs of a solve.
+Every count a solve reports, line-search failures included, is declared
+once, in ``SolveCounts``, and tallied in one ledger, ``_Counters``, shared by
+all levels and all runs of a solve; ``SolveReport`` copies it.
 
 All inner products run through order-canonical accumulation, so solves are
 exactly invariant under permutations of the input stack.
@@ -77,6 +78,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from dataclasses import fields as dc_fields
 from functools import partial
 
 import numpy as np
@@ -198,31 +200,45 @@ class LevelTrace:
     terminations: list[str] = field(default_factory=list)
 
 
-@dataclass
-class SolveReport:
-    spec: ObjectiveSpec
-    options: SolveOptions
-    traces: list[LevelTrace]
-    fields: list[DisplacementField]
-    fevals: int
-    gevals: int
-    elapsed: float
-    line_search_failures: int
+@dataclass(kw_only=True)
+class SolveCounts:
+    """The counts of one solve, in the order ``sqnreg register`` prints them."""
+
+    fevals: int = 0  # objective evaluations
+    gevals: int = 0  # gradients actually computed
+    # searches that ended without a Wolfe step, other than for the budget
+    line_search_failures: int = 0
+    # line-search trials that raised in their forward pass or had a non-finite value
+    rejected_trials: int = 0
     metric_solves: int = 0
     # metric solves whose CG hit ``CG_MAXITER`` with the residual above ``CG_TOL``
     metric_solves_capped: int = 0
     # CG iterations summed over all metric solves
     metric_iterations: int = 0
-    # line-search trials that raised in their forward pass or had a non-finite value
-    rejected_trials: int = 0
+
+    def counts(self) -> dict[str, int]:
+        """The counts by name, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in dc_fields(SolveCounts)}
+
+
+@dataclass
+class SolveReport(SolveCounts):
+    spec: ObjectiveSpec
+    options: SolveOptions
+    traces: list[LevelTrace]
+    fields: list[DisplacementField]
+    elapsed: float
 
     @property
     def final_value(self) -> float:
         """The value of the last iteration record.
 
-        For a groupwise solve this is J at ``fields``; for a sequential solve
-        it is the one-field objective of the last component solved, not the
-        stack J.
+        For a groupwise solve this is J at ``fields``, with one exception:
+        when the evaluation budget runs out before the finest level, that
+        level's ``lbfgs`` returns without a record, and this reads the last J
+        of a coarser level (see "One meaning of ``SolveReport.final_value``"
+        in ROADMAP.md).  For a sequential solve it is the one-field objective
+        of the last component solved, not the stack J.
         """
         for trace in reversed(self.traces):
             if trace.records:
@@ -270,11 +286,11 @@ def objective_trial(spec: ObjectiveSpec, stack: ImageStack, fields):
         fields = _array_to_fields(stack.grid, fields)
     me = measure_eval(stack, list(fields), spec.measure)
     if spec.mode == "groupwise":
-        reg_value, reg_gradient = reg_glo(fields, spec.regularizer, deferred=True)
+        reg_value, reg_gradient = reg_glo(fields, spec.regularizer)
     else:
         # the first image is the anchor of the sequential chain; it carries
         # no regularization term of its own and gets a zero gradient row
-        reg_value, chain_gradient = reg_glo(fields[1:], spec.regularizer, deferred=True)
+        reg_value, chain_gradient = reg_glo(fields[1:], spec.regularizer)
 
         def reg_gradient():
             grads = np.zeros((stack.k, *stack.grid.dims, 2))
@@ -376,21 +392,11 @@ def _make_metric_solve(reg_kind: RegKind, grid: GridSpec, eps_rel: float,
 
 
 @dataclass
-class _Counters:
-    """The ledger of one solve: what its ``SolveReport`` counts."""
+class _Counters(SolveCounts):
+    """The ledger of one solve: the counts its ``SolveReport`` copies, and
+    the evaluation budget."""
 
-    fevals: int = 0
-    gevals: int = 0  # gradients actually computed
     budget: int | None = None
-    metric_solves: int = 0
-    metric_solves_capped: int = 0  # stopped at CG_MAXITER above CG_TOL
-    metric_iterations: int = 0  # CG iterations over all metric solves
-    rejected_trials: int = 0
-    # searches that ended without a Wolfe step, other than for the budget
-    line_search_failures: int = 0
-
-    def charge(self):
-        self.fevals += 1
 
     @property
     def exhausted(self) -> bool:
@@ -539,13 +545,6 @@ def _strong_wolfe(fun, x, p, f0, slope0, counters: _Counters, first_trial: float
     return fallback("expansion_cap")
 
 
-@dataclass
-class _LbfgsOutcome:
-    x: np.ndarray
-    value: float
-    termination: str
-
-
 def lbfgs(
     fun,
     x0: np.ndarray,
@@ -558,7 +557,7 @@ def lbfgs(
     level: int,
     component: int,
     t0: float,
-) -> _LbfgsOutcome:
+) -> tuple[np.ndarray, str]:
     """Limited-memory BFGS minimization of ``fun``, seeded by ``metric_solve``.
 
     ``fun`` maps an array to ``(value, gradient, subgradient_flag)``, where
@@ -577,11 +576,12 @@ def lbfgs(
     Evaluations, gradients, rejected trials and line-search failures are
     tallied in ``counters``; one ``IterRecord`` per iteration goes to
     ``trace``, stamped with ``level``, ``component`` and the time since
-    ``t0``.
+    ``t0``.  Returns ``(x, termination)``: the last accepted iterate and why
+    the run stopped.
     """
 
     def charged(z):
-        counters.charge()
+        counters.fevals += 1
         value, grad, sub = fun(z)
 
         def gradient():
@@ -592,7 +592,7 @@ def lbfgs(
 
     x = project_point(x0.copy())
     if counters.exhausted:
-        return _LbfgsOutcome(x, math.nan, "budget")
+        return x, "budget"
     value, grad, sub = charged(x)
     grad = grad()
     gnorm = block_norm(grad)
@@ -676,7 +676,7 @@ def lbfgs(
         termination = "maxiter"
     if gnorm <= opts.gtol * max(1.0, gnorm0) and termination == "maxiter":
         termination = "gtol"
-    return _LbfgsOutcome(x, value, termination)
+    return x, termination
 
 
 def _two_loop(grad, s_list, y_list, rho_list, metric_solve):
@@ -723,7 +723,7 @@ class _LevelMinimizer:
         """Minimize ``fun`` from ``x0``; the termination is logged after ``label``."""
         # ``lbfgs`` is read from the module at each call, where perfbench's
         # tracer replaces it and binds ``fun``, ``x0`` and ``metric_solve``
-        outcome = lbfgs(
+        x, termination = lbfgs(
             fun,
             x0,
             self.opts,
@@ -736,8 +736,8 @@ class _LevelMinimizer:
             component=component,
             t0=self.t0,
         )
-        self.terminate(label + outcome.termination)
-        return outcome.x
+        self.terminate(label + termination)
+        return x
 
 
 def _component_objective(spec, stack, x, idx):
@@ -769,7 +769,7 @@ def _component_objective(spec, stack, x, idx):
         u = DisplacementField(grid, z[0])
         warped, jac = warp_with_jacobian(stack[idx], u)
         value, cotangents = pair_chain(kind, grid, left + [pair_state(kind, warped)] + right)
-        rv, reg_gradient = reg_eval(spec.regularizer, u, deferred=True)
+        rv, reg_gradient = reg_eval(spec.regularizer, u)
         value += rv
 
         def gradient():
@@ -848,12 +848,6 @@ def multilevel_solve(spec: ObjectiveSpec, stack: ImageStack, opts: SolveOptions)
         options=opts,
         traces=traces,
         fields=_array_to_fields(pyramid[-1].grid, x),
-        fevals=counters.fevals,
-        gevals=counters.gevals,
         elapsed=time.perf_counter() - t0,
-        line_search_failures=counters.line_search_failures,
-        metric_solves=counters.metric_solves,
-        metric_solves_capped=counters.metric_solves_capped,
-        metric_iterations=counters.metric_iterations,
-        rejected_trials=counters.rejected_trials,
+        **counters.counts(),
     )

@@ -243,30 +243,30 @@ def _stack_value_deferred(kind: RegKind, grid: GridSpec, u: np.ndarray):
     raise RegularizerError(f"unknown regularizer kind {kind!r}")
 
 
-def reg_eval(kind: RegKind, field: DisplacementField, deferred: bool = False):
+def reg_eval(kind: RegKind, field: DisplacementField):
     """Value and gradient of a regularizer on one displacement field.
 
-    With ``deferred=True`` the gradient comes as a zero-argument callable
-    that computes it on its first call.
+    Returns ``(value, gradient)``, where ``gradient`` is a zero-argument
+    callable that computes the gradient on its first call.
     """
     value, grad = _stack_value_deferred(kind, field.grid, field.u)
-    return float(value), grad if deferred else grad()
+    return float(value), grad
 
 
-def reg_glo(fields, kind: RegKind, deferred: bool = False):
+def reg_glo(fields, kind: RegKind):
     """Sum of the regularizer over all fields of a stack.
 
-    Returns ``(value, grads)`` with ``grads`` stacked along axis 0, or with
-    a zero-argument callable for them when ``deferred`` is true.  The value
-    is accumulated order-canonically, so it is exactly invariant under
-    permutations of the stack.
+    Returns ``(value, gradient)``, where ``gradient`` is a zero-argument
+    callable that computes the per-field gradients, stacked along axis 0,
+    on its first call.  The value is accumulated order-canonically, so it is
+    exactly invariant under permutations of the stack.
     """
     fields = list(fields)
     grid = fields[0].grid
     if any(f.grid != grid for f in fields):
         raise RegularizerError("all fields of a stack must share one grid")
     values, grads = _stack_value_deferred(kind, grid, np.stack([f.u for f in fields]))
-    return sorted_sum(values), grads if deferred else grads()
+    return sorted_sum(values), grads
 
 
 def _flat(a: np.ndarray, shape: tuple, name: str) -> np.ndarray:

@@ -13,7 +13,9 @@ eigensolver runs.  LAPACK is not permutation-equivariant at the last bit, and
 those bit differences would otherwise be amplified by the outer optimizer;
 with canonical ordering every spectral quantity, the gradient included, is
 exactly invariant (or equivariant) under reordering of the input stack
-(provided columns are pairwise distinct).
+(provided columns are pairwise distinct).  The eigenvectors stay in
+canonical order with the eigensolver's signs: the gradient does not depend
+on the sign of a column of V, so no sign convention is imposed.
 """
 
 from __future__ import annotations
@@ -39,22 +41,21 @@ EPS_GAP_REL = 1e-8  # below this multiple of sigma_1 a gap flags a subgradient
 class ThinSvd:
     """Singular values and right singular vectors of ``sqrt(w) * F``.
 
-    Descending singular-value order.  ``v`` has one row per feature column
-    in the original input order, with the sign convention of ``thin_svd``.
-    ``u_valid`` marks the modes whose singular value is large enough for a
-    stable derivative, ``gap_flags`` the modes with a near-degenerate gap to
-    a neighbor, and ``eigenvalues`` are the clamped Gram eigenvalues, i.e.
-    ``sigma**2``.
+    Descending singular-value order.  ``u_valid`` marks the modes whose
+    singular value is large enough for a stable derivative, ``gap_flags``
+    the modes with a near-degenerate gap to a neighbor, and ``eigenvalues``
+    are the clamped Gram eigenvalues, i.e. ``sigma**2``.
 
-    There are no left singular vectors.  The feature columns and Gram
-    eigenvectors in canonical column order (``order[i]`` is the input column
-    at canonical position ``i``) are kept for ``sigma_gradient``: forming
-    the gradient from them and scattering its columns back makes it
-    bit-exactly equivariant under permutations of the input columns.
+    There are no left singular vectors.  The right singular vectors are the
+    Gram eigenvectors ``ordered_v`` in canonical column order: row ``i``
+    belongs to the input column ``order[i]``, and ``ordered_entries`` holds
+    the feature columns in that order.  Each column of ``ordered_v`` has the
+    eigensolver's sign.  ``sigma_gradient`` forms the gradient from these
+    and scatters its columns back, which makes it bit-exactly equivariant
+    under permutations of the input columns.
     """
 
     sigma: np.ndarray
-    v: np.ndarray
     u_valid: np.ndarray
     eigenvalues: np.ndarray
     gap_flags: np.ndarray
@@ -99,8 +100,8 @@ def _canonical_order(entries: np.ndarray) -> np.ndarray:
 def thin_svd(fm: FeatureMatrix) -> ThinSvd:
     """Singular values and right singular vectors of the weighted feature matrix.
 
-    The deterministic sign convention makes the largest-magnitude entry of
-    each ``v_k`` positive, ties broken by the lowest index in input order.
+    The vectors are left in canonical column order with the signs
+    ``eigh`` gives them (see ``ThinSvd``).
     """
     _validate(fm)
     k = fm.k
@@ -125,15 +126,8 @@ def thin_svd(fm: FeatureMatrix) -> ThinSvd:
         gaps[:-1] = np.minimum(gaps[:-1], d)
         gaps[1:] = np.minimum(gaps[1:], d)
     gap_flags = gaps < EPS_GAP_REL * sigma[0]
-    v = np.empty_like(vs)
-    v[order, :] = vs
-    for col in range(k):
-        peak = np.argmax(np.abs(v[:, col]))
-        if v[peak, col] < 0:
-            v[:, col] = -v[:, col]
     return ThinSvd(
         sigma=sigma,
-        v=v,
         u_valid=u_valid,
         eigenvalues=lam,
         gap_flags=gap_flags,

@@ -111,9 +111,13 @@ class TestRegisterCommand:
         (report,) = reports
         # a groupwise solve's last record is J at the written fields
         assert f" J={report.final_value!r} " in summary
-        for key in ("fevals", "gevals", "line_search_failures", "rejected_trials",
-                    "metric_solves", "metric_solves_capped", "metric_iterations"):
-            assert f" {key}={getattr(report, key)} " in summary
+        # every count, in this order, between J and the elapsed time
+        counts = " ".join(
+            f"{key}={getattr(report, key)}"
+            for key in ("fevals", "gevals", "line_search_failures", "rejected_trials",
+                        "metric_solves", "metric_solves_capped", "metric_iterations")
+        )
+        assert f" J={report.final_value!r} {counts} elapsed=" in summary
 
     def test_sequential_run(self, tmp_path):
         data = run_synth(tmp_path)

@@ -278,7 +278,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("value", ["true", "false"])
     def test_removed_deterministic_key_named(self, value):
-        with pytest.raises(ConfigError, match="line 2: config key 'deterministic' was removed"):
+        with pytest.raises(ConfigError, match="line 2: unknown config key 'deterministic'"):
             parse_config(f"alpha = 0.1\ndeterministic = {value}")
 
     def test_duplicate_key_rejected(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sqnreg.errors import GridError, MeasureError
-from sqnreg.features import FeatureMatrix, IntensityFeature, NgfFeature
+from sqnreg.features import FeatureMatrix, IntensityFeature, NgfFeature, feature_adjoint
 from sqnreg.grids import (
     DisplacementField,
     GridSpec,
@@ -12,7 +12,7 @@ from sqnreg.grids import (
     ImageStack,
     gradient_central,
     gradient_central_adjoint,
-    warp,
+    warp_with_jacobian,
     zero_field,
 )
 from sqnreg.measures import (
@@ -337,7 +337,7 @@ def per_pair_reference(kind, images):
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_pair_chain_matches_per_pair_reference_bitexact(kind, k):
     stack, fields = fd_instance(20 + k, k=k)
-    warped = [warp(img, f) for img, f in zip(stack, fields)]
+    warped = [warp_with_jacobian(img, f, want_jac=False)[0] for img, f in zip(stack, fields)]
     value, cotangents = pair_chain(kind, warped[0].grid, [pair_state(kind, w) for w in warped])
     ref_value, ref_cots = per_pair_reference(kind, warped)
     assert value == ref_value
@@ -359,7 +359,7 @@ def test_ngf_chain_takes_each_image_gradient_once(k, monkeypatch):
 
     monkeypatch.setattr(measures, "gradient_central", counted)
     stack, fields = fd_instance(20 + k, k=k)
-    warped = [warp(img, f) for img, f in zip(stack, fields)]
+    warped = [warp_with_jacobian(img, f, want_jac=False)[0] for img, f in zip(stack, fields)]
     kind = NgfPair(eta_pt=3e-2)
     pair_chain(kind, warped[0].grid, [pair_state(kind, w) for w in warped])[1]()
     assert len(calls) == k
@@ -432,13 +432,31 @@ def test_pairwise_stack_eval_gradients_match_fd(kind):
 def test_pairwise_stack_value_is_sum_of_consecutive_pairs():
     stack, fields = fd_instance(7, k=4)
     ev = measure_eval(stack, fields, SsdPair())
-    warped = [warp(img, f) for img, f in zip(stack, fields)]
+    warped = [warp_with_jacobian(img, f, want_jac=False)[0] for img, f in zip(stack, fields)]
     w = stack.grid.cell_area
     expected = sum(
         0.5 * w * float(np.sum((warped[i].data - warped[i - 1].data) ** 2))
         for i in range(1, 4)
     )
     assert ev.value == pytest.approx(expected, rel=1e-12)
+
+
+def test_groupwise_value_read_runs_no_backward(monkeypatch):
+    import sqnreg.measures as measures
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return feature_adjoint(*args)
+
+    monkeypatch.setattr(measures, "feature_adjoint", counted)
+    stack, fields = fd_instance(9, k=3)
+    ev = measure_eval(stack, fields, SchattenQ(q=4.0))
+    assert math.isfinite(ev.value)
+    assert calls == []
+    assert ev.grads.shape == (3, *stack.grid.dims, 2)
+    assert len(calls) == 3
 
 
 def test_corrdev_is_negated_as_objective():

@@ -100,10 +100,10 @@ def shifted_blob_stack(dims, shifts, width=0.15):
 class TestLbfgsGeneric:
     def test_quadratic_converges_in_three_iterations(self):
         a = np.array([1.0, -2.0, 3.0, 0.5, 2.0])
-        out = run_lbfgs(quadratic_target(a), np.zeros(5), SolveOptions(gtol=1e-12))
-        assert out.value <= 1e-10
-        assert np.allclose(out.x, a, atol=1e-10)
-        assert out.termination == "gtol"
+        x, termination = run_lbfgs(quadratic_target(a), np.zeros(5), SolveOptions(gtol=1e-12))
+        assert quadratic_target(a)(x)[0] <= 1e-10
+        assert np.allclose(x, a, atol=1e-10)
+        assert termination == "gtol"
 
     def test_quadratic_iteration_count(self):
         from sqnreg.optimize import LevelTrace
@@ -116,9 +116,9 @@ class TestLbfgsGeneric:
         assert trace.records[-1].value <= 1e-10
 
     def test_rosenbrock_reaches_minimum(self):
-        out = run_lbfgs(rosenbrock, np.array([-1.2, 1.0]), SolveOptions(maxiter=200, gtol=1e-9))
-        assert np.linalg.norm(rosenbrock(out.x)[1]()) < 1e-6
-        assert np.allclose(out.x, [1.0, 1.0], atol=1e-6)
+        x, _ = run_lbfgs(rosenbrock, np.array([-1.2, 1.0]), SolveOptions(maxiter=200, gtol=1e-9))
+        assert np.linalg.norm(rosenbrock(x)[1]()) < 1e-6
+        assert np.allclose(x, [1.0, 1.0], atol=1e-6)
 
     def test_values_strictly_decrease_within_run(self):
         from sqnreg.optimize import LevelTrace
@@ -150,14 +150,14 @@ class TestLbfgsGeneric:
 
     def test_budget_cap_stops_early(self):
         counters = _Counters(budget=5)
-        out = run_lbfgs(
+        _, termination = run_lbfgs(
             rosenbrock,
             np.array([-1.2, 1.0]),
             SolveOptions(maxiter=200, gtol=1e-12),
             counters=counters,
         )
         assert counters.fevals <= 5
-        assert out.termination == "budget"
+        assert termination == "budget"
 
 
 def kinked(c):
@@ -179,30 +179,29 @@ class TestSteepestDescentRestart:
         fun, trials = recorded_points(kinked(1.0))
         x0 = np.array([0.0, 1.0])
         counters = _Counters()
-        out = run_lbfgs(fun, x0, SolveOptions(maxiter=1), stretch_first, counters)
+        x, termination = run_lbfgs(fun, x0, SolveOptions(maxiter=1), stretch_first, counters)
         # no trial along -M^-1 g decreases J; -g = (-1, -2) does
-        assert out.termination == "maxiter"
+        assert termination == "maxiter"
         assert counters.line_search_failures == 0
-        assert out.value < 1.0
-        step = out.x - x0
+        assert kinked(1.0)(x)[0] < 1.0
+        step = x - x0
         assert step[0] < 0 and step[1] == pytest.approx(2.0 * step[0], rel=1e-12)
         assert any(t[0] < -1e-3 and abs(t[1] - 1.0) < 1e-3 for t in trials)
 
     def test_failed_restart_ends_run(self):
         x0 = np.array([0.0, 1.0])
         counters = _Counters()
-        out = run_lbfgs(kinked(10.0), x0, SolveOptions(maxiter=5), stretch_first, counters)
-        assert out.termination == "line_search_failure"
+        x, termination = run_lbfgs(kinked(10.0), x0, SolveOptions(maxiter=5), stretch_first, counters)
+        assert termination == "line_search_failure"
         assert counters.line_search_failures == 1
-        assert np.array_equal(out.x, x0)
-        assert out.value == 1.0
+        assert np.array_equal(x, x0)
 
     def test_no_retry_when_direction_already_steepest(self):
         fun, trials = recorded_points(kinked(10.0))
         x0 = np.array([0.0, 1.0])
         # an uphill metric direction falls back to -g before the first search
-        out = run_lbfgs(fun, x0, SolveOptions(maxiter=5), metric_solve=lambda q: -q)
-        assert out.termination == "line_search_failure"
+        _, termination = run_lbfgs(fun, x0, SolveOptions(maxiter=5), metric_solve=lambda q: -q)
+        assert termination == "line_search_failure"
         # the start point and one search, not a second one along the same ray
         assert len(trials) <= 1 + LS_MAX_EXPAND + LS_MAX_ZOOM
         # every trial lies on the one ray x0 - alpha * (10, 2)
@@ -312,7 +311,7 @@ class TestObjective:
         spec = ObjectiveSpec(SsdPair(), reg, mode="sequential", constraint="none")
         value, grads, _ = objective(spec, stack, fields)
         me = measure_eval(stack, fields, spec.measure)
-        parts = [reg_eval(reg, f) for f in fields[1:]]
+        parts = [(v, g()) for v, g in (reg_eval(reg, f) for f in fields[1:])]
         assert value == me.value + sorted_sum([v for v, _ in parts])
         assert np.array_equal(grads[0], me.grads[0])
         for k, (_, g) in enumerate(parts, start=1):
@@ -657,7 +656,7 @@ class TestValueFirstTrials:
         x = np.stack([f.u for f in fields])
         fun = _component_objective(spec, stack, x, 0)
         _, gradient, _ = fun(x[0:1])
-        expected = measure_eval(stack, fields, measure).grads[0] + reg_eval(reg, fields[0])[1]
+        expected = measure_eval(stack, fields, measure).grads[0] + reg_eval(reg, fields[0])[1]()
         assert np.array_equal(gradient()[0], expected)
 
     def test_no_gradient_for_trials_failing_sufficient_decrease(self):
@@ -746,12 +745,12 @@ class TestValueFirstTrials:
 
         counters = _Counters()
         trace = LevelTrace(0, (0, 0))
-        out = run_lbfgs(fun, np.zeros(2), SolveOptions(maxiter=20), counters=counters, trace=trace)
+        x, _ = run_lbfgs(fun, np.zeros(2), SolveOptions(maxiter=20), counters=counters, trace=trace)
         values = [r.value for r in trace.records]
         assert len(values) > 2
         assert all(b < a for a, b in zip(values, values[1:]))
         assert counters.rejected_trials > 0
-        assert np.abs(out.x).max() <= 1.0
+        assert np.abs(x).max() <= 1.0
         if failure == "raise":
             # the start point of a run is not a trial: its errors propagate
             with pytest.raises(MeasureError):

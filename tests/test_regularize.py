@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqnreg.accum import sorted_sum
 from sqnreg.errors import RegularizerError
 from sqnreg.grids import DisplacementField, GridSpec, gradient_central_adjoint, zero_field
 from sqnreg.oracles import fd_gradient
@@ -32,7 +33,7 @@ def test_zero_field_has_zero_energy_and_gradient():
     for kind in (Diffusion(alpha=0.1), Elastic(mu=1.0, lam=0.5, alpha=0.1)):
         v, grad = reg_eval(kind, zero_field(g))
         assert v == 0.0
-        assert np.all(grad == 0.0)
+        assert np.all(grad() == 0.0)
 
 
 def test_rigid_shift_costs_nothing():
@@ -80,7 +81,7 @@ def test_elastic_ignores_linearized_rotation():
     u = np.stack([-0.01 * c[..., 1], 0.01 * c[..., 0]], axis=-1)
     value, grad = reg_eval(Elastic(mu=1.0, lam=0.8, alpha=1.0), DisplacementField(g, u))
     assert abs(value) <= 1e-14
-    assert np.abs(grad).max() <= 1e-12
+    assert np.abs(grad()).max() <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -90,7 +91,7 @@ def test_gradients_match_fd(kind):
     rng = rng_for(2)
     g = GridSpec((7, 6), spacing=(1.0 / 7, 1.0 / 6))
     field = smooth_random_field(g, rng, 0.05)
-    _, grad = reg_eval(kind, field)
+    grad = reg_eval(kind, field)[1]()
 
     def value_of(u):
         return reg_eval(kind, DisplacementField(g, u))[0]
@@ -109,9 +110,10 @@ def test_energy_is_quadratic_and_gradient_symmetric(seed):
     t = float(rng.uniform(0.5, 3.0))
     for kind in (Diffusion(alpha=0.5), Elastic(mu=0.9, lam=0.2, alpha=0.5)):
         va, ga = reg_eval(kind, DisplacementField(g, a))
+        ga = ga()
         vt, _ = reg_eval(kind, DisplacementField(g, t * a))
         assert vt == pytest.approx(t**2 * va, rel=1e-10, abs=1e-14)
-        _, gb = reg_eval(kind, DisplacementField(g, b))
+        gb = reg_eval(kind, DisplacementField(g, b))[1]()
         # symmetry of the underlying operator: <H a, b> == <a, H b>
         assert np.sum(ga * b) == pytest.approx(np.sum(a * gb), rel=1e-10, abs=1e-12)
         # positive semidefinite: <a, H a> = 2 value >= 0
@@ -125,7 +127,7 @@ def test_hessian_apply_equals_gradient():
     u = rng.standard_normal((*g.dims, 2))
     for kind in (Diffusion(alpha=0.2), Elastic(mu=1.0, lam=0.3, alpha=0.2)):
         _, grad = reg_eval(kind, DisplacementField(g, u))
-        assert np.array_equal(reg_hessian_apply(kind, g, u), grad)
+        assert np.array_equal(reg_hessian_apply(kind, g, u), grad())
 
 
 def test_reg_glo_sums_fields_and_is_permutation_invariant():
@@ -133,14 +135,15 @@ def test_reg_glo_sums_fields_and_is_permutation_invariant():
     g = grid16()
     fields = [smooth_random_field(g, rng, 0.1) for _ in range(5)]
     kind = Diffusion(alpha=0.15)
-    value, grads = reg_glo(fields, kind)
+    value, gradient = reg_glo(fields, kind)
+    grads = gradient()
     singles = [reg_eval(kind, f)[0] for f in fields]
     assert value == pytest.approx(sum(singles), rel=1e-12)
     assert grads.shape == (5, 16, 16, 2)
     perm = [4, 2, 0, 3, 1]
-    value_p, grads_p = reg_glo([fields[i] for i in perm], kind)
+    value_p, gradient_p = reg_glo([fields[i] for i in perm], kind)
     assert value_p == value  # exactly, thanks to canonical accumulation
-    assert np.array_equal(grads_p, grads[perm])
+    assert np.array_equal(gradient_p(), grads[perm])
 
 
 def test_reg_glo_rejects_fields_on_different_grids():
@@ -245,9 +248,9 @@ def test_stack_kernel_matches_per_field_reference_bitexact(kind, g):
         assert np.array_equal(hess[k], g_ref)
         v_one, g_one = reg_eval(kind, DisplacementField(g, u[k]))
         assert v_one == v_ref
-        assert np.array_equal(g_one, g_ref)
+        assert np.array_equal(g_one(), g_ref)
     value, grads_glo = reg_glo([DisplacementField(g, uk) for uk in u], kind)
-    assert np.array_equal(grads_glo, grads)
+    assert np.array_equal(grads_glo(), grads)
     assert value == reg_glo([DisplacementField(g, uk) for uk in u[::-1]], kind)[0]
     # a non-contiguous stack (reversed along grid axis 1, or in Fortran
     # order) gives the bits of the reference on its fields
@@ -354,21 +357,21 @@ def test_hessian_plan_rejects_buffers_it_cannot_bind(kind):
 
 
 @pytest.mark.parametrize("kind", STACK_KINDS)
-def test_deferred_gradient_matches_eager_bitexact(kind):
+def test_gradient_callable_runs_once_bitexact(kind):
     g = odd_grid()
     u = random_stack(10, g, k=4)
     fields = [DisplacementField(g, uk) for uk in u]
-    value, grads = reg_glo(fields, kind)
-    d_value, gradient = reg_glo(fields, kind, deferred=True)
-    assert d_value == value
+    values, grads = stack_value_grad(kind, g, u)
+    value, gradient = reg_glo(fields, kind)
+    assert value == sorted_sum(values)
     first = gradient()
     assert np.array_equal(first, grads)
     # a second call returns the same gradients, not a recomputation from
     # state the first call consumed
     assert gradient() is first
-    v_one, g_one = reg_eval(kind, fields[2], deferred=True)
-    assert v_one == reg_eval(kind, fields[2])[0]
-    assert np.array_equal(g_one(), reg_eval(kind, fields[2])[1])
+    v_one, g_one = reg_eval(kind, fields[2])
+    assert v_one == values[2]
+    assert np.array_equal(g_one(), grads[2])
 
 
 @pytest.mark.parametrize("kind", STACK_KINDS)

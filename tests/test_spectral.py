@@ -46,8 +46,9 @@ def test_gram_is_weighted_cross_products():
     rng = rng_for(0)
     fm = fm_random(rng, n=10, k=3, w=0.25)
     svd = thin_svd(fm)
-    rebuilt = svd.v @ np.diag(svd.eigenvalues) @ svd.v.T
-    expected = 0.25 * fm.entries.T @ fm.entries
+    rebuilt = svd.ordered_v @ np.diag(svd.eigenvalues) @ svd.ordered_v.T
+    ordered = fm.entries[:, svd.order]
+    expected = 0.25 * ordered.T @ ordered
     assert np.abs(rebuilt - expected).max() <= 1e-12
 
 
@@ -102,16 +103,9 @@ def test_thin_svd_matches_direct_lapack_svd(w):
 def test_right_vectors_orthonormal_and_no_left_vectors():
     rng = rng_for(8)
     svd = thin_svd(fm_random(rng, n=15, k=4, w=0.2))
-    gram_v = svd.v.T @ svd.v
+    gram_v = svd.ordered_v.T @ svd.ordered_v
     assert np.abs(gram_v - np.eye(4)).max() <= 1e-12
     assert not hasattr(svd, "u")
-
-
-def test_sign_convention_positive_peak_entries():
-    svd = thin_svd(sixty_degree_fm())
-    for k in range(2):
-        peak = np.argmax(np.abs(svd.v[:, k]))
-        assert svd.v[peak, k] > 0
 
 
 def test_sigma_invariant_and_v_equivariant_under_permutation():
@@ -122,7 +116,9 @@ def test_sigma_invariant_and_v_equivariant_under_permutation():
     fm_p = FeatureMatrix(fm.entries[:, perm], quad_weight=fm.quad_weight)
     svd_p = thin_svd(fm_p)
     assert np.array_equal(svd.sigma, svd_p.sigma)
-    assert np.array_equal(svd_p.v, svd.v[perm, :])
+    # the same canonical columns, so the same eigenvectors, bit for bit
+    assert np.array_equal(perm[svd_p.order], svd.order)
+    assert np.array_equal(svd_p.ordered_v, svd.ordered_v)
     for k in range(6):
         grad = sigma_gradient(svd, unit_coeffs(svd, k))
         assert np.array_equal(sigma_gradient(svd_p, unit_coeffs(svd_p, k)), grad[:, perm])
