@@ -7,9 +7,10 @@ per-iteration J values.  Two checkouts whose lines agree took the same
 iterates bit for bit, so a change that is meant to keep the arithmetic can
 be checked with one solve per workload.
 
-Example, from the root of a source checkout:
-    python3 scripts/solve_fingerprint.py --seed 1 \
-        --workload recovery64 sequential64 wide32 elastic32
+With no ``--workload``, every workload is solved, in the order of
+``WORKLOADS``.  Example, from the root of a source checkout:
+    python3 scripts/solve_fingerprint.py --seed 1
+    python3 scripts/solve_fingerprint.py --seed 3 --workload recovery64
 """
 
 import argparse
@@ -43,7 +44,8 @@ def fingerprint(workload, seed: int) -> str:
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True, nargs="+", choices=sorted(WORKLOADS))
+    ap.add_argument("--workload", nargs="+", choices=sorted(WORKLOADS), default=list(WORKLOADS),
+                    help="workloads to solve (default: all)")
     ap.add_argument("--seed", type=int, default=1, help="image order of a groupwise workload")
     args = ap.parse_args(argv)
     for name in args.workload:

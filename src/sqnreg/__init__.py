@@ -28,7 +28,7 @@ from sqnreg.features import (
     IntensityFeature,
     NgfFeature,
     assemble,
-    feature_column,
+    feature_columns,
     resolve_feature,
 )
 from sqnreg.fileio import (
@@ -90,7 +90,7 @@ __all__ = [
     "IntensityFeature",
     "NgfFeature",
     "assemble",
-    "feature_column",
+    "feature_columns",
     "resolve_feature",
     "RunConfig",
     "StackManifest",

@@ -67,6 +67,17 @@ def block_norm(a: np.ndarray) -> float:
     return float(np.sqrt(max(block_dot(a, a), 0.0)))
 
 
+def field_sums(a: np.ndarray, field_ndim: int) -> np.ndarray:
+    """Sums over the last ``field_ndim`` axes, one per field.
+
+    Every field's block is contiguous and summed on its own, so each sum
+    rounds exactly like ``np.sum`` on that field alone.
+    """
+    lead = a.shape[: a.ndim - field_ndim]
+    blocks = a.reshape(-1, math.prod(a.shape[a.ndim - field_ndim :]))
+    return np.array([np.sum(b) for b in blocks]).reshape(lead)
+
+
 def mean_axis0(arr: np.ndarray) -> np.ndarray:
     """Per-entry mean over axis 0, invariant under reordering of axis 0.
 

@@ -10,6 +10,10 @@ Two maps are provided:
 
 Feature columns of all images in a stack form the feature matrix F (one
 column per image) whose Gram matrix drives the groupwise distance measures.
+``feature_columns`` and ``feature_adjoint`` act on the warped intensities of
+the whole stack, a (K, m1, m2) array, in one pass each.  Every image's norm
+and dot product is a reduction over its own block, so each column and each
+adjoint image has the bits of the one-image computation.
 """
 
 from __future__ import annotations
@@ -18,16 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .accum import sorted_sum
+from .accum import field_sums, sorted_sum
 from .errors import FeatureError
-from .grids import (
-    GridSpec,
-    Image,
-    ImageStack,
-    gradient_central,
-    gradient_central_adjoint,
-    warp_with_jacobian,
-)
+from .grids import GridSpec, ImageStack, gradient_central_adjoint, warp_with_jacobian
 
 
 @dataclass(frozen=True)
@@ -79,14 +76,16 @@ class FeatureMatrix:
         return self.entries.shape[1]
 
 
+def _gradients(grid: GridSpec, data: np.ndarray) -> np.ndarray:
+    """``gradient_central`` of every image of ``data`` (K, m1, m2): (K, m1, m2, 2)."""
+    return np.stack(np.gradient(data, *grid.spacing, axis=(-2, -1)), axis=-1)
+
+
 def stack_gradient_scale(stack: ImageStack) -> float:
     """Mean gradient magnitude over all images and cells of a stack."""
-    parts = []
-    for img in stack:
-        g = gradient_central(img)
-        parts.append(float(np.linalg.norm(g, axis=-1).sum()))
-    total = sorted_sum(parts)
-    return total / (stack.k * stack.grid.n_cells)
+    data = np.stack([img.data for img in stack])
+    parts = field_sums(np.linalg.norm(_gradients(stack.grid, data), axis=-1), 2)
+    return sorted_sum(parts) / (stack.k * stack.grid.n_cells)
 
 
 def resolve_feature(kind: FeatureMap, stack: ImageStack) -> FeatureMap:
@@ -103,106 +102,104 @@ def resolve_feature(kind: FeatureMap, stack: ImageStack) -> FeatureMap:
     return kind
 
 
-def _require_resolved(kind: FeatureMap):
+def _raw_rows(kind: FeatureMap, grid: GridSpec, data: np.ndarray):
+    """The unnormalized feature of each image as a row, and its norm.
+
+    ``data`` holds K intensity images (K, m1, m2).  Returns the rows (K, n):
+    the raveled image, or its two gradient planes one after the other; and
+    the K norms ``sqrt(w * sum + eta)`` (``eta = 0`` for intensities), each
+    image's sum taken on its own block.  The intensity norm of a zero image
+    is refused.
+    """
     if isinstance(kind, NgfFeature) and kind.relative:
         raise FeatureError(
             "NGF stabilizer is stack-relative; resolve it against a stack first"
         )
-
-
-def feature_dim(kind: FeatureMap, grid: GridSpec) -> int:
-    if isinstance(kind, NgfFeature):
-        return 2 * grid.n_cells
-    return grid.n_cells
-
-
-def feature_intensity_normalized(img: Image) -> np.ndarray:
-    """Column T / ||T|| with unit quadrature-weighted norm."""
-    w = img.grid.cell_area
-    nrm = float(np.sqrt(w * np.sum(img.data**2)))
-    if nrm < 1e-12 * np.sqrt(img.grid.domain_area):
-        raise FeatureError("degenerate feature: zero image")
-    return img.data.ravel() / nrm
-
-
-def feature_ngf(img: Image, eta: float) -> np.ndarray:
-    """Stacked gradient components over the stabilized global gradient norm."""
-    if not np.isfinite(eta) or eta <= 0:
-        raise FeatureError(f"stabilizer eta must be positive, got {eta}")
-    w = img.grid.cell_area
-    g = gradient_central(img)
-    nrm = float(np.sqrt(w * np.sum(g**2) + eta))
-    return np.concatenate([g[..., 0].ravel(), g[..., 1].ravel()]) / nrm
-
-
-def feature_column(img: Image, kind: FeatureMap) -> np.ndarray:
-    _require_resolved(kind)
+    w = grid.cell_area
     if isinstance(kind, IntensityFeature):
-        return feature_intensity_normalized(img)
-    return feature_ngf(img, kind.eta)
+        nrm = np.sqrt(w * field_sums(data**2, 2))
+        zero = np.flatnonzero(nrm < 1e-12 * np.sqrt(grid.domain_area))
+        if zero.size:
+            raise FeatureError(f"image {zero[0]}: degenerate feature: zero image")
+        return data.reshape(len(data), -1), nrm
+    g = _gradients(grid, data)
+    nrm = np.sqrt(w * field_sums(g**2, 3) + kind.eta)
+    return np.moveaxis(g, -1, 1).reshape(len(data), -1), nrm
 
 
-def feature_adjoint(kind: FeatureMap, img: Image, cotangent: np.ndarray) -> np.ndarray:
-    """Pull a cotangent on the feature column back to image intensities.
+def feature_columns(kind: FeatureMap, grid: GridSpec, data: np.ndarray) -> np.ndarray:
+    """Feature matrix entries (n, K) of the images ``data`` (K, m1, m2).
 
-    Returns ``g`` with ``<g, dT> = <cotangent, dF[dT]>`` (plain Euclidean
-    pairings) for every intensity perturbation ``dT``; shape (m1, m2).
+    Column k is the feature of image k: ``T / ||T||`` for intensities, the
+    stacked gradient components over the stabilized global gradient norm for
+    NGF.
     """
-    _require_resolved(kind)
-    cot = np.asarray(cotangent, dtype=float).ravel()
-    n = feature_dim(kind, img.grid)
-    if cot.size != n:
-        raise FeatureError(f"cotangent length {cot.size} does not match feature dim {n}")
-    w = img.grid.cell_area
+    rows, nrm = _raw_rows(kind, grid, data)
+    return (rows / nrm[:, None]).T
+
+
+def _normalization_adjoint(kind: FeatureMap, grid: GridSpec, data: np.ndarray,
+                           cotangent: np.ndarray) -> np.ndarray:
+    """Pull cotangents on the feature columns (n, K) back to the rows of
+    ``_raw_rows`` (K, n).
+
+    Each image's factor ``w * s / ||.||**3`` is formed in Python floats, from
+    its own dot ``s`` of raw row and cotangent.
+    """
+    rows, nrm = _raw_rows(kind, grid, data)
+    cot = np.asarray(cotangent, dtype=float)
+    if cot.shape != rows.shape[::-1]:
+        raise FeatureError(
+            f"cotangent shape {cot.shape} does not match the features {rows.shape[::-1]}"
+        )
+    # one C-ordered row per image, a copy that takes the result in place
+    sens = cot.T.copy()
+    w = grid.cell_area
+    for row, c, n in zip(rows, sens, nrm):
+        factor = w * float(np.dot(row, c)) / float(n) ** 3
+        c /= n
+        c -= row * factor
+    return sens
+
+
+def feature_adjoint(kind: FeatureMap, grid: GridSpec, data: np.ndarray,
+                    cotangent: np.ndarray) -> np.ndarray:
+    """Pull cotangents on the feature columns back to image intensities.
+
+    ``cotangent`` (n, K) pairs with ``feature_columns(kind, grid, data)``.
+    Returns ``g`` (K, m1, m2) with ``<g, dT> = <cotangent, dF[dT]>`` (plain
+    Euclidean pairings) for every intensity perturbation ``dT``.
+    """
+    sens = _normalization_adjoint(kind, grid, data, cotangent)
     if isinstance(kind, IntensityFeature):
-        t = img.data.ravel()
-        nrm = float(np.sqrt(w * np.sum(t**2)))
-        if nrm < 1e-12 * np.sqrt(img.grid.domain_area):
-            raise FeatureError("degenerate feature: zero image")
-        s = float(np.dot(t, cot))
-        g = cot / nrm - t * (w * s / nrm**3)
-        return g.reshape(img.grid.dims)
-    g = gradient_central(img)
-    gvec = np.concatenate([g[..., 0].ravel(), g[..., 1].ravel()])
-    nrm = float(np.sqrt(w * np.sum(g**2) + kind.eta))
-    s = float(np.dot(gvec, cot))
-    cot_g = cot / nrm - gvec * (w * s / nrm**3)
-    m1, m2 = img.grid.dims
-    vfield = np.stack(
-        [cot_g[: m1 * m2].reshape(m1, m2), cot_g[m1 * m2 :].reshape(m1, m2)], axis=-1
-    )
-    return gradient_central_adjoint(vfield, img.grid)
+        return sens.reshape(data.shape)
+    planes = sens.reshape(len(data), 2, *grid.dims)
+    return gradient_central_adjoint(np.moveaxis(planes, 1, -1), grid)
 
 
 def assemble(stack: ImageStack, fields, kind: FeatureMap) -> FeatureMatrix:
     """Feature matrix of the warped stack (column k = feature of image k warped)."""
-    fm, _, _ = assemble_with_chain(stack, fields, kind)
+    fm, _, _ = assemble_with_chain(stack, fields, resolve_feature(kind, stack))
     return fm
 
 
 def assemble_with_chain(stack: ImageStack, fields, kind: FeatureMap):
-    """Like ``assemble`` but also returns warped images and warp Jacobians.
+    """Like ``assemble`` but also returns the warped intensities and Jacobians.
 
-    The extras feed the chain rule of the groupwise measures; one warp pass
-    serves both the feature columns and their displacement derivatives.
+    ``kind`` must be resolved (see ``resolve_feature``).  Each image is warped
+    on its own into one intensity array (K, m1, m2) and one Jacobian array
+    (K, m1, m2, 2), which feed the chain rule of the groupwise measures.
     """
     fields = list(fields)
     if len(fields) != stack.k:
         raise FeatureError(
             f"stack has {stack.k} images but {len(fields)} fields were given"
         )
-    kind = resolve_feature(kind, stack)
     grid = stack.grid
-    n = feature_dim(kind, grid)
-    entries = np.empty((n, stack.k))
-    warped_images = []
-    jacobians = []
+    data = np.empty((stack.k, *grid.dims))
+    jacs = np.empty((stack.k, *grid.dims, 2))
     for idx, (img, field) in enumerate(zip(stack, fields)):
-        try:
-            warped, jac = warp_with_jacobian(img, field)
-            entries[:, idx] = feature_column(warped, kind)
-        except FeatureError as exc:
-            raise FeatureError(f"image {idx}: {exc}") from exc
-        warped_images.append(warped)
-        jacobians.append(jac)
-    return FeatureMatrix(entries, quad_weight=grid.cell_area), warped_images, jacobians
+        warped, jacs[idx] = warp_with_jacobian(img, field)
+        data[idx] = warped.data
+    entries = feature_columns(kind, grid, data)
+    return FeatureMatrix(entries, quad_weight=grid.cell_area), data, jacs

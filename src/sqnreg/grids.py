@@ -252,13 +252,15 @@ def gradient_central_adjoint(v: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Adjoint of ``gradient_central`` as a map intensities -> (m1, m2, 2).
 
     Satisfies ``<gradient_central(T), v> = <T, gradient_central_adjoint(v)>``
-    in the plain Euclidean inner products.
+    in the plain Euclidean inner products.  ``v`` may have leading axes,
+    ``(..., m1, m2, 2)``; each of its images is pulled back on its own.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape != (*grid.dims, 2):
-        raise GridError(f"expected shape {(*grid.dims, 2)}, got {v.shape}")
-    out = grad_axis_adjoint(v[..., 0], grid.spacing[0], axis=0)
-    out += grad_axis_adjoint(v[..., 1], grid.spacing[1], axis=1)
+    if v.shape[-3:] != (*grid.dims, 2):
+        raise GridError(f"expected shape (..., {grid.dims[0]}, {grid.dims[1]}, 2), "
+                        f"got {v.shape}")
+    out = grad_axis_adjoint(v[..., 0], grid.spacing[0], axis=-2)
+    out += grad_axis_adjoint(v[..., 1], grid.spacing[1], axis=-1)
     return out
 
 

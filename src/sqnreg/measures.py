@@ -26,7 +26,10 @@ Groupwise measures (functions of the feature-matrix spectrum):
 
 All gradients are taken through the actual discrete computation: bilinear
 warp, central-difference image gradients, global or pointwise
-normalizations, and the Gram-based SVD.
+normalizations, and the Gram-based SVD.  A groupwise evaluation warps image
+by image into one intensity array and one Jacobian array; its backward pass
+is one ``feature_adjoint`` call on the whole stack and one multiply by the
+Jacobians.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ class MeasureEval:
     The value and the subgradient flag come from the forward pass.  The
     gradients (K, m1, m2, 2) come from the backward pass.  For a groupwise
     kind it runs on the first access of ``grads`` and reuses what the
-    forward pass kept (warped images, warp Jacobians, the spectrum); that
+    forward pass kept (warped intensities, warp Jacobians, the spectrum); that
     state is dropped once the gradients exist, and an evaluation whose
     gradients are never read never pays for them.  A pairwise kind runs its
     backward pass with the forward pass (see ``_eval_pairwise``).
@@ -321,7 +324,7 @@ def _eval_pairwise(stack: ImageStack, fields, kind) -> MeasureEval:
 
 def _eval_groupwise(stack: ImageStack, fields, kind) -> MeasureEval:
     kind = resolve_measure(kind, stack)
-    fm, warped, jacs = assemble_with_chain(stack, fields, kind.feature)
+    fm, data, jacs = assemble_with_chain(stack, fields, kind.feature)
     svd = thin_svd(fm)
     negate = False
     flagged = False
@@ -337,10 +340,8 @@ def _eval_groupwise(stack: ImageStack, fields, kind) -> MeasureEval:
         grad_f = sigma_gradient(svd, coeffs)
         if negate:
             grad_f = -grad_f
-        grads = np.empty((stack.k, *stack.grid.dims, 2))
-        for idx in range(stack.k):
-            sens = feature_adjoint(kind.feature, warped[idx], grad_f[:, idx])
-            grads[idx] = sens[..., None] * jacs[idx]
-        return grads
+        sens = feature_adjoint(kind.feature, stack.grid, data, grad_f)
+        # the Jacobians are read once, so they take the gradients in place
+        return np.multiply(sens[..., None], jacs, out=jacs)
 
     return MeasureEval(float(value), backward, flagged)

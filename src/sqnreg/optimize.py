@@ -259,12 +259,11 @@ def _array_to_fields(grid: GridSpec, x: np.ndarray):
 
 
 def _project_gradient(grads: np.ndarray, constraint: str) -> np.ndarray:
+    """Project ``grads`` onto the gauge constraint in place and return it."""
     if constraint == "fix_first":
-        grads = grads.copy()
         grads[0] = 0.0
-        return grads
-    if constraint == "zero_mean":
-        return grads - mean_axis0(grads)[None, ...]
+    elif constraint == "zero_mean":
+        grads -= mean_axis0(grads)[None, ...]
     return grads
 
 
@@ -280,25 +279,21 @@ def objective_trial(spec: ObjectiveSpec, stack: ImageStack, fields):
     Returns ``(value, gradient, subgradient_flag)``, where ``gradient`` is a
     zero-argument callable that runs the backward pass from the state the
     forward pass kept and returns what ``objective`` returns as ``grads``,
-    bit for bit.
+    bit for bit.  It adds the regularizer gradient into the measure's
+    gradient array and projects that in place, so it is called at most once.
     """
     if isinstance(fields, np.ndarray):
         fields = _array_to_fields(stack.grid, fields)
     me = measure_eval(stack, list(fields), spec.measure)
-    if spec.mode == "groupwise":
-        reg_value, reg_gradient = reg_glo(fields, spec.regularizer)
-    else:
-        # the first image is the anchor of the sequential chain; it carries
-        # no regularization term of its own and gets a zero gradient row
-        reg_value, chain_gradient = reg_glo(fields[1:], spec.regularizer)
-
-        def reg_gradient():
-            grads = np.zeros((stack.k, *stack.grid.dims, 2))
-            grads[1:] = chain_gradient()
-            return grads
+    # the first image is the anchor of the sequential chain; it carries no
+    # regularization term of its own
+    regularized = slice(None) if spec.mode == "groupwise" else slice(1, None)
+    reg_value, reg_gradient = reg_glo(fields[regularized], spec.regularizer)
 
     def gradient():
-        return _project_gradient(me.grads + reg_gradient(), spec.constraint)
+        grads = me.grads
+        grads[regularized] += reg_gradient()
+        return _project_gradient(grads, spec.constraint)
 
     return me.value + reg_value, gradient, me.subgradient
 

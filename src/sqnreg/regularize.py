@@ -34,13 +34,12 @@ as ``grids.gradient_central`` does, and the adjoint with
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .accum import sorted_sum
+from .accum import field_sums, sorted_sum
 from .errors import RegularizerError
 from .grids import DisplacementField, GridSpec, grad_axis_adjoint
 
@@ -81,17 +80,6 @@ def _along(axis: int, index) -> tuple:
     if axis == 0:
         return (..., index, slice(None), slice(None))
     return (..., index, slice(None))
-
-
-def _field_sums(a: np.ndarray, field_ndim: int) -> np.ndarray:
-    """Sums over the last ``field_ndim`` axes, one per field.
-
-    Every field's block is contiguous and summed on its own, so each sum
-    rounds exactly like ``np.sum`` on that field alone.
-    """
-    lead = a.shape[: a.ndim - field_ndim]
-    blocks = a.reshape(-1, math.prod(a.shape[a.ndim - field_ndim :]))
-    return np.array([np.sum(b) for b in blocks]).reshape(lead)
 
 
 def _once(fn):
@@ -193,8 +181,8 @@ def _diffusion_value(grid: GridSpec, u: np.ndarray, alpha: float):
     _run(_diff_ops(grid, shape, uf, d1, d2))
     # squares of the entries that are not scratch, each field's block in the
     # order of a single-field array
-    value = (_field_sums(d1.reshape(shape)[..., :-1, :, :] ** 2, 3)
-             + _field_sums(d2.reshape(shape)[..., :-1, :] ** 2, 3))
+    value = (field_sums(d1.reshape(shape)[..., :-1, :, :] ** 2, 3)
+             + field_sums(d2.reshape(shape)[..., :-1, :] ** 2, 3))
 
     def grad():
         # not ``empty_like(u)``: the closure would keep ``u`` alive with the
@@ -229,7 +217,7 @@ def _elastic_grad(grid: GridSpec, strain: np.ndarray, tr: np.ndarray, mu: float,
 def _elastic_value(grid: GridSpec, u: np.ndarray, mu: float, lam: float, alpha: float):
     strain, tr = _elastic_strain(grid, u)
     density = mu * np.sum(strain**2, axis=(-2, -1)) + 0.5 * lam * tr**2
-    value = alpha * grid.cell_area * _field_sums(density, 2)
+    value = alpha * grid.cell_area * field_sums(density, 2)
     return value, _once(lambda: _elastic_grad(grid, strain, tr, mu, lam, alpha))
 
 

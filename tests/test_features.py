@@ -10,13 +10,11 @@ from sqnreg.features import (
     NgfFeature,
     assemble,
     feature_adjoint,
-    feature_column,
-    feature_intensity_normalized,
-    feature_ngf,
+    feature_columns,
     resolve_feature,
     stack_gradient_scale,
 )
-from sqnreg.grids import GridSpec, Image, gradient_central, zero_field
+from sqnreg.grids import GridSpec, Image, gradient_central, gradient_central_adjoint, zero_field
 from sqnreg.oracles import fd_gradient
 
 from conftest import random_image, relative_error, rng_for, smooth_random_field, stack_of
@@ -30,6 +28,71 @@ def unit_area_grid(m=8):
     return GridSpec((m, m), spacing=(1.0 / m, 1.0 / m))
 
 
+def column(kind, img):
+    """The feature column of one image."""
+    return feature_columns(kind, img.grid, img.data[None])[:, 0]
+
+
+def adjoint(kind, img, cot):
+    """``feature_adjoint`` of one image and one cotangent column."""
+    return feature_adjoint(kind, img.grid, img.data[None], cot[:, None])[0]
+
+
+# ---------------------------------------------------------------------------
+# per-image reference: the feature of one image and its adjoint, image by image
+
+
+def reference_column(kind, img):
+    w = img.grid.cell_area
+    if isinstance(kind, IntensityFeature):
+        nrm = float(np.sqrt(w * np.sum(img.data**2)))
+        return img.data.ravel() / nrm
+    g = gradient_central(img)
+    nrm = float(np.sqrt(w * np.sum(g**2) + kind.eta))
+    return np.concatenate([g[..., 0].ravel(), g[..., 1].ravel()]) / nrm
+
+
+def reference_adjoint(kind, img, cot):
+    w = img.grid.cell_area
+    if isinstance(kind, IntensityFeature):
+        t = img.data.ravel()
+        nrm = float(np.sqrt(w * np.sum(t**2)))
+        s = float(np.dot(t, cot))
+        return (cot / nrm - t * (w * s / nrm**3)).reshape(img.grid.dims)
+    g = gradient_central(img)
+    gvec = np.concatenate([g[..., 0].ravel(), g[..., 1].ravel()])
+    nrm = float(np.sqrt(w * np.sum(g**2) + kind.eta))
+    s = float(np.dot(gvec, cot))
+    cot_g = cot / nrm - gvec * (w * s / nrm**3)
+    n = img.grid.n_cells
+    vfield = np.stack(
+        [cot_g[:n].reshape(img.grid.dims), cot_g[n:].reshape(img.grid.dims)], axis=-1
+    )
+    return gradient_central_adjoint(vfield, img.grid)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("kind", [IntensityFeature(), NgfFeature(eta=0.03, relative=False)],
+                         ids=["intensity", "ngf"])
+def test_stack_kernels_match_per_image_reference_bitexact(kind, k):
+    rng = rng_for(21 + k)
+    g = GridSpec((7, 9), spacing=(0.3, 0.11))
+    data = rng.uniform(0.2, 1.5, size=(k, *g.dims))
+    cols = feature_columns(kind, g, data)
+    cot = rng.standard_normal(cols.shape)
+    sens = feature_adjoint(kind, g, data, cot)
+    assert cols.shape == ((2 if isinstance(kind, NgfFeature) else 1) * g.n_cells, k)
+    assert sens.shape == data.shape
+    for idx in range(k):
+        img = Image(g, data[idx])
+        assert np.array_equal(cols[:, idx], reference_column(kind, img))
+        assert np.array_equal(sens[idx], reference_adjoint(kind, img, cot[:, idx].copy()))
+    # a permuted stack gives permuted columns and adjoints, bit for bit
+    perm = rng.permutation(k)
+    assert np.array_equal(feature_columns(kind, g, data[perm]), cols[:, perm])
+    assert np.array_equal(feature_adjoint(kind, g, data[perm], cot[:, perm]), sens[perm])
+
+
 # ---------------------------------------------------------------------------
 # intensity-normalized features
 
@@ -37,16 +100,18 @@ def unit_area_grid(m=8):
 def test_constant_two_on_unit_area_gives_all_ones():
     g = unit_area_grid()
     img = Image(g, np.full(g.dims, 2.0))
-    col = feature_intensity_normalized(img)
+    col = column(IntensityFeature(), img)
     assert np.abs(col - 1.0).max() <= 1e-14
     assert quad_norm_sq(col, g.cell_area) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_image_is_degenerate():
     g = unit_area_grid()
-    img = Image(g, np.zeros(g.dims))
-    with pytest.raises(FeatureError, match="degenerate feature: zero image"):
-        feature_intensity_normalized(img)
+    rng = rng_for(1)
+    data = np.stack([random_image(g, rng).data, np.zeros(g.dims)])
+    for fn in (feature_columns, lambda *a: feature_adjoint(*a, np.zeros((g.n_cells, 2)))):
+        with pytest.raises(FeatureError, match="image 1: degenerate feature: zero image"):
+            fn(IntensityFeature(), g, data)
 
 
 @settings(max_examples=25, deadline=None)
@@ -55,7 +120,7 @@ def test_intensity_columns_have_unit_quadrature_norm(seed):
     rng = rng_for(seed)
     g = GridSpec((6, 9), spacing=(0.3, 0.11))
     img = random_image(g, rng, 0.2, 2.0)
-    col = feature_column(img, IntensityFeature())
+    col = column(IntensityFeature(), img)
     assert quad_norm_sq(col, g.cell_area) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -68,7 +133,7 @@ def test_ngf_norm_is_gradient_energy_over_stabilized_energy():
     g = unit_area_grid()
     img = random_image(g, rng)
     eta = 0.05
-    col = feature_ngf(img, eta)
+    col = column(NgfFeature(eta=eta, relative=False), img)
     grad = gradient_central(img)
     energy = g.cell_area * float(np.sum(grad**2))
     expected = energy / (energy + eta)
@@ -79,17 +144,14 @@ def test_ngf_norm_is_gradient_energy_over_stabilized_energy():
 def test_ngf_of_constant_image_is_zero_column():
     g = unit_area_grid()
     img = Image(g, np.full(g.dims, 0.7))
-    col = feature_ngf(img, 1e-2)
+    col = column(NgfFeature(eta=1e-2, relative=False), img)
     assert np.all(col == 0.0)
 
 
-def test_ngf_rejects_nonpositive_eta():
-    g = unit_area_grid()
-    img = Image(g, np.zeros(g.dims))
-    with pytest.raises(FeatureError):
-        feature_ngf(img, 0.0)
-    with pytest.raises(FeatureError):
-        NgfFeature(eta=-1.0)
+@pytest.mark.parametrize("eta", [0.0, -1.0, np.inf, np.nan])
+def test_ngf_rejects_nonpositive_or_nonfinite_eta(eta):
+    with pytest.raises(FeatureError, match="eta must be positive"):
+        NgfFeature(eta=eta)
 
 
 def test_relative_eta_resolution_uses_stack_gradient_scale():
@@ -105,11 +167,25 @@ def test_relative_eta_resolution_uses_stack_gradient_scale():
     assert kind2.eta == 1e-2
 
 
+def test_stack_gradient_scale_is_the_mean_gradient_magnitude():
+    rng = rng_for(5)
+    g = GridSpec((6, 9), spacing=(0.3, 0.11))
+    stack = stack_of(g, [random_image(g, rng).data for _ in range(3)])
+    per_image = [np.linalg.norm(gradient_central(img), axis=-1).sum() for img in stack]
+    assert stack_gradient_scale(stack) == pytest.approx(
+        sum(per_image) / (3 * g.n_cells), rel=1e-14
+    )
+    assert stack_gradient_scale(stack) == stack_gradient_scale(stack.permuted([2, 0, 1]))
+
+
 def test_unresolved_relative_eta_is_rejected_outside_assemble():
     g = unit_area_grid()
-    img = Image(g, np.ones(g.dims))
+    data = np.ones((2, *g.dims))
+    kind = NgfFeature(eta=1e-2, relative=True)
     with pytest.raises(FeatureError, match="relative"):
-        feature_column(img, NgfFeature(eta=1e-2, relative=True))
+        feature_columns(kind, g, data)
+    with pytest.raises(FeatureError, match="relative"):
+        feature_adjoint(kind, g, data, np.zeros((2 * g.n_cells, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +198,10 @@ def test_adjoint_of_orthogonal_cotangent_is_plain_rescaling():
     data = rng.uniform(0.2, 1.0, size=g.dims)
     data /= np.sqrt(g.cell_area * np.sum(data**2))  # unit L2 norm
     img = Image(g, data)
-    col = feature_intensity_normalized(img)
+    col = column(IntensityFeature(), img)
     cot = rng.standard_normal(col.size)
     cot -= col * np.dot(col, cot) / np.dot(col, col)
-    sens = feature_adjoint(IntensityFeature(), img, cot)
+    sens = adjoint(IntensityFeature(), img, cot)
     assert np.abs(sens - cot.reshape(g.dims)).max() <= 1e-12
 
 
@@ -133,24 +209,24 @@ def test_adjoint_of_orthogonal_cotangent_is_plain_rescaling():
 def test_feature_adjoint_matches_fd_oracle(kind):
     rng = rng_for(12)
     g = GridSpec((6, 6), spacing=(1.0 / 6, 1.0 / 6))
-    img = random_image(g, rng, 0.3, 1.2)
-    cot = rng.standard_normal(
-        2 * g.n_cells if isinstance(kind, NgfFeature) else g.n_cells
-    )
-    analytic = feature_adjoint(kind, img, cot)
+    data = rng.uniform(0.3, 1.2, size=(2, *g.dims))
+    cot = rng.standard_normal(feature_columns(kind, g, data).shape)
+    analytic = feature_adjoint(kind, g, data, cot)
 
     def objective(t):
-        return float(np.dot(cot, feature_column(Image(g, t), kind)))
+        return float(np.sum(cot * feature_columns(kind, g, t.reshape(data.shape))))
 
-    fd = fd_gradient(objective, img.data.copy(), step=1e-5)
+    fd = fd_gradient(objective, data.ravel(), step=1e-5)
     assert relative_error(analytic, fd) <= 1e-8
 
 
-def test_adjoint_cotangent_length_checked():
+def test_adjoint_cotangent_shape_checked():
     g = unit_area_grid()
-    img = Image(g, np.ones(g.dims))
-    with pytest.raises(FeatureError, match="cotangent length"):
-        feature_adjoint(IntensityFeature(), img, np.zeros(3))
+    data = np.ones((2, *g.dims))
+    with pytest.raises(FeatureError, match="cotangent shape"):
+        feature_adjoint(IntensityFeature(), g, data, np.zeros(3))
+    with pytest.raises(FeatureError, match="cotangent shape"):
+        feature_adjoint(IntensityFeature(), g, data, np.zeros((2, g.n_cells)))
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,18 @@ def test_gradient_adjoint_identity(seed):
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
+def test_gradient_adjoint_takes_leading_axes_bitexact():
+    rng = rng_for(3)
+    g = GridSpec((7, 6), spacing=(0.2, 0.4))
+    v = rng.standard_normal((2, 3, *g.dims, 2))
+    out = gradient_central_adjoint(v, g)
+    assert out.shape == (2, 3, *g.dims)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(out[idx], gradient_central_adjoint(v[idx], g))
+    with pytest.raises(GridError):
+        gradient_central_adjoint(v[..., :1], g)
+
+
 # ---------------------------------------------------------------------------
 # warping
 

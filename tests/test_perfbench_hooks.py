@@ -4,7 +4,8 @@ The tracer skips a name the package no longer has and reports every metric
 that needs it as absent, so a refactor that drops one would only make a
 per-layer metric disappear.  These checks make it a test failure instead.
 They also check that ``lbfgs`` is still reached where the tracer replaces
-it, and that every workload still gives ``run.py`` finite result values.
+it, that a traced solve of every workload passes the tracer's consistency
+check, and that every workload still gives ``run.py`` finite result values.
 """
 
 import dataclasses
@@ -104,3 +105,20 @@ def test_workload_gives_finite_result_values(name):
         report.fevals,
     ):
         assert isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_tiny_solve_is_consistent(name):
+    # the tracer counts one ``optimize.eval`` span per evaluation and, for a
+    # groupwise workload, one ``thin_svd`` and K warps per evaluation
+    w = dataclasses.replace(
+        workloads.WORKLOADS[name], k=3, dims=(16, 16), shift=2.0,
+        opts=dataclasses.replace(workloads.WORKLOADS[name].opts, levels=1, maxiter=3),
+    )
+    inst = workloads.build_instance(w, 1)
+    traced = tracer.Tracer(w.dims)
+    with traced:
+        report = traced.solve(0, multilevel_solve, w.spec, inst.stack, w.opts)
+    assert traced.missing == set()
+    assert report.fevals > 0
+    assert tracer.consistency_problems(traced, report, w) == []

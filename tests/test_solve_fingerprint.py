@@ -49,3 +49,10 @@ def test_several_workloads_print_one_line_each(script, monkeypatch, capsys):
     script.main(["--workload", *names, "--seed", "2"])
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"{n} seed=2 {script.fingerprint(script.WORKLOADS[n], 2)}" for n in names]
+
+
+def test_no_workload_fingerprints_every_workload(script, monkeypatch, capsys):
+    monkeypatch.setattr(script, "fingerprint", lambda workload, seed: f"k={workload.k}")
+    script.main(["--seed", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{n} seed=3 k={w.k}" for n, w in script.WORKLOADS.items()]
