@@ -102,7 +102,7 @@ def _cmd_register(args) -> int:
     warped = []
     for idx, (img, field) in enumerate(zip(stack, report.fields)):
         save_field(field, out / f"field_{idx:03d}.sqnfield")
-        wimg, _ = warp_with_jacobian(img, field, want_jac=False)
+        wimg, _ = warp_with_jacobian(img, field.u, want_jac=False)
         warped.append(wimg)
         save_pgm(wimg, out / f"warped_{idx:03d}.pgm")
     save_pgm(cut_view(warped, 1, mid), out / "cut_final.pgm")

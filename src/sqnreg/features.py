@@ -24,7 +24,8 @@ import numpy as np
 
 from .accum import field_sums, sorted_sum
 from .errors import FeatureError
-from .grids import GridSpec, ImageStack, gradient_central_adjoint, warp_with_jacobian
+from .grids import (GridSpec, ImageStack, displacement_array, gradient_central_adjoint,
+                    warp_with_jacobian)
 
 
 @dataclass(frozen=True)
@@ -178,28 +179,25 @@ def feature_adjoint(kind: FeatureMap, grid: GridSpec, data: np.ndarray,
 
 
 def assemble(stack: ImageStack, fields, kind: FeatureMap) -> FeatureMatrix:
-    """Feature matrix of the warped stack (column k = feature of image k warped)."""
-    fm, _, _ = assemble_with_chain(stack, fields, resolve_feature(kind, stack))
+    """Feature matrix of the warped stack; ``fields`` as in ``displacement_array``."""
+    u = displacement_array(stack, fields)
+    fm, _, _ = assemble_with_chain(stack, u, resolve_feature(kind, stack))
     return fm
 
 
-def assemble_with_chain(stack: ImageStack, fields, kind: FeatureMap):
-    """Like ``assemble`` but also returns the warped intensities and Jacobians.
+def assemble_with_chain(stack: ImageStack, u: np.ndarray, kind: FeatureMap):
+    """Like ``assemble`` on the array ``u`` (K, m1, m2, 2), but also returns
+    the warped intensities and Jacobians.
 
-    ``kind`` must be resolved (see ``resolve_feature``).  Each image is warped
-    on its own into one intensity array (K, m1, m2) and one Jacobian array
+    ``kind`` must be resolved (see ``resolve_feature``).  Image k is warped
+    by ``u[k]`` into one intensity array (K, m1, m2) and one Jacobian array
     (K, m1, m2, 2), which feed the chain rule of the groupwise measures.
     """
-    fields = list(fields)
-    if len(fields) != stack.k:
-        raise FeatureError(
-            f"stack has {stack.k} images but {len(fields)} fields were given"
-        )
     grid = stack.grid
     data = np.empty((stack.k, *grid.dims))
     jacs = np.empty((stack.k, *grid.dims, 2))
-    for idx, (img, field) in enumerate(zip(stack, fields)):
-        warped, jacs[idx] = warp_with_jacobian(img, field)
+    for idx, img in enumerate(stack):
+        warped, jacs[idx] = warp_with_jacobian(img, u[idx])
         data[idx] = warped.data
     entries = feature_columns(kind, grid, data)
     return FeatureMatrix(entries, quad_weight=grid.cell_area), data, jacs

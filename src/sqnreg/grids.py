@@ -7,7 +7,9 @@ Conventions used throughout the package:
   axis 0 and ``y0 + (j + 1/2) * h2`` along axis 1.
 * ``Image.data`` has shape ``(m1, m2)``; axis 0 is the first physical axis.
 * ``DisplacementField.u`` has shape ``(m1, m2, 2)`` and stores displacements
-  in physical units; a transform acts as ``y(x) = x + u(x)``.
+  in physical units; a transform acts as ``y(x) = x + u(x)``.  Inside the
+  package displacements are plain arrays, ``(m1, m2, 2)`` or ``(K, m1, m2,
+  2)``; ``DisplacementField`` is the I/O and report type.
 * Bilinear interpolation extends images outside the hull of cell centers by
   clamping the sample coordinate (nearest boundary value).
 """
@@ -154,6 +156,22 @@ class ImageStack:
         return ImageStack(tuple(self.images[i] for i in order))
 
 
+def displacement_array(stack: ImageStack, fields) -> np.ndarray:
+    """``fields`` as one float array (K, m1, m2, 2): that array itself, or a
+    list of K ``DisplacementField`` stacked.  The one check of field count,
+    grid and shape; the kernels behind it take the array."""
+    if not isinstance(fields, np.ndarray):
+        fields = list(fields)
+        if any(f.grid != stack.grid for f in fields):
+            raise GridError("a field is on a different grid than the stack")
+        fields = [f.u for f in fields]
+    u = np.asarray(fields, dtype=float)
+    if u.shape != (stack.k, *stack.grid.dims, 2):
+        raise GridError(f"displacements have shape {u.shape}, expected "
+                        f"{(stack.k, *stack.grid.dims, 2)} for {stack.k} images")
+    return u
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -161,22 +179,23 @@ class ImageStack:
 def _sample_core(data: np.ndarray, q1: np.ndarray, q2: np.ndarray, want_jac: bool):
     """Bilinear sample at fractional index coordinates with clamp extension.
 
+    ``data`` is (..., m1, m2); leading axes are sampled at the same points.
     Returns the sampled values and, if requested, the derivatives of the
     sample with respect to (q1, q2).  The derivative is set to zero wherever
     the unclamped coordinate lies outside the open interval (0, m-1); at the
     clamp boundary this picks one valid subgradient.
     """
-    m1, m2 = data.shape
+    m1, m2 = data.shape[-2:]
     qc1 = np.clip(q1, 0.0, m1 - 1.0)
     qc2 = np.clip(q2, 0.0, m2 - 1.0)
     i0 = np.minimum(np.floor(qc1).astype(np.intp), m1 - 2)
     j0 = np.minimum(np.floor(qc2).astype(np.intp), m2 - 2)
     t1 = qc1 - i0
     t2 = qc2 - j0
-    f00 = data[i0, j0]
-    f10 = data[i0 + 1, j0]
-    f01 = data[i0, j0 + 1]
-    f11 = data[i0 + 1, j0 + 1]
+    f00 = data[..., i0, j0]
+    f10 = data[..., i0 + 1, j0]
+    f01 = data[..., i0, j0 + 1]
+    f11 = data[..., i0 + 1, j0 + 1]
     w00 = (1.0 - t1) * (1.0 - t2)
     w10 = t1 * (1.0 - t2)
     w01 = (1.0 - t1) * t2
@@ -191,17 +210,17 @@ def _sample_core(data: np.ndarray, q1: np.ndarray, q2: np.ndarray, want_jac: boo
     return val, d1, d2
 
 
-def warp_with_jacobian(img: Image, field: DisplacementField, want_jac: bool = True):
+def warp_with_jacobian(img: Image, u: np.ndarray, want_jac: bool = True):
     """Resample ``img`` at ``x + u(x)`` for every cell center x.
 
-    Returns ``(warped_image, jac)`` where ``jac[i, j, a]`` is the derivative
-    of the warped intensity at cell (i, j) with respect to ``u[i, j, a]``
-    (``None`` when ``want_jac`` is false).  The index-space formulation
-    ``q = index + u / h`` keeps the zero-displacement warp bit-exact.
+    ``u`` (m1, m2, 2) is one field, e.g. a slice of a stack array; a
+    non-finite ``u`` raises ``GridError``.  Returns ``(warped_image, jac)``
+    where ``jac[i, j, a]`` is the derivative of the warped intensity at cell
+    (i, j) with respect to ``u[i, j, a]`` (``None`` when ``want_jac`` is
+    false).  ``q = index + u / h`` keeps the zero-displacement warp bit-exact.
     """
-    if img.grid != field.grid:
-        raise GridError("image and field grids differ")
-    u = field.u
+    if u.shape != (*img.grid.dims, 2):
+        raise GridError(f"field shape {u.shape} does not match grid dims {img.grid.dims}")
     if not np.all(np.isfinite(u)):
         raise GridError("invalid sample point")
     m1, m2 = img.grid.dims
@@ -305,16 +324,17 @@ def restrict_stack(stack: ImageStack) -> ImageStack:
     return ImageStack(tuple(restrict(img) for img in stack))
 
 
-def prolong(field: DisplacementField, fine: GridSpec) -> DisplacementField:
-    """Bilinearly resample a coarse field at the cell centers of ``fine``.
+def prolong(u: np.ndarray, coarse: GridSpec, fine: GridSpec) -> np.ndarray:
+    """Bilinearly resample displacements ``u`` (..., m1, m2, 2) on ``coarse``
+    at the cell centers of ``fine``, all fields and components in one call.
 
     Displacement values are physical and carried over unchanged; only the
     sampling locations change.
     """
-    coarse = field.grid
+    if u.shape[-3:] != (*coarse.dims, 2):
+        raise GridError(f"field shape {u.shape} does not match grid dims {coarse.dims}")
     pts = fine.cell_centers()
     q1 = (pts[..., 0] - coarse.origin[0]) / coarse.spacing[0] - 0.5
     q2 = (pts[..., 1] - coarse.origin[1]) / coarse.spacing[1] - 0.5
-    u0, _, _ = _sample_core(field.u[..., 0], q1, q2, want_jac=False)
-    u1, _, _ = _sample_core(field.u[..., 1], q1, q2, want_jac=False)
-    return DisplacementField(fine, np.stack([u0, u1], axis=-1))
+    val, _, _ = _sample_core(np.moveaxis(u, -1, -3), q1, q2, want_jac=False)
+    return np.ascontiguousarray(np.moveaxis(val, -3, -1))

@@ -50,6 +50,7 @@ from .features import (
 from .grids import (
     Image,
     ImageStack,
+    displacement_array,
     gradient_central,
     gradient_central_adjoint,
     warp_with_jacobian,
@@ -280,11 +281,8 @@ def resolve_measure(kind: MeasureKind, stack: ImageStack) -> MeasureKind:
         feature = resolve_feature(kind.feature, stack)
         kind = replace(kind, feature=feature)
     if isinstance(kind, LogDet) and kind.auto_jitter:
-        from .features import assemble
-        from .grids import zero_field
-
-        fields = [zero_field(stack.grid) for _ in range(stack.k)]
-        fm = assemble(stack, fields, kind.feature)
+        zero = np.zeros((stack.k, *stack.grid.dims, 2))
+        fm, _, _ = assemble_with_chain(stack, zero, kind.feature)
         trace = float(np.sum(thin_svd(fm).eigenvalues))
         kind = replace(kind, jitter=1e-8 * trace / stack.k, auto_jitter=False)
     return kind
@@ -293,27 +291,21 @@ def resolve_measure(kind: MeasureKind, stack: ImageStack) -> MeasureKind:
 def measure_eval(stack: ImageStack, fields, kind: MeasureKind) -> MeasureEval:
     """Evaluate a measure on a warped stack with gradients for every field.
 
-    Pairwise kinds run ``pair_chain`` over the warped stack (the sequential
-    data term); groupwise kinds go through the feature matrix.
-    ``CorrDev`` is negated here so that smaller is always better.
+    ``fields`` as in ``grids.displacement_array``.  Pairwise kinds run
+    ``pair_chain`` over the warped stack (the sequential data term); groupwise
+    kinds go through the feature matrix.  ``CorrDev`` is negated here so that
+    smaller is always better.
     """
-    fields = list(fields)
-    if len(fields) != stack.k:
-        raise MeasureError(f"stack has {stack.k} images but {len(fields)} fields")
+    u = displacement_array(stack, fields)
     if isinstance(kind, PAIRWISE_KINDS):
-        return _eval_pairwise(stack, fields, kind)
+        return _eval_pairwise(stack, u, kind)
     if isinstance(kind, GROUPWISE_KINDS):
-        return _eval_groupwise(stack, fields, kind)
+        return _eval_groupwise(stack, u, kind)
     raise MeasureError(f"unknown measure kind {kind!r}")
 
 
-def _eval_pairwise(stack: ImageStack, fields, kind) -> MeasureEval:
-    warped = []
-    jacs = []
-    for img, field in zip(stack, fields):
-        wimg, jac = warp_with_jacobian(img, field)
-        warped.append(wimg)
-        jacs.append(jac)
+def _eval_pairwise(stack: ImageStack, u: np.ndarray, kind) -> MeasureEval:
+    warped, jacs = zip(*(warp_with_jacobian(img, field) for img, field in zip(stack, u)))
     value, cotangents = pair_chain(kind, stack.grid, [pair_state(kind, w) for w in warped])
     # eager: a deferred backward would keep every pair's forward state alive
     # next to the regularizer's in ``optimize.objective_trial``, and that
@@ -322,9 +314,9 @@ def _eval_pairwise(stack: ImageStack, fields, kind) -> MeasureEval:
     return MeasureEval(float(value), lambda: grads)
 
 
-def _eval_groupwise(stack: ImageStack, fields, kind) -> MeasureEval:
+def _eval_groupwise(stack: ImageStack, u: np.ndarray, kind) -> MeasureEval:
     kind = resolve_measure(kind, stack)
-    fm, data, jacs = assemble_with_chain(stack, fields, kind.feature)
+    fm, data, jacs = assemble_with_chain(stack, u, kind.feature)
     svd = thin_svd(fm)
     negate = False
     flagged = False

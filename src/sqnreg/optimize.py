@@ -85,7 +85,8 @@ import numpy as np
 
 from .accum import block_dot, block_dot_plan, block_norm, mean_axis0
 from .errors import ConfigError, FeatureError, GridError, MeasureError, OptimError, SpectralError
-from .grids import DisplacementField, GridSpec, ImageStack, prolong, restrict_stack
+from .grids import (DisplacementField, GridSpec, ImageStack, displacement_array, prolong,
+                    restrict_stack)
 from .measures import (
     GROUPWISE_KINDS,
     PAIRWISE_KINDS,
@@ -254,10 +255,6 @@ class SolveReport(SolveCounts):
 # objective
 
 
-def _array_to_fields(grid: GridSpec, x: np.ndarray):
-    return [DisplacementField(grid, x[i]) for i in range(x.shape[0])]
-
-
 def _project_gradient(grads: np.ndarray, constraint: str) -> np.ndarray:
     """Project ``grads`` onto the gauge constraint in place and return it."""
     if constraint == "fix_first":
@@ -273,8 +270,8 @@ def _project_point(x: np.ndarray, constraint: str) -> np.ndarray:
     return x
 
 
-def objective_trial(spec: ObjectiveSpec, stack: ImageStack, fields):
-    """Forward pass of ``objective``: the value now, the gradients on demand.
+def objective_trial(spec: ObjectiveSpec, stack: ImageStack, x: np.ndarray):
+    """Forward pass of ``objective`` on the array ``x``: value now, gradients on demand.
 
     Returns ``(value, gradient, subgradient_flag)``, where ``gradient`` is a
     zero-argument callable that runs the backward pass from the state the
@@ -282,13 +279,11 @@ def objective_trial(spec: ObjectiveSpec, stack: ImageStack, fields):
     bit for bit.  It adds the regularizer gradient into the measure's
     gradient array and projects that in place, so it is called at most once.
     """
-    if isinstance(fields, np.ndarray):
-        fields = _array_to_fields(stack.grid, fields)
-    me = measure_eval(stack, list(fields), spec.measure)
+    me = measure_eval(stack, x, spec.measure)
     # the first image is the anchor of the sequential chain; it carries no
     # regularization term of its own
     regularized = slice(None) if spec.mode == "groupwise" else slice(1, None)
-    reg_value, reg_gradient = reg_glo(fields[regularized], spec.regularizer)
+    reg_value, reg_gradient = reg_glo(spec.regularizer, stack.grid, x[regularized])
 
     def gradient():
         grads = me.grads
@@ -304,7 +299,7 @@ def objective(spec: ObjectiveSpec, stack: ImageStack, fields):
     ``fields`` may be a list of ``DisplacementField`` or a raw array of shape
     (K, m1, m2, 2).  Returns ``(value, grads, subgradient_flag)``.
     """
-    value, gradient, subgradient = objective_trial(spec, stack, fields)
+    value, gradient, subgradient = objective_trial(spec, stack, displacement_array(stack, fields))
     return value, gradient(), subgradient
 
 
@@ -642,11 +637,12 @@ def lbfgs(
             rho_list.clear()
             p, slope = -grad, -(gnorm**2)
             ls = search(p, slope)
-        if not ls.ok and ls.reason != "budget":
-            counters.line_search_failures += 1
-        if ls.ev is None:
+        if not ls.ok:
             termination = "budget" if ls.reason == "budget" else "line_search_failure"
-            break
+            if termination == "line_search_failure":
+                counters.line_search_failures += 1
+            if ls.ev is None:
+                break
         x_new = project_point(x + ls.ev.alpha * p)
         s = x_new - x
         y = ls.ev.grad - grad
@@ -665,10 +661,7 @@ def lbfgs(
                 rho_list.pop(0)
         record(iteration, ls.ev.alpha, ls.ok, ls.ev.subgradient)
         if not ls.ok:
-            termination = "budget" if ls.reason == "budget" else "line_search_failure"
             break
-    else:
-        termination = "maxiter"
     if gnorm <= opts.gtol * max(1.0, gnorm0) and termination == "maxiter":
         termination = "gtol"
     return x, termination
@@ -752,8 +745,7 @@ def _component_objective(spec, stack, x, idx):
     kind = spec.measure
     grid = stack.grid
     left, right = (
-        [pair_state(kind, warp_with_jacobian(stack[j], DisplacementField(grid, x[j]),
-                                             want_jac=False)[0])]
+        [pair_state(kind, warp_with_jacobian(stack[j], x[j], want_jac=False)[0])]
         if 0 <= j < stack.k
         else []
         for j in (idx - 1, idx + 1)
@@ -761,10 +753,9 @@ def _component_objective(spec, stack, x, idx):
     pos = len(left)
 
     def fun(z):
-        u = DisplacementField(grid, z[0])
-        warped, jac = warp_with_jacobian(stack[idx], u)
+        warped, jac = warp_with_jacobian(stack[idx], z[0])
         value, cotangents = pair_chain(kind, grid, left + [pair_state(kind, warped)] + right)
-        rv, reg_gradient = reg_eval(spec.regularizer, u)
+        rv, reg_gradient = reg_eval(spec.regularizer, grid, z[0])
         value += rv
 
         def gradient():
@@ -816,8 +807,8 @@ def multilevel_solve(spec: ObjectiveSpec, stack: ImageStack, opts: SolveOptions)
 
     A level's state is one ``(K, m1, m2, 2)`` array, minimized through one
     ``_LevelMinimizer``: as a whole in groupwise mode, by
-    ``gauss_seidel_sweep`` in sequential mode.  It is prolonged field by
-    field to the next level.
+    ``gauss_seidel_sweep`` in sequential mode.  It is prolonged to the next
+    level in one ``prolong`` call; only the report wraps its fields.
     """
     t0 = time.perf_counter()
     pyramid = build_pyramid(stack, opts.levels)
@@ -836,13 +827,12 @@ def multilevel_solve(spec: ObjectiveSpec, stack: ImageStack, opts: SolveOptions)
         else:
             x = gauss_seidel_sweep(level_spec, level_stack, x, minimizer)
         if level + 1 < len(pyramid):
-            fine_grid = pyramid[level + 1].grid
-            x = np.stack([prolong(f, fine_grid).u for f in _array_to_fields(grid, x)])
+            x = prolong(x, grid, pyramid[level + 1].grid)
     return SolveReport(
         spec=spec,
         options=opts,
         traces=traces,
-        fields=_array_to_fields(pyramid[-1].grid, x),
+        fields=[DisplacementField(pyramid[-1].grid, u) for u in x],
         elapsed=time.perf_counter() - t0,
         **counters.counts(),
     )

@@ -41,7 +41,7 @@ import numpy as np
 
 from .accum import field_sums, sorted_sum
 from .errors import RegularizerError
-from .grids import DisplacementField, GridSpec, grad_axis_adjoint
+from .grids import GridSpec, grad_axis_adjoint
 
 
 @dataclass(frozen=True)
@@ -224,6 +224,9 @@ def _elastic_value(grid: GridSpec, u: np.ndarray, mu: float, lam: float, alpha: 
 def _stack_value_deferred(kind: RegKind, grid: GridSpec, u: np.ndarray):
     """Per-field values (shape ``u.shape[:-3]``) and a zero-argument callable
     for the gradients of ``u``, which reuses the differences of the value."""
+    if u.shape[-3:] != (*grid.dims, 2):
+        raise RegularizerError(f"u has shape {u.shape}, expected (..., {grid.dims[0]}, "
+                               f"{grid.dims[1]}, 2)")
     if isinstance(kind, Diffusion):
         return _diffusion_value(grid, u, kind.alpha)
     if isinstance(kind, Elastic):
@@ -231,29 +234,25 @@ def _stack_value_deferred(kind: RegKind, grid: GridSpec, u: np.ndarray):
     raise RegularizerError(f"unknown regularizer kind {kind!r}")
 
 
-def reg_eval(kind: RegKind, field: DisplacementField):
-    """Value and gradient of a regularizer on one displacement field.
+def reg_eval(kind: RegKind, grid: GridSpec, u: np.ndarray):
+    """Value and gradient of a regularizer on one field ``u`` (m1, m2, 2).
 
     Returns ``(value, gradient)``, where ``gradient`` is a zero-argument
     callable that computes the gradient on its first call.
     """
-    value, grad = _stack_value_deferred(kind, field.grid, field.u)
+    value, grad = _stack_value_deferred(kind, grid, u)
     return float(value), grad
 
 
-def reg_glo(fields, kind: RegKind):
-    """Sum of the regularizer over all fields of a stack.
+def reg_glo(kind: RegKind, grid: GridSpec, u: np.ndarray):
+    """Sum of the regularizer over the fields of a stack ``u`` (K, m1, m2, 2).
 
     Returns ``(value, gradient)``, where ``gradient`` is a zero-argument
-    callable that computes the per-field gradients, stacked along axis 0,
-    on its first call.  The value is accumulated order-canonically, so it is
-    exactly invariant under permutations of the stack.
+    callable that computes the (K, m1, m2, 2) gradients on its first call.
+    The value is accumulated order-canonically, so it is exactly invariant
+    under permutations of the stack.
     """
-    fields = list(fields)
-    grid = fields[0].grid
-    if any(f.grid != grid for f in fields):
-        raise RegularizerError("all fields of a stack must share one grid")
-    values, grads = _stack_value_deferred(kind, grid, np.stack([f.u for f in fields]))
+    values, grads = _stack_value_deferred(kind, grid, u)
     return sorted_sum(values), grads
 
 
@@ -283,10 +282,7 @@ def hessian_plan(kind: RegKind, grid: GridSpec, u: np.ndarray, out: np.ndarray,
     ignores ``work``.  ``u``, ``out`` and ``work`` are read and written in
     place, so they must have ``u``'s shape and be C-contiguous.
     """
-    shape = u.shape
-    if shape[-3:] != (*grid.dims, 2):
-        raise RegularizerError(f"u has shape {shape}, expected (..., {grid.dims[0]}, "
-                               f"{grid.dims[1]}, 2)")
+    shape = (*u.shape[:-3], *grid.dims, 2)
     uf, flat_out = _flat(u, shape, "u"), _flat(out, shape, "out")
     if isinstance(kind, Diffusion):
         if work is None:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqnreg.errors import FeatureError
+from sqnreg.errors import FeatureError, GridError
 from sqnreg.features import (
     FeatureMatrix,
     IntensityFeature,
@@ -249,7 +249,7 @@ def test_assemble_field_count_checked():
     rng = rng_for(1)
     g = unit_area_grid()
     stack = stack_of(g, [random_image(g, rng).data for _ in range(3)])
-    with pytest.raises(FeatureError, match="fields"):
+    with pytest.raises(GridError, match="for 3 images"):
         assemble(stack, [zero_field(g)], IntensityFeature())
 
 

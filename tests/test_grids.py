@@ -9,6 +9,7 @@ from sqnreg.grids import (
     GridSpec,
     Image,
     ImageStack,
+    displacement_array,
     gradient_central,
     gradient_central_adjoint,
     prolong,
@@ -65,6 +66,30 @@ def test_cell_centers_layout():
     assert c[0, 0, 1] == 0.0 and c[0, 2, 1] == 4.0
 
 
+def test_displacement_array_checks_count_grid_and_shape():
+    g = GridSpec((4, 5), spacing=(0.5, 0.25))
+    stack = ImageStack((Image(g, np.zeros((4, 5))), Image(g, np.ones((4, 5)))))
+    rng = rng_for(2)
+    fields = [DisplacementField(g, rng.standard_normal((4, 5, 2))) for _ in range(2)]
+    u = displacement_array(stack, fields)
+    assert u.shape == (2, 4, 5, 2)
+    assert np.array_equal(u, np.stack([f.u for f in fields]))
+    # a float array of the right shape is passed through without a copy
+    assert displacement_array(stack, u) is u
+    with pytest.raises(GridError, match=r"shape \(3, 4, 5, 2\), expected \(2, 4, 5, 2\)"):
+        displacement_array(stack, fields + [zero_field(g)])
+    with pytest.raises(GridError, match=r"shape \(1, 4, 5, 2\), expected \(2, 4, 5, 2\)"):
+        displacement_array(stack, fields[:1])
+    with pytest.raises(GridError, match=r"shape \(0,\)"):
+        displacement_array(stack, [])
+    other = GridSpec((4, 5), spacing=(1.0, 1.0))
+    with pytest.raises(GridError, match="different grid"):
+        displacement_array(stack, [fields[0], zero_field(other)])
+    for shape in ((3, 4, 5, 2), (2, 5, 4, 2), (2, 4, 5), (4, 5, 2)):
+        with pytest.raises(GridError, match="displacements have shape"):
+            displacement_array(stack, np.zeros(shape))
+
+
 # ---------------------------------------------------------------------------
 # bilinear interpolation, sampled by the warp
 
@@ -72,7 +97,7 @@ def test_cell_centers_layout():
 def sample_at(img, points):
     """Warp ``img`` so that every cell samples the physical point ``points[i, j]``."""
     u = np.asarray(points, dtype=float) - img.grid.cell_centers()
-    return warp_with_jacobian(img, DisplacementField(img.grid, u), want_jac=False)[0].data
+    return warp_with_jacobian(img, u, want_jac=False)[0].data
 
 
 def test_interp_center_of_2x2_square():
@@ -102,15 +127,15 @@ def test_interp_clamps_to_nearest_boundary_value():
 
 
 def test_interp_rejects_non_finite_points():
-    # the field's array is writable, so the warp checks its sample points
-    # again instead of trusting the construction-time check
+    # a solver's trial displacements are plain arrays, checked nowhere else,
+    # so the warp refuses non-finite sample points
     g = GridSpec((3, 3))
     img = Image(g, np.zeros((3, 3)))
     for bad in (np.nan, np.inf):
-        field = zero_field(g)
-        field.u[1, 1, 0] = bad
+        u = np.zeros((3, 3, 2))
+        u[1, 1, 0] = bad
         with pytest.raises(GridError, match="invalid sample point"):
-            warp_with_jacobian(img, field)
+            warp_with_jacobian(img, u)
 
 
 @settings(max_examples=25, deadline=None)
@@ -199,7 +224,7 @@ def test_warp_zero_displacement_is_bitexact_identity():
     rng = rng_for(5)
     g = GridSpec((9, 7), origin=(0.1, 0.2), spacing=(1.0 / 3, 1.0 / 7))
     img = random_image(g, rng)
-    out, _ = warp_with_jacobian(img, zero_field(g), want_jac=False)
+    out, _ = warp_with_jacobian(img, np.zeros((*g.dims, 2)), want_jac=False)
     assert np.array_equal(out.data, img.data)
 
 
@@ -209,23 +234,23 @@ def test_warp_shifts_ramp_by_one_cell():
     img = Image(g, c[..., 0].copy())
     u = np.zeros((8, 8, 2))
     u[..., 0] = g.spacing[0]
-    out, _ = warp_with_jacobian(img, DisplacementField(g, u), want_jac=False)
+    out, _ = warp_with_jacobian(img, u, want_jac=False)
     expected = c[..., 0] + g.spacing[0]
     assert np.abs(out.data[:-1, :] - expected[:-1, :]).max() <= 1e-12
     # last row samples outside the hull and clamps to the boundary value
     assert np.abs(out.data[-1, :] - c[-1, :, 0]).max() <= 1e-12
 
 
-def test_warp_rejects_grid_mismatch_and_nonfinite():
+def test_warp_rejects_wrong_shape_and_nonfinite():
     g = GridSpec((4, 4))
     img = Image(g, np.zeros((4, 4)))
-    other = zero_field(GridSpec((4, 4), spacing=(2.0, 2.0)))
-    with pytest.raises(GridError):
-        warp_with_jacobian(img, other, want_jac=False)
-    f = zero_field(g)
+    for shape in ((4, 5, 2), (4, 4), (1, 4, 4, 2)):
+        with pytest.raises(GridError, match="does not match grid dims"):
+            warp_with_jacobian(img, np.zeros(shape), want_jac=False)
+    with pytest.raises(GridError, match="invalid sample point"):
+        warp_with_jacobian(img, np.full((4, 4, 2), np.nan), want_jac=False)
     with pytest.raises(GridError):
         DisplacementField(g, np.full((4, 4, 2), np.nan))
-    del f
 
 
 def test_warp_jacobian_matches_fd_oracle():
@@ -235,11 +260,11 @@ def test_warp_jacobian_matches_fd_oracle():
     cvec = rng.standard_normal(g.dims)
     field = smooth_random_field(g, rng, amplitude=0.04)
     assert fd_safe_instance([img], [field])
-    warped, jac = warp_with_jacobian(img, field)
+    warped, jac = warp_with_jacobian(img, field.u)
     analytic = cvec[..., None] * jac
 
     def objective(u):
-        w, _ = warp_with_jacobian(img, DisplacementField(g, u), want_jac=False)
+        w, _ = warp_with_jacobian(img, u, want_jac=False)
         return float(np.sum(cvec * w.data))
 
     fd = fd_gradient(objective, field.u.copy(), step=1e-5)
@@ -251,7 +276,7 @@ def test_warp_jacobian_zero_in_clamped_regions():
     img = Image(g, np.arange(36.0).reshape(6, 6))
     u = np.zeros((6, 6, 2))
     u[..., 0] = 100.0  # everything samples beyond the top edge
-    _, jac = warp_with_jacobian(img, DisplacementField(g, u))
+    _, jac = warp_with_jacobian(img, u)
     assert np.all(jac[..., 0] == 0.0)
 
 
@@ -305,14 +330,13 @@ def test_smoothing_is_no_op_on_affine_data():
 def test_prolong_zero_is_zero_and_linear():
     coarse = GridSpec((8, 8), spacing=(0.25, 0.25))
     fine = GridSpec((16, 16), spacing=(0.125, 0.125))
-    z = prolong(zero_field(coarse), fine)
-    assert np.all(z.u == 0.0)
+    z = prolong(np.zeros((8, 8, 2)), coarse, fine)
+    assert z.shape == (16, 16, 2) and np.all(z == 0.0)
     rng = rng_for(23)
-    a = DisplacementField(coarse, rng.standard_normal((8, 8, 2)))
-    b = DisplacementField(coarse, rng.standard_normal((8, 8, 2)))
-    combo = DisplacementField(coarse, 2.0 * a.u - 3.0 * b.u)
-    lhs = prolong(combo, fine).u
-    rhs = 2.0 * prolong(a, fine).u - 3.0 * prolong(b, fine).u
+    a = rng.standard_normal((8, 8, 2))
+    b = rng.standard_normal((8, 8, 2))
+    lhs = prolong(2.0 * a - 3.0 * b, coarse, fine)
+    rhs = 2.0 * prolong(a, coarse, fine) - 3.0 * prolong(b, coarse, fine)
     assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -321,7 +345,52 @@ def test_prolong_reproduces_affine_fields_in_the_interior():
     fine = GridSpec((16, 16), spacing=(0.125, 0.125))
     cc = coarse.cell_centers()
     u = np.stack([0.3 * cc[..., 0] - 0.1, 0.2 * cc[..., 1] + 0.05], axis=-1)
-    out = prolong(DisplacementField(coarse, u), fine)
+    out = prolong(u, coarse, fine)
     fc = fine.cell_centers()
     expected = np.stack([0.3 * fc[..., 0] - 0.1, 0.2 * fc[..., 1] + 0.05], axis=-1)
-    assert np.abs(out.u - expected)[1:-1, 1:-1].max() <= 1e-12
+    assert np.abs(out - expected)[1:-1, 1:-1].max() <= 1e-12
+
+
+def prolong_reference(u, coarse, fine):
+    """Per-field, per-component bilinear prolongation, as a plain loop over
+    the planes of ``u`` (..., m1, m2, 2) with the clamp extension."""
+    pts = fine.cell_centers()
+    q1 = (pts[..., 0] - coarse.origin[0]) / coarse.spacing[0] - 0.5
+    q2 = (pts[..., 1] - coarse.origin[1]) / coarse.spacing[1] - 0.5
+    m1, m2 = coarse.dims
+    qc1, qc2 = np.clip(q1, 0.0, m1 - 1.0), np.clip(q2, 0.0, m2 - 1.0)
+    i0 = np.minimum(np.floor(qc1).astype(np.intp), m1 - 2)
+    j0 = np.minimum(np.floor(qc2).astype(np.intp), m2 - 2)
+    t1, t2 = qc1 - i0, qc2 - j0
+    flat = u.reshape(-1, m1, m2, 2)
+    out = np.empty((len(flat), *fine.dims, 2))
+    for f, field in enumerate(flat):
+        for c in range(2):
+            p = field[..., c]
+            out[f, ..., c] = ((1.0 - t1) * (1.0 - t2) * p[i0, j0]
+                              + t1 * (1.0 - t2) * p[i0 + 1, j0]
+                              + (1.0 - t1) * t2 * p[i0, j0 + 1]
+                              + t1 * t2 * p[i0 + 1, j0 + 1])
+    return out.reshape(*u.shape[:-3], *fine.dims, 2)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("dims", [(9, 7), (8, 8)], ids=["9x7", "8x8"])
+@pytest.mark.parametrize("spacing", [(0.45, 0.7), (2.0, 2.0)], ids=["h0.45x0.7", "h2"])
+def test_stack_prolong_matches_per_field_reference_bitexact(k, dims, spacing):
+    fine = GridSpec(dims, origin=(0.3, -0.2), spacing=spacing)
+    # the fine grid's edge cells (and the odd row of 9x7) lie outside the
+    # coarse hull, where the samples clamp
+    coarse = fine.coarsened()
+    u = rng_for(k).standard_normal((k, *coarse.dims, 2))
+    out = prolong(u, coarse, fine)
+    assert out.shape == (k, *dims, 2) and out.flags.c_contiguous
+    assert np.array_equal(out, prolong_reference(u, coarse, fine))
+    for idx in range(k):
+        assert np.array_equal(prolong(u[idx], coarse, fine), out[idx])
+
+
+def test_prolong_rejects_a_field_off_the_coarse_grid():
+    fine = GridSpec((8, 8))
+    with pytest.raises(GridError, match="does not match grid dims"):
+        prolong(np.zeros((2, 8, 8, 2)), fine.coarsened(), fine)

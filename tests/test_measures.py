@@ -337,7 +337,7 @@ def per_pair_reference(kind, images):
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_pair_chain_matches_per_pair_reference_bitexact(kind, k):
     stack, fields = fd_instance(20 + k, k=k)
-    warped = [warp_with_jacobian(img, f, want_jac=False)[0] for img, f in zip(stack, fields)]
+    warped = [warp_with_jacobian(img, f.u, want_jac=False)[0] for img, f in zip(stack, fields)]
     value, cotangents = pair_chain(kind, warped[0].grid, [pair_state(kind, w) for w in warped])
     ref_value, ref_cots = per_pair_reference(kind, warped)
     assert value == ref_value
@@ -359,7 +359,7 @@ def test_ngf_chain_takes_each_image_gradient_once(k, monkeypatch):
 
     monkeypatch.setattr(measures, "gradient_central", counted)
     stack, fields = fd_instance(20 + k, k=k)
-    warped = [warp_with_jacobian(img, f, want_jac=False)[0] for img, f in zip(stack, fields)]
+    warped = [warp_with_jacobian(img, f.u, want_jac=False)[0] for img, f in zip(stack, fields)]
     kind = NgfPair(eta_pt=3e-2)
     pair_chain(kind, warped[0].grid, [pair_state(kind, w) for w in warped])[1]()
     assert len(calls) == k
@@ -432,7 +432,7 @@ def test_pairwise_stack_eval_gradients_match_fd(kind):
 def test_pairwise_stack_value_is_sum_of_consecutive_pairs():
     stack, fields = fd_instance(7, k=4)
     ev = measure_eval(stack, fields, SsdPair())
-    warped = [warp_with_jacobian(img, f, want_jac=False)[0] for img, f in zip(stack, fields)]
+    warped = [warp_with_jacobian(img, f.u, want_jac=False)[0] for img, f in zip(stack, fields)]
     w = stack.grid.cell_area
     expected = sum(
         0.5 * w * float(np.sum((warped[i].data - warped[i - 1].data) ** 2))
@@ -504,5 +504,5 @@ def test_resolve_measure_materializes_relative_eta_and_auto_jitter():
 
 def test_field_count_mismatch_rejected():
     stack, fields = fd_instance(11, k=3)
-    with pytest.raises(MeasureError, match="fields"):
+    with pytest.raises(GridError, match=r"shape \(2, 8, 8, 2\), expected \(3, 8, 8, 2\)"):
         measure_eval(stack, fields[:2], SsdPair())

@@ -293,6 +293,31 @@ class TestObjective:
         assert value == pytest.approx(k - k**2, abs=1e-9)
         assert np.linalg.norm(grads) <= 1e-8
 
+    @pytest.mark.parametrize(
+        "measure, reg, mode",
+        [
+            (SchattenQ(q=4.0), Diffusion(alpha=1e-2), "groupwise"),
+            (CorrDev(feature=IntensityFeature()), Elastic(mu=1.0, lam=0.5, alpha=1e-2),
+             "groupwise"),
+            (NgfPair(eta_pt=1e-2), Diffusion(alpha=1e-2), "sequential"),
+            (SsdPair(), Elastic(mu=1.0, lam=0.5, alpha=1e-2), "sequential"),
+        ],
+        ids=["sqn4-diffusion", "corrdev-elastic", "ngf-diffusion", "ssd-elastic"],
+    )
+    def test_field_list_and_array_give_the_same_bits(self, measure, reg, mode):
+        # the public entry points take either form through one adapter
+        stack, fields = fd_instance(13, k=4)
+        x = np.stack([f.u for f in fields])
+        spec = ObjectiveSpec(measure, reg, mode=mode)
+        v_list, g_list, s_list = objective(spec, stack, fields)
+        v_arr, g_arr, s_arr = objective(spec, stack, x)
+        assert (v_list, s_list) == (v_arr, s_arr)
+        assert np.array_equal(g_list, g_arr)
+        me_list = measure_eval(stack, fields, measure)
+        me_arr = measure_eval(stack, x, measure)
+        assert me_list.value == me_arr.value
+        assert np.array_equal(me_list.grads, me_arr.grads)
+
     def test_groupwise_value_is_measure_plus_reg(self):
         stack, fields = fd_instance(2, k=3)
         spec = ObjectiveSpec(SchattenQ(q=4.0), Diffusion(alpha=1e-2), constraint="none")
@@ -300,7 +325,7 @@ class TestObjective:
         from sqnreg.regularize import reg_glo
 
         me = measure_eval(stack, fields, spec.measure)
-        rv, _ = reg_glo(fields, spec.regularizer)
+        rv, _ = reg_glo(spec.regularizer, stack.grid, np.stack([f.u for f in fields]))
         assert value == pytest.approx(me.value + rv, rel=1e-14)
 
     @pytest.mark.parametrize("reg", [Diffusion(alpha=1e-2), Elastic(mu=1.0, lam=0.5, alpha=1e-2)])
@@ -311,7 +336,7 @@ class TestObjective:
         spec = ObjectiveSpec(SsdPair(), reg, mode="sequential", constraint="none")
         value, grads, _ = objective(spec, stack, fields)
         me = measure_eval(stack, fields, spec.measure)
-        parts = [(v, g()) for v, g in (reg_eval(reg, f) for f in fields[1:])]
+        parts = [(v, g()) for v, g in (reg_eval(reg, f.grid, f.u) for f in fields[1:])]
         assert value == me.value + sorted_sum([v for v, _ in parts])
         assert np.array_equal(grads[0], me.grads[0])
         for k, (_, g) in enumerate(parts, start=1):
@@ -656,7 +681,7 @@ class TestValueFirstTrials:
         x = np.stack([f.u for f in fields])
         fun = _component_objective(spec, stack, x, 0)
         _, gradient, _ = fun(x[0:1])
-        expected = measure_eval(stack, fields, measure).grads[0] + reg_eval(reg, fields[0])[1]()
+        expected = measure_eval(stack, fields, measure).grads[0] + reg_eval(reg, stack.grid, x[0])[1]()
         assert np.array_equal(gradient()[0], expected)
 
     def test_no_gradient_for_trials_failing_sufficient_decrease(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sqnreg.accum import sorted_sum
 from sqnreg.errors import RegularizerError
-from sqnreg.grids import DisplacementField, GridSpec, gradient_central_adjoint, zero_field
+from sqnreg.grids import GridSpec, gradient_central_adjoint
 from sqnreg.oracles import fd_gradient
 from sqnreg.regularize import (
     Diffusion,
@@ -31,7 +31,7 @@ def grid16():
 def test_zero_field_has_zero_energy_and_gradient():
     g = grid16()
     for kind in (Diffusion(alpha=0.1), Elastic(mu=1.0, lam=0.5, alpha=0.1)):
-        v, grad = reg_eval(kind, zero_field(g))
+        v, grad = reg_eval(kind, g, np.zeros((*g.dims, 2)))
         assert v == 0.0
         assert np.all(grad() == 0.0)
 
@@ -41,9 +41,8 @@ def test_rigid_shift_costs_nothing():
     u = np.empty((*g.dims, 2))
     u[..., 0] = 0.3
     u[..., 1] = -0.1
-    field = DisplacementField(g, u)
-    assert reg_eval(Diffusion(alpha=0.5), field)[0] == 0.0
-    assert reg_eval(Elastic(mu=1.0, lam=0.7, alpha=0.5), field)[0] == 0.0
+    assert reg_eval(Diffusion(alpha=0.5), g, u)[0] == 0.0
+    assert reg_eval(Elastic(mu=1.0, lam=0.7, alpha=0.5), g, u)[0] == 0.0
 
 
 def test_diffusion_value_against_handwritten_sum():
@@ -61,7 +60,7 @@ def test_diffusion_value_against_handwritten_sum():
             for j in range(3):
                 total += ((u[i, j + 1, c] - u[i, j, c]) / 0.25) ** 2
     expected = 0.5 * alpha * g.cell_area * total
-    value, _ = reg_eval(Diffusion(alpha=alpha), DisplacementField(g, u))
+    value, _ = reg_eval(Diffusion(alpha=alpha), g, u)
     assert value == pytest.approx(expected, rel=1e-12)
 
 
@@ -70,7 +69,7 @@ def test_elastic_dilation_frozen_formula():
     c = g.cell_centers()
     eps, mu, lam, alpha = 0.01, 1.3, 0.6, 0.25
     u = eps * c  # uniform dilation about the origin
-    value, _ = reg_eval(Elastic(mu=mu, lam=lam, alpha=alpha), DisplacementField(g, u))
+    value, _ = reg_eval(Elastic(mu=mu, lam=lam, alpha=alpha), g, u)
     expected = alpha * (2.0 * mu * eps**2 + 2.0 * lam * eps**2) * g.domain_area
     assert value == pytest.approx(expected, rel=1e-10)
 
@@ -79,7 +78,7 @@ def test_elastic_ignores_linearized_rotation():
     g = grid16()
     c = g.cell_centers()
     u = np.stack([-0.01 * c[..., 1], 0.01 * c[..., 0]], axis=-1)
-    value, grad = reg_eval(Elastic(mu=1.0, lam=0.8, alpha=1.0), DisplacementField(g, u))
+    value, grad = reg_eval(Elastic(mu=1.0, lam=0.8, alpha=1.0), g, u)
     assert abs(value) <= 1e-14
     assert np.abs(grad()).max() <= 1e-12
 
@@ -91,10 +90,10 @@ def test_gradients_match_fd(kind):
     rng = rng_for(2)
     g = GridSpec((7, 6), spacing=(1.0 / 7, 1.0 / 6))
     field = smooth_random_field(g, rng, 0.05)
-    grad = reg_eval(kind, field)[1]()
+    grad = reg_eval(kind, g, field.u)[1]()
 
     def value_of(u):
-        return reg_eval(kind, DisplacementField(g, u))[0]
+        return reg_eval(kind, g, u)[0]
 
     fd = fd_gradient(value_of, field.u.copy(), step=1e-6)
     assert relative_error(grad, fd) <= 1e-8
@@ -109,11 +108,11 @@ def test_energy_is_quadratic_and_gradient_symmetric(seed):
     b = rng.standard_normal((6, 5, 2))
     t = float(rng.uniform(0.5, 3.0))
     for kind in (Diffusion(alpha=0.5), Elastic(mu=0.9, lam=0.2, alpha=0.5)):
-        va, ga = reg_eval(kind, DisplacementField(g, a))
+        va, ga = reg_eval(kind, g, a)
         ga = ga()
-        vt, _ = reg_eval(kind, DisplacementField(g, t * a))
+        vt, _ = reg_eval(kind, g, t * a)
         assert vt == pytest.approx(t**2 * va, rel=1e-10, abs=1e-14)
-        gb = reg_eval(kind, DisplacementField(g, b))[1]()
+        gb = reg_eval(kind, g, b)[1]()
         # symmetry of the underlying operator: <H a, b> == <a, H b>
         assert np.sum(ga * b) == pytest.approx(np.sum(a * gb), rel=1e-10, abs=1e-12)
         # positive semidefinite: <a, H a> = 2 value >= 0
@@ -126,7 +125,7 @@ def test_hessian_apply_equals_gradient():
     g = grid16()
     u = rng.standard_normal((*g.dims, 2))
     for kind in (Diffusion(alpha=0.2), Elastic(mu=1.0, lam=0.3, alpha=0.2)):
-        _, grad = reg_eval(kind, DisplacementField(g, u))
+        _, grad = reg_eval(kind, g, u)
         assert np.array_equal(reg_hessian_apply(kind, g, u), grad())
 
 
@@ -135,22 +134,26 @@ def test_reg_glo_sums_fields_and_is_permutation_invariant():
     g = grid16()
     fields = [smooth_random_field(g, rng, 0.1) for _ in range(5)]
     kind = Diffusion(alpha=0.15)
-    value, gradient = reg_glo(fields, kind)
+    u = np.stack([f.u for f in fields])
+    value, gradient = reg_glo(kind, g, u)
     grads = gradient()
-    singles = [reg_eval(kind, f)[0] for f in fields]
+    singles = [reg_eval(kind, g, uk)[0] for uk in u]
     assert value == pytest.approx(sum(singles), rel=1e-12)
     assert grads.shape == (5, 16, 16, 2)
     perm = [4, 2, 0, 3, 1]
-    value_p, gradient_p = reg_glo([fields[i] for i in perm], kind)
+    value_p, gradient_p = reg_glo(kind, g, u[perm])
     assert value_p == value  # exactly, thanks to canonical accumulation
     assert np.array_equal(gradient_p(), grads[perm])
 
 
-def test_reg_glo_rejects_fields_on_different_grids():
+def test_reg_glo_and_reg_eval_reject_fields_off_the_grid():
     g = grid16()
-    other = GridSpec((16, 16), spacing=(1.0 / 8, 1.0 / 16))
-    with pytest.raises(RegularizerError, match="share one grid"):
-        reg_glo([zero_field(g), zero_field(other)], Diffusion(alpha=0.1))
+    kind = Diffusion(alpha=0.1)
+    for shape in ((2, 16, 8, 2), (2, 8, 16, 2), (2, 16, 16), (2, 16, 16, 3)):
+        with pytest.raises(RegularizerError, match="u has shape"):
+            reg_glo(kind, g, np.zeros(shape))
+        with pytest.raises(RegularizerError, match="u has shape"):
+            reg_eval(kind, g, np.zeros(shape[1:]))
 
 
 def test_parameter_validation():
@@ -246,12 +249,12 @@ def test_stack_kernel_matches_per_field_reference_bitexact(kind, g):
         assert values[k] == v_ref
         assert np.array_equal(grads[k], g_ref)
         assert np.array_equal(hess[k], g_ref)
-        v_one, g_one = reg_eval(kind, DisplacementField(g, u[k]))
+        v_one, g_one = reg_eval(kind, g, u[k])
         assert v_one == v_ref
         assert np.array_equal(g_one(), g_ref)
-    value, grads_glo = reg_glo([DisplacementField(g, uk) for uk in u], kind)
+    value, grads_glo = reg_glo(kind, g, u)
     assert np.array_equal(grads_glo(), grads)
-    assert value == reg_glo([DisplacementField(g, uk) for uk in u[::-1]], kind)[0]
+    assert value == reg_glo(kind, g, u[::-1])[0]
     # a non-contiguous stack (reversed along grid axis 1, or in Fortran
     # order) gives the bits of the reference on its fields
     for v in (u[:, :, ::-1], np.asfortranarray(u)):
@@ -360,16 +363,15 @@ def test_hessian_plan_rejects_buffers_it_cannot_bind(kind):
 def test_gradient_callable_runs_once_bitexact(kind):
     g = odd_grid()
     u = random_stack(10, g, k=4)
-    fields = [DisplacementField(g, uk) for uk in u]
     values, grads = stack_value_grad(kind, g, u)
-    value, gradient = reg_glo(fields, kind)
+    value, gradient = reg_glo(kind, g, u)
     assert value == sorted_sum(values)
     first = gradient()
     assert np.array_equal(first, grads)
     # a second call returns the same gradients, not a recomputation from
     # state the first call consumed
     assert gradient() is first
-    v_one, g_one = reg_eval(kind, fields[2])
+    v_one, g_one = reg_eval(kind, g, u[2])
     assert v_one == values[2]
     assert np.array_equal(g_one(), grads[2])
 

@@ -26,7 +26,7 @@ class TestSynthStack:
 
     def test_truth_field_aligns_shifted_image(self):
         stack, truths = synth_stack(2, 3, "shifted_disks", (2.0, 1.0), dims=(32, 32))
-        warped, _ = warp_with_jacobian(stack[2], truths[2], want_jac=False)
+        warped, _ = warp_with_jacobian(stack[2], truths[2].u, want_jac=False)
         # outside the inflow band the warp must reproduce image 0 exactly
         assert np.array_equal(warped.data[:-4, :-2], stack[0].data[:-4, :-2])
 
