@@ -305,13 +305,20 @@ def measure_eval(stack: ImageStack, fields, kind: MeasureKind) -> MeasureEval:
 
 
 def _eval_pairwise(stack: ImageStack, u: np.ndarray, kind) -> MeasureEval:
-    warped, jacs = zip(*(warp_with_jacobian(img, field) for img, field in zip(stack, u)))
-    value, cotangents = pair_chain(kind, stack.grid, [pair_state(kind, w) for w in warped])
+    jacs = np.empty((stack.k, *stack.grid.dims, 2))
+    states = []
+    for idx, img in enumerate(stack):
+        # an NGF state replaces its warped image, which is let go here
+        warped, jacs[idx] = warp_with_jacobian(img, u[idx])
+        states.append(pair_state(kind, warped))
+    value, cotangents = pair_chain(kind, stack.grid, states)
     # eager: a deferred backward would keep every pair's forward state alive
     # next to the regularizer's in ``optimize.objective_trial``, and that
-    # raises the memory peak of ``objective`` above the solve's own
-    grads = np.stack([cot[..., None] * jac for cot, jac in zip(cotangents(), jacs)])
-    return MeasureEval(float(value), lambda: grads)
+    # raises the memory peak of ``objective`` above the solve's own.  The
+    # Jacobians are read once, so they take the gradients in place.
+    for jac, cot in zip(jacs, cotangents()):
+        jac *= cot[..., None]
+    return MeasureEval(float(value), lambda: jacs)
 
 
 def _eval_groupwise(stack: ImageStack, u: np.ndarray, kind) -> MeasureEval:

@@ -23,18 +23,25 @@ each solved field back into the level array in place.
 The solver is limited-memory BFGS with a strong Wolfe line search.  Its
 two-loop recursion is always seeded by running conjugate gradients on
 ``(H_reg + eps I) z = q``, where ``H_reg`` is the (constant) regularizer
-Hessian, applied to the whole stack at once, and ``eps = 1e-6 * alpha``.
-CG is truncated, not converged: at 64x64 it stops at ``CG_MAXITER = 200``
-with a relative residual of about 1.1, so the seed is a fixed polynomial in
-the metric rather than its inverse.  ``SolveReport.metric_solves_capped``
-counts the solves that stopped at the cap, and
-``SolveReport.metric_iterations`` sums the CG iterations.  Each metric solve
-allocates CG's vectors and the stencil's scratch once and binds a plan to
-them: the Hessian action on CG's direction (``regularize.hessian_plan``) and
-the two dots ``p·Bp`` and ``r·r`` (``accum.block_dot_plan``).  Every CG
-iteration then runs a fixed list of ufunc calls on those buffers, with the
-operations of ``reg_hessian_apply`` and ``block_dot`` in their order, so the
-iterates are the same bit for bit.  There is no identity seed.
+Hessian of the whole stack and ``eps = 1e-6 * alpha``.  CG is truncated, not
+converged: at 64x64 it stops at ``CG_MAXITER = 200`` with a relative
+residual of about 1.1, so the seed is a fixed polynomial in the metric
+rather than its inverse.  ``SolveReport.metric_solves_capped`` counts the
+solves that stopped at the cap, and ``SolveReport.metric_iterations`` sums
+the CG iterations.  There is no identity seed.
+
+For ``Diffusion`` CG runs in the cosine basis.  The forward-difference
+Hessian with natural boundary is diagonal in the orthonormal DCT-II basis,
+so a metric solve transforms ``q`` once, ``C1 q C2^T`` per field component,
+runs CG with ``B`` one elementwise multiply by the eigenvalues plus
+``eps``, and transforms the result back.  The basis is orthogonal, so CG's
+scalars and iterates are those of the pixel-basis CG up to rounding.  The
+transforms are batched over fields, never across them, which keeps solves
+bit-exactly permutation invariant.  ``Elastic`` is not diagonal in that
+basis; its CG runs in the pixel basis on a plan bound once per solve
+(``regularize.hessian_plan``).  CG binds its two dots ``p·Bp`` and ``r·r``
+once per solve too (``accum.block_dot_plan``), so every CG iteration runs
+the same calls on the same buffers.
 
 The line search brackets a strong Wolfe step (``WOLFE_C1``, ``WOLFE_C2``)
 and zooms in with safeguarded quadratic interpolation (Nocedal & Wright,
@@ -96,7 +103,7 @@ from .measures import (
     pair_state,
     resolve_measure,
 )
-from .regularize import RegKind, hessian_plan, reg_eval, reg_glo
+from .regularize import Diffusion, RegKind, hessian_plan, reg_eval, reg_glo
 
 # Not called here: perfbench's tracer recomputes each metric solve's residual
 # with ``optimize.reg_hessian_apply``, and tests/test_perfbench_hooks.py
@@ -350,16 +357,74 @@ def _cg_solve(bind_b, rhs: np.ndarray, tol: float, maxiter: int):
     return x, iterations, math.sqrt(max(rs, 0.0)) / rhs_norm
 
 
+def _cosine_matrix(m: int) -> np.ndarray:
+    """The orthonormal DCT-II matrix ``C[k, i] = s_k cos(pi k (i + 1/2) / m)``."""
+    k = np.arange(m)[:, None]
+    c = math.sqrt(2.0 / m) * np.cos(math.pi / m * k * (np.arange(m) + 0.5))
+    c[0] = math.sqrt(1.0 / m)
+    return c
+
+
+def _cosine_metric(reg_kind: Diffusion, grid: GridSpec, eps: float):
+    """``H_reg + eps I`` of ``Diffusion`` in the cosine basis.
+
+    Returns ``(C1, C2, lam)``: for every field component ``u`` (m1, m2),
+    ``(H_reg + eps I) u = C1^T (lam * (C1 u C2^T)) C2``.  The forward
+    differences with natural boundary have the eigenvalues
+    ``(2 / h sin(pi k / 2m))**2`` on each axis (Fischer & Modersitzki, "Fast
+    diffusion registration", 2002).
+    """
+    c1, c2 = (_cosine_matrix(m) for m in grid.dims)
+    w1, w2 = ((2.0 / h * np.sin(math.pi / (2 * m) * np.arange(m))) ** 2
+              for m, h in zip(grid.dims, grid.spacing))
+    lam = reg_kind.alpha * grid.cell_area * (w1[:, None] + w2[None, :]) + eps
+    return c1, c2, lam
+
+
 def _make_metric_solve(reg_kind: RegKind, grid: GridSpec, eps_rel: float,
                        counters: _Counters):
     eps = eps_rel * reg_kind.alpha
 
+    def cg(bind_b, rhs):
+        z, iterations, residual = _cg_solve(bind_b, rhs, CG_TOL, CG_MAXITER)
+        counters.metric_solves += 1
+        counters.metric_iterations += iterations
+        if iterations == CG_MAXITER and residual > CG_TOL:
+            counters.metric_solves_capped += 1
+        return z
+
+    if isinstance(reg_kind, Diffusion):
+        c1, c2, lam = _cosine_metric(reg_kind, grid, eps)
+
+        def cosine_solve(q: np.ndarray) -> np.ndarray:
+            # one (m1, m2) transform per field component, batched over
+            # (K, 2): no product mixes two fields, so the bits of a field do
+            # not depend on its place in the stack
+            qt = np.ascontiguousarray(q.transpose(0, 3, 1, 2))
+            np.matmul(np.matmul(c1, qt), c2.T, out=qt)
+            spent = []
+
+            def bind_b(p, bp):
+                spent[:] = p, bp
+                return partial(np.multiply, p, lam, out=bp)
+
+            zt = cg(bind_b, qt)
+            if not spent:  # q = 0: CG returned zeros before binding
+                return np.zeros(q.shape)
+            # back to the pixel basis through CG's direction buffers; the
+            # result takes zt's memory in q's layout
+            p, bp = spent
+            np.matmul(np.matmul(c1.T, zt, out=p), c2, out=bp)
+            z = zt.reshape(q.shape)
+            np.copyto(z, bp.transpose(0, 2, 3, 1))
+            return z
+
+        return cosine_solve
+
     def solve(q: np.ndarray) -> np.ndarray:
         def bind_b(p: np.ndarray, bp: np.ndarray):
-            # the stencil's scratch; its first array then holds eps * p
-            work = (np.empty(q.shape), np.empty(q.shape))
-            hessian = hessian_plan(reg_kind, grid, p, bp, work)
-            shift = work[0]
+            hessian = hessian_plan(reg_kind, grid, p, bp)
+            shift = np.empty(q.shape)
 
             def apply_b():
                 hessian()
@@ -367,12 +432,7 @@ def _make_metric_solve(reg_kind: RegKind, grid: GridSpec, eps_rel: float,
 
             return apply_b
 
-        z, iterations, residual = _cg_solve(bind_b, q, CG_TOL, CG_MAXITER)
-        counters.metric_solves += 1
-        counters.metric_iterations += iterations
-        if iterations == CG_MAXITER and residual > CG_TOL:
-            counters.metric_solves_capped += 1
-        return z
+        return cg(bind_b, q)
 
     return solve
 

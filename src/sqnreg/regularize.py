@@ -266,8 +266,7 @@ def _flat(a: np.ndarray, shape: tuple, name: str) -> np.ndarray:
     return a.reshape(-1)
 
 
-def hessian_plan(kind: RegKind, grid: GridSpec, u: np.ndarray, out: np.ndarray,
-                 work=None):
+def hessian_plan(kind: RegKind, grid: GridSpec, u: np.ndarray, out: np.ndarray):
     """The Hessian action ``out = H u``, bound once to the caller's buffers.
 
     ``u`` is one field (m1, m2, 2) or a stack of them (K, m1, m2, 2) on
@@ -277,17 +276,14 @@ def hessian_plan(kind: RegKind, grid: GridSpec, u: np.ndarray, out: np.ndarray,
     on every iteration.  For ``Diffusion`` every flat view, boundary slice,
     step and scratch array of the stencil is bound here, and a call runs the
     fixed list of ufunc calls that the value and gradient run, in the same
-    order; ``work`` may give the two scratch arrays, shaped like ``u``, which
-    are allocated otherwise.  ``Elastic`` binds its gradient kernel and
-    ignores ``work``.  ``u``, ``out`` and ``work`` are read and written in
-    place, so they must have ``u``'s shape and be C-contiguous.
+    order.  ``Elastic`` binds its gradient kernel.  ``u`` and ``out`` are
+    read and written in place, so they must have ``u``'s shape and be
+    C-contiguous.
     """
     shape = (*u.shape[:-3], *grid.dims, 2)
     uf, flat_out = _flat(u, shape, "u"), _flat(out, shape, "out")
     if isinstance(kind, Diffusion):
-        if work is None:
-            work = (np.empty(shape), np.empty(shape))
-        d1, d2 = (_flat(w, shape, f"work[{i}]") for i, w in enumerate(work))
+        d1, d2 = np.empty(uf.size), np.empty(uf.size)
         ops = (_diff_ops(grid, shape, uf, d1, d2)
                + _grad_ops(grid, shape, d1, d2, kind.alpha, flat_out, part=d1))
         return partial(_run, ops)
@@ -304,7 +300,9 @@ def reg_hessian_apply(kind: RegKind, grid: GridSpec, u: np.ndarray) -> np.ndarra
     non-contiguous ``u`` is copied once.  Both regularizers are quadratic,
     so the Hessian action equals the gradient evaluated at ``u``; the energy
     value is not computed.  This is ``hessian_plan`` bound once and run once
-    into a new array; the metric solve binds its own plan instead.
+    into a new array.  The elastic metric solve binds its own plan; the
+    diffusion metric solve applies the Hessian in the cosine basis, where it
+    is diagonal.
     """
     u = np.ascontiguousarray(u)
     out = np.empty_like(u)

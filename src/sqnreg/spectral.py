@@ -21,6 +21,7 @@ on the sign of a column of V, so no sign convention is imposed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,10 +78,19 @@ def _validate(fm: FeatureMatrix):
         raise SpectralError(f"feature matrix must be tall, got shape {(n, k)}")
 
 
+@lru_cache(maxsize=8)
+def _probe(n: int) -> np.ndarray:
+    """The fixed direction that ``_canonical_order`` projects columns of
+    length ``n`` on; read-only, because every call shares it."""
+    probe = np.random.default_rng(np.random.SeedSequence([0x5EED, n])).standard_normal(n)
+    probe.flags.writeable = False
+    return probe
+
+
 def _canonical_order(entries: np.ndarray) -> np.ndarray:
     """Content-based column order, identical for any input permutation."""
     n, k = entries.shape
-    probe = np.random.default_rng(np.random.SeedSequence([0x5EED, n])).standard_normal(n)
+    probe = _probe(n)
     keys = np.array([np.dot(probe, np.ascontiguousarray(entries[:, j])) for j in range(k)])
     order = np.argsort(keys, kind="stable")
     # refine groups of equal probe keys by full lexicographic comparison

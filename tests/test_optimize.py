@@ -28,6 +28,7 @@ from sqnreg.optimize import (
     _LevelMinimizer,
     _cg_solve,
     _component_objective,
+    _cosine_metric,
     _make_metric_solve,
     _strong_wolfe,
     _zoom_trial,
@@ -42,7 +43,7 @@ from sqnreg.oracles import fd_gradient
 from sqnreg.regularize import Diffusion, Elastic, reg_eval, reg_hessian_apply
 from sqnreg.synth import synth_stack
 
-from conftest import fd_instance, rng_for, stack_of
+from conftest import fd_instance, relative_error, rng_for, stack_of
 
 
 def quadratic_target(a):
@@ -574,13 +575,18 @@ def textbook_cg(reg, grid, q, eps):
     return x, iteration
 
 
+METRIC_GRID = GridSpec((10, 7), spacing=(0.1, 0.15))
+
+
 class TestMetricSolve:
+    # the elastic metric solve runs CG in the pixel basis, with the
+    # operations of the textbook loop; ``id`` keeps the case names
     @pytest.mark.parametrize("k", [1, 4])
-    @pytest.mark.parametrize("reg", [Diffusion(alpha=1e-2), Elastic(mu=1.0, lam=0.5, alpha=1e-2)])
+    @pytest.mark.parametrize("reg", [pytest.param(Elastic(mu=1.0, lam=0.5, alpha=1e-2), id="reg1")])
     def test_stack_apply_equals_per_field_loop_bitexact(self, reg, k):
         # k = 1 is the shape of a sequential component solve
         rng = rng_for(21)
-        grid = GridSpec((10, 7), spacing=(0.1, 0.15))
+        grid = METRIC_GRID
         q = rng.standard_normal((k, *grid.dims, 2))
         eps_rel = SolveOptions().metric_eps_rel
         want, iterations = textbook_cg(reg, grid, q, eps_rel * reg.alpha)
@@ -588,6 +594,45 @@ class TestMetricSolve:
         got = _make_metric_solve(reg, grid, eps_rel, counters)(q)
         assert np.array_equal(got, want)
         assert (counters.metric_solves, counters.metric_iterations) == (1, iterations)
+
+    def test_cosine_operator_is_the_diffusion_metric(self):
+        reg = Diffusion(alpha=1e-2)
+        eps = SolveOptions().metric_eps_rel * reg.alpha
+        c1, c2, lam = _cosine_metric(reg, METRIC_GRID, eps)
+        for c in (c1, c2):
+            assert np.allclose(c @ c.T, np.eye(len(c)), rtol=0.0, atol=1e-14)
+        u = rng_for(23).standard_normal((3, *METRIC_GRID.dims, 2))
+        # per field component: C1^T (lam * (C1 u C2^T)) C2
+        got = np.einsum("ai,bj,ab,ak,bl,nklc->nijc", c1, c2, lam, c1, c2, u)
+        want = reg_hessian_apply(reg, METRIC_GRID, u) + eps * u
+        assert relative_error(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_cosine_solve_matches_textbook_cg(self, k):
+        # on this grid CG converges, so both solve the same system to CG_TOL
+        reg = Diffusion(alpha=1e-2)
+        q = rng_for(21).standard_normal((k, *METRIC_GRID.dims, 2))
+        eps_rel = SolveOptions().metric_eps_rel
+        want, iterations = textbook_cg(reg, METRIC_GRID, q, eps_rel * reg.alpha)
+        assert iterations < CG_MAXITER
+        counters = _Counters()
+        got = _make_metric_solve(reg, METRIC_GRID, eps_rel, counters)(q)
+        assert got.shape == q.shape and got.flags.c_contiguous
+        assert relative_error(got, want) <= 1e-9
+        assert counters.metric_solves == 1
+        assert 0 < counters.metric_iterations < CG_MAXITER
+        assert counters.metric_solves_capped == 0
+        # a zero right-hand side ends CG before it binds its buffers
+        assert np.array_equal(_make_metric_solve(reg, METRIC_GRID, eps_rel, counters)(0.0 * q),
+                              np.zeros(q.shape))
+
+    def test_cosine_solve_permutes_with_the_fields_bitexact(self):
+        reg = Diffusion(alpha=1e-2)
+        q = rng_for(24).standard_normal((4, *METRIC_GRID.dims, 2))
+        solve = _make_metric_solve(reg, METRIC_GRID, SolveOptions().metric_eps_rel, _Counters())
+        z = solve(q)
+        for perm in ([3, 2, 1, 0], [1, 3, 0, 2]):
+            assert np.array_equal(solve(q[perm]), z[perm])
 
     def test_cg_reports_iterations_and_residual(self):
         rng = rng_for(22)
