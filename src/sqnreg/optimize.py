@@ -34,14 +34,14 @@ For ``Diffusion`` CG runs in the cosine basis.  The forward-difference
 Hessian with natural boundary is diagonal in the orthonormal DCT-II basis,
 so a metric solve transforms ``q`` once, ``C1 q C2^T`` per field component,
 runs CG with ``B`` one elementwise multiply by the eigenvalues plus
-``eps``, and transforms the result back.  The basis is orthogonal, so CG's
-scalars and iterates are those of the pixel-basis CG up to rounding.  The
-transforms are batched over fields, never across them, which keeps solves
-bit-exactly permutation invariant.  ``Elastic`` is not diagonal in that
-basis; its CG runs in the pixel basis on a plan bound once per solve
-(``regularize.hessian_plan``).  CG binds its two dots ``p·Bp`` and ``r·r``
-once per solve too (``accum.block_dot_plan``), so every CG iteration runs
-the same calls on the same buffers.
+``eps``, and transforms the result back, ``C1^T z C2``.  The basis is
+orthogonal, so CG's scalars and iterates are those of the pixel-basis CG up
+to rounding.  The transforms are batched over fields, never across them,
+which keeps solves bit-exactly permutation invariant.  ``Elastic`` is not
+diagonal in that basis; its CG runs in the pixel basis on a plan bound once
+per solve (``regularize.hessian_plan``).  CG binds its two dots ``p·Bp``
+and ``r·r`` once per solve too (``accum.block_dot_plan``), so every CG
+iteration runs the same calls on the same buffers.
 
 The line search brackets a strong Wolfe step (``WOLFE_C1``, ``WOLFE_C2``)
 and zooms in with safeguarded quadratic interpolation (Nocedal & Wright,
@@ -164,7 +164,8 @@ class SolveOptions:
     ``max(1, |g_0|)``.  ``max_fevals`` caps the
     objective evaluations of the whole solve; None means no cap.  The metric
     seed solves ``(H_reg + eps I) z = q`` with ``eps = metric_eps_rel *
-    alpha``.  The rest of the solver policy is the module constants.
+    alpha``, where ``metric_eps_rel`` is finite and positive.  The rest of
+    the solver policy is the module constants.
     """
 
     levels: int = 1
@@ -183,6 +184,8 @@ class SolveOptions:
             raise ConfigError(f"gtol must be finite and >= 0, got {self.gtol}")
         if self.max_fevals is not None and self.max_fevals < 1:
             raise ConfigError(f"max_fevals must be >= 1 or None, got {self.max_fevals}")
+        if not (math.isfinite(self.metric_eps_rel) and self.metric_eps_rel > 0):
+            raise ConfigError(f"metric_eps_rel must be finite and > 0, got {self.metric_eps_rel}")
 
 
 @dataclass
@@ -402,22 +405,9 @@ def _make_metric_solve(reg_kind: RegKind, grid: GridSpec, eps_rel: float,
             # not depend on its place in the stack
             qt = np.ascontiguousarray(q.transpose(0, 3, 1, 2))
             np.matmul(np.matmul(c1, qt), c2.T, out=qt)
-            spent = []
-
-            def bind_b(p, bp):
-                spent[:] = p, bp
-                return partial(np.multiply, p, lam, out=bp)
-
-            zt = cg(bind_b, qt)
-            if not spent:  # q = 0: CG returned zeros before binding
-                return np.zeros(q.shape)
-            # back to the pixel basis through CG's direction buffers; the
-            # result takes zt's memory in q's layout
-            p, bp = spent
-            np.matmul(np.matmul(c1.T, zt, out=p), c2, out=bp)
-            z = zt.reshape(q.shape)
-            np.copyto(z, bp.transpose(0, 2, 3, 1))
-            return z
+            zt = cg(lambda p, bp: partial(np.multiply, p, lam, out=bp), qt)
+            z = np.matmul(np.matmul(c1.T, zt), c2)
+            return np.ascontiguousarray(z.transpose(0, 2, 3, 1))
 
         return cosine_solve
 

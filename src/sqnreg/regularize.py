@@ -12,21 +12,10 @@ axes, so one call serves a single field or a whole stack
 single-field computation, and per-field energies are summed field by field,
 so stack results are bit-identical to per-field results.
 
-The diffusion value, its deferred gradient and the Hessian action share one
-flat stencil.  On the C-ordered buffer of the whole stack, grid neighbors
-along axis 0 are ``2 * m2`` entries apart and along axis 1 two entries, so
-each forward difference, and the inner part of each adjoint difference, is
-one contiguous pass over the flat buffer shifted by that many entries.  A
-difference whose neighbor lies in the next row or the next field (the last
-row or last column of a field) is scratch: the values are summed over views
-that leave it out, and where the adjoint pass reads it, it writes the first
-or last row or column, which are then overwritten slice by slice.  So every
-result entry is computed from the same operands by the same operations in
-the same order as in the per-field slicing code, and the bits are equal.
-The stencil is built as lists of ``(ufunc, x, y, out)`` calls on views of
-the flat buffers (``_diff_ops``, ``_grad_ops``).  The value and the
-gradient run their list once; ``hessian_plan`` binds both lists once to an
-iterative solver's buffers and reruns them on every call.
+The diffusion value divides the forward differences along each grid axis
+(``np.diff``) by the spacing.  Its deferred gradient divides them once more
+and applies the adjoint difference with three slices per axis
+(``_diff_adjoint``).
 The elastic kernels take their central differences with ``np.gradient``,
 as ``grids.gradient_central`` does, and the adjoint with
 ``grids.grad_axis_adjoint``; the field axes are batch axes.
@@ -35,7 +24,6 @@ as ``grids.gradient_central`` does, and the adjoint with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -75,13 +63,6 @@ class Elastic:
 RegKind = Diffusion | Elastic
 
 
-def _along(axis: int, index) -> tuple:
-    """Index ``index`` along grid axis 0 or 1 of an array (..., m1, m2, 2)."""
-    if axis == 0:
-        return (..., index, slice(None), slice(None))
-    return (..., index, slice(None))
-
-
 def _once(fn):
     """A zero-argument callable that runs ``fn`` on its first call, returns
     that result on every call and then lets go of ``fn``'s state."""
@@ -96,100 +77,35 @@ def _once(fn):
     return call
 
 
-def _run(ops):
-    """Run the ``(ufunc, x, y, out)`` calls of a stencil builder in order."""
-    for ufunc, x, y, out in ops:
-        ufunc(x, y, out)
+def _diff_adjoint(d: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """``out = D^T d`` for the forward difference ``D`` along ``axis``.
 
-
-def _divide_ops(a: np.ndarray, h: float) -> list:
-    """The calls of ``a /= h`` in place: none for ``h = 1``, where division
-    is the identity."""
-    return [] if h == 1.0 else [(np.divide, a, h, a)]
-
-
-def _step(shape: tuple, axis: int) -> int:
-    """Entries between grid neighbors along ``axis`` in a C-ordered buffer of
-    ``shape`` (..., m1, m2, 2)."""
-    return 2 * shape[-2] if axis == 0 else 2
-
-
-def _diff_ops(grid: GridSpec, shape: tuple, uf: np.ndarray, d1: np.ndarray,
-              d2: np.ndarray) -> list:
-    """The calls that write the forward differences of the flat buffer
-    ``uf`` of ``shape``, divided by the spacing, into the flat buffers ``d1``
-    and ``d2``.
-
-    One contiguous pass per grid axis: ``d[p] = u[p + step] - u[p]``.  Entries
-    in the last row (``d1``) or last column (``d2``) of a field straddle a
-    field or row boundary and are scratch; the final ``step`` entries are
-    not written at all.
+    Inside ``d[i-1] - d[i]``, at the ends ``0 - d[0]`` and ``d[-1] + 0``:
+    each entry has the value, up to the sign of a zero, that accumulating
+    ``-d`` and then ``+d`` into zeros gives.
     """
-    ops = []
-    for axis, d in enumerate((d1, d2)):
-        step = _step(shape, axis)
-        ops.append((np.subtract, uf[step:], uf[:-step], d[:-step]))
-        ops += _divide_ops(d[:-step], grid.spacing[axis])
-    return ops
-
-
-def _diff_adjoint_ops(df: np.ndarray, axis: int, shape: tuple, out: np.ndarray) -> list:
-    """The calls of ``out = D^T d`` for the forward difference ``D`` along
-    grid ``axis``.
-
-    ``df`` and ``out`` are flat buffers of ``shape``, and ``df`` is laid out
-    as ``_diff_ops`` writes it.  Inside, ``d[i-1] - d[i]`` is one
-    contiguous pass that reads only written entries; where it reads scratch
-    it lands on the first or last entry along ``axis``, which are then
-    written slice by slice as ``0 - d[0]`` and ``d[-1] + 0``.  Each entry has
-    the value, up to the sign of a zero, that accumulating ``-d`` and then
-    ``+d`` into zeros gives.
-    """
-    step, n = _step(shape, axis), df.size
-    d, o = df.reshape(shape), out.reshape(shape)
-    return [
-        (np.subtract, df[: n - 2 * step], df[step : n - step], out[step : n - step]),
-        (np.subtract, 0.0, d[_along(axis, 0)], o[_along(axis, 0)]),
-        (np.add, d[_along(axis, -2)], 0.0, o[_along(axis, -1)]),
-    ]
-
-
-def _grad_ops(grid: GridSpec, shape: tuple, d1: np.ndarray, d2: np.ndarray,
-              alpha: float, out: np.ndarray, part: np.ndarray) -> list:
-    """The calls that write ``alpha * w`` times the adjoint differences of
-    ``(d1, d2)`` into ``out``.
-
-    All four are flat buffers of ``shape``.  The calls divide the written
-    entries of ``d1`` and ``d2`` by the spacing once more, in place.  The
-    axis-1 part goes through ``part`` so that each entry is rounded as
-    ``part0 + part1``; ``d1`` is consumed before ``part`` is written, so the
-    two may share memory.
-    """
-    ops = []
-    for axis, (d, adjoint) in enumerate(((d1, out), (d2, part))):
-        ops += _divide_ops(d[: -_step(shape, axis)], grid.spacing[axis])
-        ops += _diff_adjoint_ops(d, axis, shape, adjoint)
-    ops.append((np.add, out, part, out))
-    ops.append((np.multiply, out, alpha * grid.cell_area, out))
-    return ops
+    d, o = np.moveaxis(d, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(d[:-1], d[1:], out=o[1:-1])
+    np.subtract(0.0, d[0], out=o[0])
+    np.add(d[-1], 0.0, out=o[-1])
+    return out
 
 
 def _diffusion_value(grid: GridSpec, u: np.ndarray, alpha: float):
-    u = np.ascontiguousarray(u)
-    shape, uf = u.shape, u.reshape(-1)
-    d1, d2 = np.empty_like(uf), np.empty_like(uf)
-    _run(_diff_ops(grid, shape, uf, d1, d2))
-    # squares of the entries that are not scratch, each field's block in the
-    # order of a single-field array
-    value = (field_sums(d1.reshape(shape)[..., :-1, :, :] ** 2, 3)
-             + field_sums(d2.reshape(shape)[..., :-1, :] ** 2, 3))
+    shape, (h1, h2) = u.shape, grid.spacing
+    d1, d2 = np.diff(u, axis=-3), np.diff(u, axis=-2)
+    d1 /= h1
+    d2 /= h2
+    value = field_sums(d1**2, 3) + field_sums(d2**2, 3)
 
     def grad():
         # not ``empty_like(u)``: the closure would keep ``u`` alive with the
         # differences of every trial the line search holds
-        out = np.empty(shape)
-        _run(_grad_ops(grid, shape, d1, d2, alpha, out.reshape(-1), part=d1))
-        return out
+        out, part = np.empty(shape), np.empty(shape)
+        np.divide(d1, h1, out=d1)
+        np.divide(d2, h2, out=d2)
+        np.add(_diff_adjoint(d1, -3, out), _diff_adjoint(d2, -2, part), out=out)
+        return np.multiply(out, alpha * grid.cell_area, out=out)
 
     return 0.5 * alpha * grid.cell_area * value, _once(grad)
 
@@ -256,55 +172,36 @@ def reg_glo(kind: RegKind, grid: GridSpec, u: np.ndarray):
     return sorted_sum(values), grads
 
 
-def _flat(a: np.ndarray, shape: tuple, name: str) -> np.ndarray:
-    """A flat view of the caller's buffer ``a``; a plan reads or writes it in
-    place, so it must have ``shape`` and be C-contiguous (no copy is made)."""
-    if a.shape != shape:
-        raise RegularizerError(f"{name} has shape {a.shape}, expected {shape}")
-    if not a.flags.c_contiguous:
-        raise RegularizerError(f"{name} must be C-contiguous")
-    return a.reshape(-1)
-
-
-def hessian_plan(kind: RegKind, grid: GridSpec, u: np.ndarray, out: np.ndarray):
-    """The Hessian action ``out = H u``, bound once to the caller's buffers.
+def hessian_plan(kind: Elastic, grid: GridSpec, u: np.ndarray, out: np.ndarray):
+    """The elastic Hessian action ``out = H u``, bound once to the caller's
+    buffers.
 
     ``u`` is one field (m1, m2, 2) or a stack of them (K, m1, m2, 2) on
     ``grid``; ``out`` has its shape.  Returns a zero-argument callable that
-    writes ``H u`` into ``out`` from ``u``'s current entries, so an iterative
-    solver that updates ``u`` in place binds the action once and calls it
-    on every iteration.  For ``Diffusion`` every flat view, boundary slice,
-    step and scratch array of the stencil is bound here, and a call runs the
-    fixed list of ufunc calls that the value and gradient run, in the same
-    order.  ``Elastic`` binds its gradient kernel.  ``u`` and ``out`` are
-    read and written in place, so they must have ``u``'s shape and be
-    C-contiguous.
+    writes ``H u`` into ``out`` from ``u``'s current entries, so the elastic
+    metric solve, which updates ``u`` in place, binds the action once and
+    calls it on every CG iteration.  ``u`` and ``out`` are read and written
+    in place, so they must have ``u``'s shape and be C-contiguous.  The
+    diffusion metric solve needs no plan: it applies the Hessian in the
+    cosine basis, where it is diagonal.
     """
+    if not isinstance(kind, Elastic):
+        raise RegularizerError(f"no Hessian plan for {kind!r}")
     shape = (*u.shape[:-3], *grid.dims, 2)
-    uf, flat_out = _flat(u, shape, "u"), _flat(out, shape, "out")
-    if isinstance(kind, Diffusion):
-        d1, d2 = np.empty(uf.size), np.empty(uf.size)
-        ops = (_diff_ops(grid, shape, uf, d1, d2)
-               + _grad_ops(grid, shape, d1, d2, kind.alpha, flat_out, part=d1))
-        return partial(_run, ops)
-    if isinstance(kind, Elastic):
-        return lambda: _elastic_grad(grid, *_elastic_strain(grid, u), kind.mu, kind.lam,
-                                     kind.alpha, out)
-    raise RegularizerError(f"unknown regularizer kind {kind!r}")
+    for a, name in ((u, "u"), (out, "out")):
+        if a.shape != shape:
+            raise RegularizerError(f"{name} has shape {a.shape}, expected {shape}")
+        if not a.flags.c_contiguous:
+            raise RegularizerError(f"{name} must be C-contiguous")
+    return lambda: _elastic_grad(grid, *_elastic_strain(grid, u), kind.mu, kind.lam,
+                                 kind.alpha, out)
 
 
 def reg_hessian_apply(kind: RegKind, grid: GridSpec, u: np.ndarray) -> np.ndarray:
     """Apply the (constant) regularizer Hessian to a raw displacement array.
 
-    ``u`` is one field (m1, m2, 2) or a stack of them (K, m1, m2, 2); a
-    non-contiguous ``u`` is copied once.  Both regularizers are quadratic,
-    so the Hessian action equals the gradient evaluated at ``u``; the energy
-    value is not computed.  This is ``hessian_plan`` bound once and run once
-    into a new array.  The elastic metric solve binds its own plan; the
-    diffusion metric solve applies the Hessian in the cosine basis, where it
-    is diagonal.
+    ``u`` is one field (m1, m2, 2) or a stack of them (K, m1, m2, 2).  Both
+    regularizers are quadratic, so the Hessian action is the gradient
+    evaluated at ``u``.
     """
-    u = np.ascontiguousarray(u)
-    out = np.empty_like(u)
-    hessian_plan(kind, grid, u, out)()
-    return out
+    return _stack_value_deferred(kind, grid, u)[1]()

@@ -431,6 +431,13 @@ class TestSolveOptions:
         with pytest.raises(ConfigError, match="gtol"):
             SolveOptions(gtol=gtol)
 
+    @pytest.mark.parametrize("eps_rel", [-1.0, 0.0, math.nan, math.inf])
+    def test_metric_eps_rel_not_positive_or_not_finite_is_rejected(self, eps_rel):
+        # a negative shift makes CG break on p·Bp <= 0, and with NaN no CG
+        # iteration meets the tolerance, yet none is counted as capped
+        with pytest.raises(ConfigError, match="metric_eps_rel"):
+            SolveOptions(metric_eps_rel=eps_rel)
+
     def test_edge_values_are_accepted(self):
         opts = SolveOptions(gtol=0.0, max_fevals=1)
         assert opts.gtol == 0.0 and opts.max_fevals == 1
@@ -622,7 +629,7 @@ class TestMetricSolve:
         assert counters.metric_solves == 1
         assert 0 < counters.metric_iterations < CG_MAXITER
         assert counters.metric_solves_capped == 0
-        # a zero right-hand side ends CG before it binds its buffers
+        # a zero right-hand side gives the zero field
         assert np.array_equal(_make_metric_solve(reg, METRIC_GRID, eps_rel, counters)(0.0 * q),
                               np.zeros(q.shape))
 

@@ -12,8 +12,6 @@ from sqnreg.oracles import fd_gradient
 from sqnreg.regularize import (
     Diffusion,
     Elastic,
-    _divide_ops,
-    _run,
     _stack_value_deferred,
     hessian_plan,
     reg_eval,
@@ -205,6 +203,9 @@ def _reference_value_grad(kind, grid, u):
 
 
 STACK_KINDS = [Diffusion(alpha=0.37), Elastic(mu=1.3, lam=0.6, alpha=0.21)]
+# only the elastic metric solve binds a Hessian plan; ``id`` keeps the case
+# names of the elastic kind in STACK_KINDS
+ELASTIC_KINDS = [pytest.param(STACK_KINDS[1], id="kind1")]
 
 
 def stack_value_grad(kind, grid, u):
@@ -223,8 +224,8 @@ def random_stack(seed, grid, k=5):
     return scales * rng.standard_normal((k, *grid.dims, 2))
 
 
-# the flat stencil's edge cases: two cells along an axis, where every entry
-# along it is a boundary entry, and 8x8 grids at the pyramid's spacings
+# the stencils' edge cases: two cells along an axis, where every entry along
+# it is a boundary entry, and 8x8 grids at the pyramid's spacings
 EDGE_GRIDS = [
     GridSpec((2, 7), spacing=(0.45, 0.7)),
     GridSpec((9, 2), spacing=(0.45, 0.7)),
@@ -295,27 +296,13 @@ def test_stack_kernel_permutation_equivariant_bitexact(kind):
     assert np.array_equal(reg_hessian_apply(kind, g, u[perm]), reg_hessian_apply(kind, g, u)[perm])
 
 
-@pytest.mark.parametrize("h", [1.0, 2.0, 0.45])
-def test_divide_has_the_bits_of_a_division(h):
-    # spacing 1 skips the division; zeros, both signs and magnitudes down to
-    # subnormal results included
-    rng = rng_for(9)
-    a = rng.standard_normal(4000) * 10.0 ** rng.uniform(-320.0, 300.0, size=4000)
-    a[:4] = [0.0, -0.0, 5e-324, -5e-324]
-    got = a.copy()
-    with np.errstate(over="ignore"):
-        _run(_divide_ops(got, h))
-        want = a / h
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
 @pytest.mark.parametrize(
     "g",
     [*(GridSpec((9, 7), spacing=h) for h in [(1.0, 2.0), (0.5, 0.25), (0.45, 0.7)]), *EDGE_GRIDS],
     ids=grid_id,
 )
 @pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("kind", STACK_KINDS)
+@pytest.mark.parametrize("kind", ELASTIC_KINDS)
 def test_hessian_plan_matches_per_field_reference_bitexact(kind, k, g):
     u = random_stack(8, g, k=k)
     # a NaN-filled buffer: every entry of the result must be written
@@ -334,7 +321,7 @@ def test_hessian_plan_matches_per_field_reference_bitexact(kind, k, g):
         assert np.array_equal(out[i], _reference_value_grad(kind, g, u[i])[1])
 
 
-@pytest.mark.parametrize("kind", STACK_KINDS)
+@pytest.mark.parametrize("kind", ELASTIC_KINDS)
 def test_hessian_plan_rejects_buffers_it_cannot_bind(kind):
     g = odd_grid()
     u = random_stack(11, g, k=2)
@@ -349,6 +336,8 @@ def test_hessian_plan_rejects_buffers_it_cannot_bind(kind):
         hessian_plan(kind, g, u, out[0])
     with pytest.raises(RegularizerError, match="u has shape"):
         hessian_plan(kind, g, np.zeros((2, 9, 6, 2)), np.zeros((2, 9, 6, 2)))
+    with pytest.raises(RegularizerError, match="no Hessian plan"):
+        hessian_plan(STACK_KINDS[0], g, u, out)
     assert np.all(strided == 0.0)
 
 
