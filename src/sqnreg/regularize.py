@@ -172,29 +172,29 @@ def reg_glo(kind: RegKind, grid: GridSpec, u: np.ndarray):
     return sorted_sum(values), grads
 
 
-def hessian_plan(kind: Elastic, grid: GridSpec, u: np.ndarray, out: np.ndarray):
-    """The elastic Hessian action ``out = H u``, bound once to the caller's
-    buffers.
+def hessian_plan(kind: RegKind, grid: GridSpec, u: np.ndarray, out: np.ndarray):
+    """The Hessian action ``out = H u``, bound once to the caller's buffers.
 
     ``u`` is one field (m1, m2, 2) or a stack of them (K, m1, m2, 2) on
     ``grid``; ``out`` has its shape.  Returns a zero-argument callable that
     writes ``H u`` into ``out`` from ``u``'s current entries, so the elastic
     metric solve, which updates ``u`` in place, binds the action once and
-    calls it on every CG iteration.  ``u`` and ``out`` are read and written
-    in place, so they must have ``u``'s shape and be C-contiguous.  The
-    diffusion metric solve needs no plan: it applies the Hessian in the
-    cosine basis, where it is diagonal.
+    calls it on every CG iteration.  ``Elastic`` binds its gradient kernel
+    to ``out``; ``Diffusion`` copies ``reg_hessian_apply`` into it (the
+    diffusion metric solve binds no plan: it applies the Hessian in the
+    cosine basis, where it is diagonal).  ``u`` and ``out`` are read and
+    written in place, so they must have ``u``'s shape and be C-contiguous.
     """
-    if not isinstance(kind, Elastic):
-        raise RegularizerError(f"no Hessian plan for {kind!r}")
     shape = (*u.shape[:-3], *grid.dims, 2)
     for a, name in ((u, "u"), (out, "out")):
         if a.shape != shape:
             raise RegularizerError(f"{name} has shape {a.shape}, expected {shape}")
         if not a.flags.c_contiguous:
             raise RegularizerError(f"{name} must be C-contiguous")
-    return lambda: _elastic_grad(grid, *_elastic_strain(grid, u), kind.mu, kind.lam,
-                                 kind.alpha, out)
+    if isinstance(kind, Elastic):
+        return lambda: _elastic_grad(grid, *_elastic_strain(grid, u), kind.mu, kind.lam,
+                                     kind.alpha, out)
+    return lambda: np.copyto(out, reg_hessian_apply(kind, grid, u))
 
 
 def reg_hessian_apply(kind: RegKind, grid: GridSpec, u: np.ndarray) -> np.ndarray:
