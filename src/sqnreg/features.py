@@ -124,8 +124,9 @@ def _raw_rows(kind: FeatureMap, grid: GridSpec, data: np.ndarray):
             raise FeatureError(f"image {zero[0]}: degenerate feature: zero image")
         return data.reshape(len(data), -1), nrm
     g = _gradients(grid, data)
-    nrm = np.sqrt(w * field_sums(g**2, 3) + kind.eta)
-    return np.moveaxis(g, -1, 1).reshape(len(data), -1), nrm
+    rows = np.moveaxis(g, -1, 1).copy().reshape(len(data), -1)
+    nrm = np.sqrt(w * field_sums(np.square(g, out=g), 3) + kind.eta)
+    return rows, nrm
 
 
 def feature_columns(kind: FeatureMap, grid: GridSpec, data: np.ndarray) -> np.ndarray:

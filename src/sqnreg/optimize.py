@@ -62,11 +62,15 @@ gives the value and the subgradient flag, and a deferred backward pass
 (spectral gradient, feature adjoint, chain rule, regularizer gradient,
 projection), which reuses the forward state and runs only when the line
 search reads the slope of a trial that passed sufficient decrease, or when
-L-BFGS falls back to the best trial.  ``fevals`` counts evaluations and
-``gevals`` the gradients actually computed.  A trial whose forward pass
-raises a grid, feature, spectral or measure error, or whose value is not
-finite, is a rejected step: it counts as ``+inf`` and the line search
-shrinks the step (``SolveReport.rejected_trials``).
+L-BFGS falls back to the best trial.  The search keeps a forward state
+only while a rule can still read it: the trial just evaluated, and the
+best trial below the start value.  A trial with no decrease keeps none,
+and a superseded trial is released before the next forward pass, so at
+most two whole-stack states are alive at once.  ``fevals`` counts
+evaluations and ``gevals`` the gradients actually computed.  A trial whose
+forward pass raises a grid, feature, spectral or measure error, or whose
+value is not finite, is a rejected step: it counts as ``+inf`` and the
+line search shrinks the step (``SolveReport.rejected_trials``).
 
 Every count a solve reports, line-search failures included, is declared
 once, in ``SolveCounts``, and tallied in one ledger, ``_Counters``, shared by
@@ -446,9 +450,10 @@ class _Counters(SolveCounts):
 class _Eval:
     """One point on the search line.
 
-    ``grad`` is a zero-argument callable that computes the gradient, or
-    None for a rejected trial.  The gradient and the slope along
-    ``direction`` are computed on first access.
+    ``grad`` is a zero-argument callable that computes the gradient from the
+    trial's forward state, or None for a trial that keeps no state (rejected,
+    or no decrease).  The gradient and the slope along ``direction`` are
+    computed on first access; the slope drops the direction once it is read.
     """
 
     def __init__(self, alpha: float, value: float, grad, subgradient: bool,
@@ -465,17 +470,19 @@ class _Eval:
         if callable(self._grad):
             self._grad = self._grad()
         if self._grad is None:
-            raise OptimError("no gradient at a rejected or released line-search trial")
+            raise OptimError("no gradient at a line-search trial that kept no forward state")
         return self._grad
 
     @property
     def slope(self) -> float:
         if self._slope is None:
             self._slope = block_dot(self.grad, self._direction)
+            self._direction = None
         return self._slope
 
     def release(self):
-        """Drop the forward state of a gradient that was never computed."""
+        """Drop the forward state of a gradient that was never computed; the
+        line search calls it once no rule can read this trial's gradient."""
         if callable(self._grad):
             self._grad = None
 
@@ -520,17 +527,25 @@ def _strong_wolfe(fun, x, p, f0, slope0, counters: _Counters, first_trial: float
     bracketing fails (``expansion_cap``) or zoom has spent ``LS_MAX_ZOOM``
     trials without an acceptable one (``zoom_cap``).  ``fun`` returns its
     gradient as a zero-argument callable, which is called only for trials
-    that pass sufficient decrease and for the returned fallback; the forward
-    state is kept only for the current trial and the best one.  A trial that
-    raises one of ``TRIAL_ERRORS`` or has a non-finite value counts as
-    ``+inf``.
+    that pass sufficient decrease and for the returned fallback.
+
+    The forward state is kept only for the current trial and the best one,
+    and only while a rule can still read it.  The current trial's slope may
+    be read next; the best trial below ``f0`` is the fallback.  A trial that
+    is neither below ``f0`` nor passes sufficient decrease keeps no state,
+    and the previous trial, unless it is the best, is released before the
+    next forward pass runs.  A trial that raises one of ``TRIAL_ERRORS`` or
+    has a non-finite value counts as ``+inf``.
     """
     c1, c2 = WOLFE_C1, WOLFE_C2
-    best: _Eval | None = None
+    best: _Eval | None = None  # the lowest trial below f0
     current: _Eval | None = None
 
     def evaluate(alpha: float) -> _Eval:
         nonlocal best, current
+        if current is not best:
+            # never the fallback now, and its slope was read if a rule needs it
+            current.release()
         try:
             value, grad, sub = fun(x + alpha * p)
         except TRIAL_ERRORS:
@@ -538,20 +553,20 @@ def _strong_wolfe(fun, x, p, f0, slope0, counters: _Counters, first_trial: float
         if not math.isfinite(value):
             counters.rejected_trials += 1
             value, grad, sub = math.inf, None, False
-        ev = _Eval(alpha, value, grad, sub, direction=p)
-        stale = (current, best)
-        current = ev
-        if best is None or ev.value < best.value:
-            best = ev
-        for old in stale:
-            if old is not None and old is not best:
-                old.release()
-        return ev
+        # no fallback, and no rule reads its slope; both tests, because a
+        # value at f0 passes sufficient decrease when c1 * alpha * slope0
+        # is below f0's rounding
+        if not value < f0 and value > f0 + c1 * alpha * slope0:
+            grad = None
+        current = _Eval(alpha, value, grad, sub, direction=p)
+        if value < f0 and (best is None or value < best.value):
+            if best is not None:
+                best.release()
+            best = current
+        return current
 
     def fallback(reason: str) -> _LineSearchResult:
-        if best is not None and best.value < f0:
-            return _LineSearchResult(best, False, reason)
-        return _LineSearchResult(None, False, reason)
+        return _LineSearchResult(best, False, reason)
 
     def zoom(lo: _Eval, hi: _Eval) -> _LineSearchResult:
         for _ in range(LS_MAX_ZOOM):

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sqnreg.features as features
+from sqnreg.accum import field_sums
 from sqnreg.errors import FeatureError, GridError
 from sqnreg.features import (
     FeatureMatrix,
@@ -146,6 +148,34 @@ def test_ngf_of_constant_image_is_zero_column():
     img = Image(g, np.full(g.dims, 0.7))
     col = column(NgfFeature(eta=1e-2, relative=False), img)
     assert np.all(col == 0.0)
+
+
+# the odd grid of the stack kernel test, and grids with two cells along an
+# axis, where every gradient entry along it is a one-sided difference
+RAW_ROW_GRIDS = [
+    GridSpec((7, 9), spacing=(0.3, 0.11)),
+    GridSpec((2, 7), spacing=(0.45, 0.7)),
+    GridSpec((9, 2), spacing=(0.45, 0.7)),
+    GridSpec((2, 2), spacing=(0.5, 0.25)),
+]
+
+
+@pytest.mark.parametrize("grid", RAW_ROW_GRIDS, ids=lambda g: f"{g.dims[0]}x{g.dims[1]}")
+def test_ngf_rows_are_a_copy_of_the_gradients_it_squares(grid, monkeypatch):
+    # the norms square the gradient array in place, so the rows must not
+    # share its memory; rows and norms keep the bits of the plain formulas
+    kind = NgfFeature(eta=0.03, relative=False)
+    data = rng_for(41).uniform(0.2, 1.5, size=(3, *grid.dims))
+    made = []
+    original = features._gradients
+    monkeypatch.setattr(features, "_gradients",
+                        lambda g, d: made.append(original(g, d)) or made[-1])
+    rows, nrm = features._raw_rows(kind, grid, data)
+    assert len(made) == 1 and not np.shares_memory(rows, made[0])
+    gradients = original(grid, data)
+    assert np.array_equal(rows, np.moveaxis(gradients, -1, 1).reshape(3, -1))
+    assert rows.flags.c_contiguous
+    assert np.array_equal(nrm, np.sqrt(grid.cell_area * field_sums(gradients**2, 3) + kind.eta))
 
 
 @pytest.mark.parametrize("eta", [0.0, -1.0, np.inf, np.nan])

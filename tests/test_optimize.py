@@ -4,6 +4,7 @@ registration drivers (groupwise, Gauss-Seidel, multilevel)."""
 import dataclasses
 import math
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -230,6 +231,34 @@ def recorded(fun):
         return fun(z)
 
     return wrapped, trials
+
+
+class _State:
+    """Stands in for a trial's forward state; weakly referenceable."""
+
+
+def stateful_line(value_of, slope_of):
+    """A line function (for ``x = 0``, ``p = 1``: each trial point is its
+    step) whose gradient closure holds one ``_State`` per trial.
+
+    Also returns, per forward pass, the earlier trials whose state was
+    still held when it began, as ``(step, value)`` pairs.
+    """
+    states = []
+    held_at_start = []
+
+    def fun(z):
+        t = float(z[0])
+        held_at_start.append([(s, v) for s, v, ref in states if ref() is not None])
+        state = _State()
+        states.append((t, value_of(t), weakref.ref(state)))
+
+        def gradient(state=state):  # the closure holds the state
+            return np.array([slope_of(t)])
+
+        return value_of(t), gradient, False
+
+    return fun, held_at_start
 
 
 class TestZoomInterpolation:
@@ -791,6 +820,51 @@ class TestValueFirstTrials:
         assert ls.ev.alpha == 0.5 and graded == []
         assert np.array_equal(ls.ev.grad, [0.4])
         assert graded == [0.5]
+
+    @pytest.mark.parametrize(
+        "value_of,slope_of,f0,slope0,first",
+        [
+            # a fallback below f0 and zoom trials above it
+            (lambda t: 0.1 if t < 0.45 else 0.09 - 1e-5, lambda t: 0.0, 0.09, -0.6, 0.5),
+            # expansion, then a zoom among wiggles below f0
+            (lambda t: (t - 3.0) ** 2 + 0.5 * math.sin(9.0 * t),
+             lambda t: 2.0 * (t - 3.0) + 4.5 * math.cos(9.0 * t), 9.0, -1.5, 0.1),
+        ],
+        ids=["fallback", "wiggles"],
+    )
+    def test_forward_pass_runs_with_at_most_the_best_earlier_state(
+            self, value_of, slope_of, f0, slope0, first):
+        fun, held_at_start = stateful_line(value_of, slope_of)
+        _strong_wolfe(fun, np.zeros(1), np.ones(1), f0, slope0, _Counters(), first)
+        assert len(held_at_start) > 1
+        for held in held_at_start:
+            assert len(held) <= 1
+            assert all(value < f0 for _, value in held)
+
+    def test_overshooting_first_trial_keeps_no_state(self):
+        fun, held_at_start = stateful_line(lambda t: (t - 0.3) ** 2, lambda t: 2.0 * (t - 0.3))
+        ls = _strong_wolfe(fun, np.zeros(1), np.ones(1), 0.09, -0.6, _Counters(), 1.0)
+        assert ls.ok and ls.ev.alpha == pytest.approx(0.3, abs=1e-15)
+        # the first trial (t = 1, J = 0.49 > f0) was gone when the second began
+        assert held_at_start == [[], []]
+
+    def test_trial_at_f0_that_passes_sufficient_decrease_keeps_its_slope(self):
+        # c1 * alpha * slope0 = -1e-24 is below the rounding of f0 = 1, so
+        # a flat trial at f0 passes sufficient decrease and its slope is read
+        f0, slope0 = 1.0, -1e-20
+        assert f0 + WOLFE_C1 * slope0 == f0
+        ls = _strong_wolfe(lambda z: (f0, lambda: np.zeros(1), False),
+                           np.zeros(1), np.ones(1), f0, slope0, _Counters())
+        assert ls.ok and ls.ev.alpha == 1.0 and ls.ev.slope == 0.0
+
+    def test_accepted_trial_does_not_keep_the_direction_alive(self):
+        p = np.ones(1)
+        direction = weakref.ref(p)
+        ls = _strong_wolfe(lambda z: ((z[0] - 0.25) ** 2, lambda: 2.0 * (z - 0.25), False),
+                           np.zeros(1), p, 0.0625, -0.5, _Counters())
+        del p
+        assert ls.ok and ls.ev.slope == 0.0
+        assert direction() is None
 
     def test_gevals_counts_computed_gradients(self):
         stack = shifted_blob_stack((16, 16), [(0.0, 0.0), (0.04, -0.02), (-0.03, 0.02)])
