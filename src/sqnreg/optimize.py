@@ -38,10 +38,11 @@ runs CG with ``B`` one elementwise multiply by the eigenvalues plus
 orthogonal, so CG's scalars and iterates are those of the pixel-basis CG up
 to rounding.  The transforms are batched over fields, never across them,
 which keeps solves bit-exactly permutation invariant.  ``Elastic`` is not
-diagonal in that basis; its CG runs in the pixel basis on a plan bound once
-per solve (``regularize.hessian_plan``).  CG binds its two dots ``p·Bp``
-and ``r·r`` once per solve too (``accum.block_dot_plan``), so every CG
-iteration runs the same calls on the same buffers.
+diagonal in that basis; its CG runs in the pixel basis, with ``B`` the
+elastic kernel on CG's direction (``reg_hessian_apply``) plus ``eps`` times
+the direction.  CG binds its two dots ``p·Bp`` and ``r·r`` once per solve
+(``accum.block_dot_plan``), so every CG iteration runs the same calls on
+the same buffers.
 
 The line search brackets a strong Wolfe step (``WOLFE_C1``, ``WOLFE_C2``)
 and zooms in with safeguarded quadratic interpolation (Nocedal & Wright,
@@ -87,6 +88,7 @@ runs with the same policy.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from dataclasses import fields as dc_fields
@@ -107,12 +109,7 @@ from .measures import (
     pair_state,
     resolve_measure,
 )
-from .regularize import Diffusion, RegKind, hessian_plan, reg_eval, reg_glo
-
-# Not called here: perfbench's tracer recomputes each metric solve's residual
-# with ``optimize.reg_hessian_apply``, and tests/test_perfbench_hooks.py
-# checks that the tracer finds the name where it looks.
-from .regularize import reg_hessian_apply  # noqa: F401
+from .regularize import Diffusion, RegKind, reg_eval, reg_glo, reg_hessian_apply
 
 CONSTRAINTS = ("none", "fix_first", "zero_mean")
 
@@ -168,8 +165,10 @@ class SolveOptions:
     ``max(1, |g_0|)``.  ``max_fevals`` caps the
     objective evaluations of the whole solve; None means no cap.  The metric
     seed solves ``(H_reg + eps I) z = q`` with ``eps = metric_eps_rel *
-    alpha``, where ``metric_eps_rel`` is finite and positive.  The rest of
-    the solver policy is the module constants.
+    alpha``, where ``metric_eps_rel`` is finite and positive.  The four
+    counts are integers, not ``bool``: ``levels``, ``sweeps`` and
+    ``max_fevals`` at least 1 and ``maxiter`` at least 0.  The rest of the
+    solver policy is the module constants.
     """
 
     levels: int = 1
@@ -180,14 +179,15 @@ class SolveOptions:
     metric_eps_rel: float = 1e-6
 
     def __post_init__(self):
-        if self.levels < 1:
-            raise ConfigError(f"levels must be >= 1, got {self.levels}")
-        if self.maxiter < 0 or self.sweeps < 1:
-            raise ConfigError("maxiter must be >= 0 and sweeps >= 1")
+        for name, low in (("levels", 1), ("maxiter", 0), ("sweeps", 1), ("max_fevals", 1)):
+            value = getattr(self, name)
+            if name == "max_fevals" and value is None:
+                continue
+            # ``bool`` is an ``Integral``, but ``levels=True`` is a mistake
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
         if not (math.isfinite(self.gtol) and self.gtol >= 0):
             raise ConfigError(f"gtol must be finite and >= 0, got {self.gtol}")
-        if self.max_fevals is not None and self.max_fevals < 1:
-            raise ConfigError(f"max_fevals must be >= 1 or None, got {self.max_fevals}")
         if not (math.isfinite(self.metric_eps_rel) and self.metric_eps_rel > 0):
             raise ConfigError(f"metric_eps_rel must be finite and > 0, got {self.metric_eps_rel}")
 
@@ -321,15 +321,14 @@ def objective(spec: ObjectiveSpec, stack: ImageStack, fields):
 # inner linear algebra
 
 
-def _cg_solve(bind_b, rhs: np.ndarray, tol: float, maxiter: int):
+def _cg_solve(apply_b, rhs: np.ndarray, tol: float, maxiter: int):
     """Conjugate gradients for ``B x = rhs`` from ``x = 0``.
 
-    ``bind_b(p, bp)`` binds the action of ``B`` to CG's direction ``p`` and
-    its image ``bp``: it returns a zero-argument callable that writes
-    ``B p`` into ``bp`` from the current entries of ``p``.  CG binds it and
-    its two dots, ``p·bp`` and ``r·r``, once per solve and updates its
-    vectors in place, so every iteration runs the same calls on the same
-    buffers.  Returns ``(x, iterations, residual)``: the number of completed
+    ``apply_b(p, bp)`` writes ``B p`` into ``bp``; CG calls it on its
+    direction and that direction's image on every iteration.  CG updates
+    its vectors in place and binds its two dots, ``p·bp`` and ``r·r``, once
+    per solve, so every iteration runs the same calls on the same buffers.
+    Returns ``(x, iterations, residual)``: the number of completed
     CG updates and the final recursive residual norm relative to ``|rhs|``.
     """
     x = np.zeros(rhs.shape)
@@ -342,11 +341,10 @@ def _cg_solve(bind_b, rhs: np.ndarray, tol: float, maxiter: int):
     p = r.copy()
     bp = np.empty(rhs.shape)
     tmp = np.empty(rhs.shape)
-    apply_b = bind_b(p, bp)
     p_dot_bp = block_dot_plan(p, bp)
     iterations = 0
     while iterations < maxiter:
-        apply_b()
+        apply_b(p, bp)
         denom = p_dot_bp()
         if denom <= 0.0:
             break
@@ -392,8 +390,8 @@ def _make_metric_solve(reg_kind: RegKind, grid: GridSpec, eps_rel: float,
                        counters: _Counters):
     eps = eps_rel * reg_kind.alpha
 
-    def cg(bind_b, rhs):
-        z, iterations, residual = _cg_solve(bind_b, rhs, CG_TOL, CG_MAXITER)
+    def cg(apply_b, rhs):
+        z, iterations, residual = _cg_solve(apply_b, rhs, CG_TOL, CG_MAXITER)
         counters.metric_solves += 1
         counters.metric_iterations += iterations
         if iterations == CG_MAXITER and residual > CG_TOL:
@@ -409,26 +407,17 @@ def _make_metric_solve(reg_kind: RegKind, grid: GridSpec, eps_rel: float,
             # not depend on its place in the stack
             qt = np.ascontiguousarray(q.transpose(0, 3, 1, 2))
             np.matmul(np.matmul(c1, qt), c2.T, out=qt)
-            zt = cg(lambda p, bp: partial(np.multiply, p, lam, out=bp), qt)
+            zt = cg(lambda p, bp: np.multiply(p, lam, out=bp), qt)
             z = np.matmul(np.matmul(c1.T, zt), c2)
             return np.ascontiguousarray(z.transpose(0, 2, 3, 1))
 
         return cosine_solve
 
-    def solve(q: np.ndarray) -> np.ndarray:
-        def bind_b(p: np.ndarray, bp: np.ndarray):
-            hessian = hessian_plan(reg_kind, grid, p, bp)
-            shift = np.empty(q.shape)
+    def apply_b(p: np.ndarray, bp: np.ndarray):
+        reg_hessian_apply(reg_kind, grid, p, bp)
+        bp += eps * p
 
-            def apply_b():
-                hessian()
-                np.add(bp, np.multiply(p, eps, out=shift), out=bp)
-
-            return apply_b
-
-        return cg(bind_b, q)
-
-    return solve
+    return lambda q: cg(apply_b, q)
 
 
 # ---------------------------------------------------------------------------

@@ -137,12 +137,16 @@ def _elastic_value(grid: GridSpec, u: np.ndarray, mu: float, lam: float, alpha: 
     return value, _once(lambda: _elastic_grad(grid, strain, tr, mu, lam, alpha))
 
 
-def _stack_value_deferred(kind: RegKind, grid: GridSpec, u: np.ndarray):
-    """Per-field values (shape ``u.shape[:-3]``) and a zero-argument callable
-    for the gradients of ``u``, which reuses the differences of the value."""
+def _check_shape(grid: GridSpec, u: np.ndarray):
     if u.shape[-3:] != (*grid.dims, 2):
         raise RegularizerError(f"u has shape {u.shape}, expected (..., {grid.dims[0]}, "
                                f"{grid.dims[1]}, 2)")
+
+
+def _stack_value_deferred(kind: RegKind, grid: GridSpec, u: np.ndarray):
+    """Per-field values (shape ``u.shape[:-3]``) and a zero-argument callable
+    for the gradients of ``u``, which reuses the differences of the value."""
+    _check_shape(grid, u)
     if isinstance(kind, Diffusion):
         return _diffusion_value(grid, u, kind.alpha)
     if isinstance(kind, Elastic):
@@ -172,36 +176,23 @@ def reg_glo(kind: RegKind, grid: GridSpec, u: np.ndarray):
     return sorted_sum(values), grads
 
 
-def hessian_plan(kind: RegKind, grid: GridSpec, u: np.ndarray, out: np.ndarray):
-    """The Hessian action ``out = H u``, bound once to the caller's buffers.
-
-    ``u`` is one field (m1, m2, 2) or a stack of them (K, m1, m2, 2) on
-    ``grid``; ``out`` has its shape.  Returns a zero-argument callable that
-    writes ``H u`` into ``out`` from ``u``'s current entries, so the elastic
-    metric solve, which updates ``u`` in place, binds the action once and
-    calls it on every CG iteration.  ``Elastic`` binds its gradient kernel
-    to ``out``; ``Diffusion`` copies ``reg_hessian_apply`` into it (the
-    diffusion metric solve binds no plan: it applies the Hessian in the
-    cosine basis, where it is diagonal).  ``u`` and ``out`` are read and
-    written in place, so they must have ``u``'s shape and be C-contiguous.
-    """
-    shape = (*u.shape[:-3], *grid.dims, 2)
-    for a, name in ((u, "u"), (out, "out")):
-        if a.shape != shape:
-            raise RegularizerError(f"{name} has shape {a.shape}, expected {shape}")
-        if not a.flags.c_contiguous:
-            raise RegularizerError(f"{name} must be C-contiguous")
-    if isinstance(kind, Elastic):
-        return lambda: _elastic_grad(grid, *_elastic_strain(grid, u), kind.mu, kind.lam,
-                                     kind.alpha, out)
-    return lambda: np.copyto(out, reg_hessian_apply(kind, grid, u))
-
-
-def reg_hessian_apply(kind: RegKind, grid: GridSpec, u: np.ndarray) -> np.ndarray:
+def reg_hessian_apply(kind: RegKind, grid: GridSpec, u: np.ndarray, out=None) -> np.ndarray:
     """Apply the (constant) regularizer Hessian to a raw displacement array.
 
-    ``u`` is one field (m1, m2, 2) or a stack of them (K, m1, m2, 2).  Both
-    regularizers are quadratic, so the Hessian action is the gradient
-    evaluated at ``u``.
+    ``u`` is one field (m1, m2, 2) or a stack of them (K, m1, m2, 2);
+    ``H u`` is written into ``out`` if it is given, an array of ``u``'s
+    shape.  Both regularizers are quadratic, so the Hessian action is the
+    gradient evaluated at ``u``.  For ``Elastic`` it is the gradient kernel
+    on the strain of ``u`` alone, with no energy: the elastic metric solve
+    calls it on every CG iteration.
     """
-    return _stack_value_deferred(kind, grid, u)[1]()
+    _check_shape(grid, u)
+    if out is not None and out.shape != u.shape:
+        raise RegularizerError(f"out has shape {out.shape}, expected {u.shape}")
+    if isinstance(kind, Elastic):
+        return _elastic_grad(grid, *_elastic_strain(grid, u), kind.mu, kind.lam, kind.alpha, out)
+    hu = _stack_value_deferred(kind, grid, u)[1]()
+    if out is None:
+        return hu
+    np.copyto(out, hu)
+    return out

@@ -455,6 +455,19 @@ class TestSolveOptions:
         with pytest.raises(ConfigError, match="max_fevals"):
             SolveOptions(max_fevals=max_fevals)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [("levels", 0), ("levels", 2.0), ("levels", True), ("maxiter", -1), ("maxiter", 2.5),
+         ("maxiter", False), ("sweeps", 0), ("sweeps", 1.5), ("sweeps", True),
+         ("max_fevals", 3.5), ("max_fevals", True)],
+    )
+    def test_counts_out_of_range_or_not_integers_are_rejected(self, name, value):
+        # a float ``levels``, ``maxiter`` or ``sweeps`` used to fail with a
+        # TypeError inside the solve, and ``max_fevals=3.5`` or
+        # ``levels=True`` was accepted
+        with pytest.raises(ConfigError, match=name):
+            SolveOptions(**{name: value})
+
     @pytest.mark.parametrize("gtol", [-1.0, math.nan, math.inf])
     def test_gtol_negative_or_not_finite_is_rejected(self, gtol):
         with pytest.raises(ConfigError, match="gtol"):
@@ -470,6 +483,8 @@ class TestSolveOptions:
     def test_edge_values_are_accepted(self):
         opts = SolveOptions(gtol=0.0, max_fevals=1)
         assert opts.gtol == 0.0 and opts.max_fevals == 1
+        opts = SolveOptions(levels=np.int64(2), maxiter=0, sweeps=np.int32(1))
+        assert (opts.levels, opts.maxiter, opts.sweeps) == (2, 0, 1)
         assert SolveOptions().max_fevals is None
 
 
@@ -675,17 +690,17 @@ class TestMetricSolve:
         diag = rng.uniform(1.0, 3.0, size=(2, 6))
         rhs = rng.standard_normal((2, 6))
 
-        def bind_diag(p, bp):
-            return lambda: np.multiply(diag, p, out=bp)
+        def apply_diag(p, bp):
+            np.multiply(diag, p, out=bp)
 
-        x, iterations, residual = _cg_solve(bind_diag, rhs, 1e-12, 50)
+        x, iterations, residual = _cg_solve(apply_diag, rhs, 1e-12, 50)
         assert 0 < iterations <= 12
         assert residual <= 1e-12
         assert np.allclose(x, rhs / diag, rtol=1e-10)
-        x, iterations, residual = _cg_solve(bind_diag, rhs, 1e-12, 2)
+        x, iterations, residual = _cg_solve(apply_diag, rhs, 1e-12, 2)
         assert iterations == 2
         assert residual > 1e-12
-        assert _cg_solve(bind_diag, np.zeros((2, 6)), 1e-12, 5)[1:] == (0, 0.0)
+        assert _cg_solve(apply_diag, np.zeros((2, 6)), 1e-12, 5)[1:] == (0, 0.0)
 
     def test_capped_metric_solves_are_counted(self):
         # at 64x64 CG stops at its cap of CG_MAXITER iterations

@@ -42,3 +42,27 @@ def test_modules_import_only_the_stdlib_numpy_and_the_package():
         if root not in allowed
     }
     assert found == set()
+
+
+def unused_imports(tree):
+    """Names that an import in ``tree`` binds and no other node reads."""
+    imports = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+    ]
+    bound = {alias.asname or alias.name.split(".")[0] for node in imports for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - read
+
+
+def test_modules_use_every_name_they_import():
+    # ``__init__.py`` imports to re-export; every other module imports what
+    # it calls, so a name kept for an outside reader is a failure here
+    found = {
+        (path.name, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert found == set()

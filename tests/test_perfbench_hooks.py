@@ -107,10 +107,9 @@ def test_workload_gives_finite_result_values(name):
         assert isinstance(value, numbers.Real) and math.isfinite(value)
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_traced_tiny_solve_is_consistent(name):
-    # the tracer counts one ``optimize.eval`` span per evaluation and, for a
-    # groupwise workload, one ``thin_svd`` and K warps per evaluation
+def traced_tiny_solve(name):
+    """A one-level solve of workload ``name`` on a small instance under the
+    tracer: ``(tracer, report, workload)``."""
     w = dataclasses.replace(
         workloads.WORKLOADS[name], k=3, dims=(16, 16), shift=2.0,
         opts=dataclasses.replace(workloads.WORKLOADS[name].opts, levels=1, maxiter=3),
@@ -119,6 +118,25 @@ def test_traced_tiny_solve_is_consistent(name):
     traced = tracer.Tracer(w.dims)
     with traced:
         report = traced.solve(0, multilevel_solve, w.spec, inst.stack, w.opts)
+    return traced, report, w
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_tiny_solve_is_consistent(name):
+    # the tracer counts one ``optimize.eval`` span per evaluation and, for a
+    # groupwise workload, one ``thin_svd`` and K warps per evaluation
+    traced, report, w = traced_tiny_solve(name)
     assert traced.missing == set()
     assert report.fevals > 0
     assert tracer.consistency_problems(traced, report, w) == []
+
+
+@pytest.mark.parametrize("name, sees_cg", [("elastic32", True), ("recovery64", False)])
+def test_tracer_sees_the_hessian_actions_of_the_metric_solve(name, sees_cg):
+    # the elastic CG applies ``reg_hessian_apply`` once per iteration, where
+    # the tracer wraps it; the diffusion CG multiplies by its eigenvalues in
+    # the cosine basis and applies no Hessian
+    traced, report, w = traced_tiny_solve(name)
+    calls = tracer.layer_metrics(traced, report, w, None)["regularize.hessian_apply_calls"]
+    assert report.metric_iterations > 0
+    assert calls == (report.metric_iterations if sees_cg else 0)
