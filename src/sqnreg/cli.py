@@ -28,7 +28,7 @@ from .fileio import (
     save_field,
     save_pgm,
 )
-from .grids import warp_with_jacobian
+from .grids import GridSpec, Image, ImageStack, warp_with_jacobian
 from .measures import CorrDev, LogDet, NgfPair, SchattenQ, SsdPair
 from .optimize import ObjectiveSpec, SolveOptions, multilevel_solve, objective
 from .oracles import fd_gradient
@@ -102,7 +102,7 @@ def _cmd_register(args) -> int:
     warped = []
     for idx, (img, field) in enumerate(zip(stack, report.fields)):
         save_field(field, out / f"field_{idx:03d}.sqnfield")
-        wimg, _ = warp_with_jacobian(img, field.u, want_jac=False)
+        wimg = Image(img.grid, warp_with_jacobian(img, field.u, want_jac=False)[0])
         warped.append(wimg)
         save_pgm(wimg, out / f"warped_{idx:03d}.pgm")
     save_pgm(cut_view(warped, 1, mid), out / "cut_final.pgm")
@@ -118,19 +118,21 @@ def _cmd_register(args) -> int:
 
 
 def _parse_dims(text: str):
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ConfigError(f"bad --dims {text!r}, expected like 64x64")
-    return int(parts[0]), int(parts[1])
+    try:
+        m1, m2 = (int(part) for part in text.lower().split("x"))
+    except ValueError:
+        raise ConfigError(f"bad --dims {text!r}, expected like 64x64") from None
+    return m1, m2
 
 
 def _parse_magnitude(text: str):
-    parts = text.split(",")
-    if len(parts) == 1:
-        return float(parts[0])
-    if len(parts) == 2:
-        return (float(parts[0]), float(parts[1]))
-    raise ConfigError(f"bad --magnitude {text!r}, expected one or two numbers")
+    try:
+        values = tuple(float(part) for part in text.split(","))
+    except ValueError:
+        values = ()
+    if len(values) not in (1, 2):
+        raise ConfigError(f"bad --magnitude {text!r}, expected one or two numbers")
+    return values if len(values) == 2 else values[0]
 
 
 def _cmd_synth(args) -> int:
@@ -156,8 +158,6 @@ def _cmd_gradcheck(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     rng = rng_for_purpose(cfg.seed, "gradcheck")
-    from .grids import GridSpec, Image, ImageStack
-
     grid = GridSpec(dims=(8, 8), spacing=(0.125, 0.125))
     k = 3
     stack = ImageStack(

@@ -24,8 +24,8 @@ import numpy as np
 
 from .accum import field_sums, sorted_sum
 from .errors import FeatureError
-from .grids import (GridSpec, ImageStack, displacement_array, gradient_central_adjoint,
-                    warp_with_jacobian)
+from .grids import (GridSpec, ImageStack, displacement_array, gradient_central,
+                    gradient_central_adjoint, warp_with_jacobian)
 
 
 @dataclass(frozen=True)
@@ -77,15 +77,10 @@ class FeatureMatrix:
         return self.entries.shape[1]
 
 
-def _gradients(grid: GridSpec, data: np.ndarray) -> np.ndarray:
-    """``gradient_central`` of every image of ``data`` (K, m1, m2): (K, m1, m2, 2)."""
-    return np.stack(np.gradient(data, *grid.spacing, axis=(-2, -1)), axis=-1)
-
-
 def stack_gradient_scale(stack: ImageStack) -> float:
     """Mean gradient magnitude over all images and cells of a stack."""
     data = np.stack([img.data for img in stack])
-    parts = field_sums(np.linalg.norm(_gradients(stack.grid, data), axis=-1), 2)
+    parts = field_sums(np.linalg.norm(gradient_central(data, stack.grid), axis=-1), 2)
     return sorted_sum(parts) / (stack.k * stack.grid.n_cells)
 
 
@@ -123,7 +118,7 @@ def _raw_rows(kind: FeatureMap, grid: GridSpec, data: np.ndarray):
         if zero.size:
             raise FeatureError(f"image {zero[0]}: degenerate feature: zero image")
         return data.reshape(len(data), -1), nrm
-    g = _gradients(grid, data)
+    g = gradient_central(data, grid)
     rows = np.moveaxis(g, -1, 1).copy().reshape(len(data), -1)
     nrm = np.sqrt(w * field_sums(np.square(g, out=g), 3) + kind.eta)
     return rows, nrm
@@ -191,14 +186,13 @@ def assemble_with_chain(stack: ImageStack, u: np.ndarray, kind: FeatureMap):
     the warped intensities and Jacobians.
 
     ``kind`` must be resolved (see ``resolve_feature``).  Image k is warped
-    by ``u[k]`` into one intensity array (K, m1, m2) and one Jacobian array
-    (K, m1, m2, 2), which feed the chain rule of the groupwise measures.
+    by ``u[k]`` straight into row k of the intensities (K, m1, m2) and the
+    Jacobians (K, m1, m2, 2), which feed the groupwise chain rule.
     """
     grid = stack.grid
     data = np.empty((stack.k, *grid.dims))
     jacs = np.empty((stack.k, *grid.dims, 2))
     for idx, img in enumerate(stack):
-        warped, jacs[idx] = warp_with_jacobian(img, u[idx])
-        data[idx] = warped.data
+        data[idx], jacs[idx] = warp_with_jacobian(img, u[idx])
     entries = feature_columns(kind, grid, data)
     return FeatureMatrix(entries, quad_weight=grid.cell_area), data, jacs

@@ -8,14 +8,16 @@ Conventions used throughout the package:
 * ``Image.data`` has shape ``(m1, m2)``; axis 0 is the first physical axis.
 * ``DisplacementField.u`` has shape ``(m1, m2, 2)`` and stores displacements
   in physical units; a transform acts as ``y(x) = x + u(x)``.  Inside the
-  package displacements are plain arrays, ``(m1, m2, 2)`` or ``(K, m1, m2,
-  2)``; ``DisplacementField`` is the I/O and report type.
+  package images and displacements are plain arrays, ``(m1, m2)`` or ``(K,
+  m1, m2)`` and ``(m1, m2, 2)`` or ``(K, m1, m2, 2)``; ``Image``,
+  ``ImageStack`` and ``DisplacementField`` are the I/O and report types.
 * Bilinear interpolation extends images outside the hull of cell centers by
   clamping the sample coordinate (nearest boundary value).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,8 @@ class GridSpec:
     spacing: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
+        if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in self.dims):
+            raise GridError(f"grid dims must be integers, got {self.dims!r}")
         dims = tuple(int(d) for d in self.dims)
         origin = tuple(float(v) for v in self.origin)
         spacing = tuple(float(v) for v in self.spacing)
@@ -214,10 +218,10 @@ def warp_with_jacobian(img: Image, u: np.ndarray, want_jac: bool = True):
     """Resample ``img`` at ``x + u(x)`` for every cell center x.
 
     ``u`` (m1, m2, 2) is one field, e.g. a slice of a stack array; a
-    non-finite ``u`` raises ``GridError``.  Returns ``(warped_image, jac)``
-    where ``jac[i, j, a]`` is the derivative of the warped intensity at cell
-    (i, j) with respect to ``u[i, j, a]`` (``None`` when ``want_jac`` is
-    false).  ``q = index + u / h`` keeps the zero-displacement warp bit-exact.
+    non-finite ``u`` raises ``GridError``.  Returns ``(values, jac)``: the
+    warped intensities as a plain (m1, m2) array, finite since ``img`` and
+    ``u`` are, and ``jac[i, j, a] = d values[i, j] / d u[i, j, a]`` (``None``
+    unless ``want_jac``).  ``q = index + u / h`` keeps the warp at u = 0 bit-exact.
     """
     if u.shape != (*img.grid.dims, 2):
         raise GridError(f"field shape {u.shape} does not match grid dims {img.grid.dims}")
@@ -230,25 +234,25 @@ def warp_with_jacobian(img: Image, u: np.ndarray, want_jac: bool = True):
     q1 = idx1 + u[..., 0] / h1
     q2 = idx2 + u[..., 1] / h2
     val, d1, d2 = _sample_core(img.data, q1, q2, want_jac=want_jac)
-    warped = Image(img.grid, val)
     if not want_jac:
-        return warped, None
-    jac = np.stack([d1 / h1, d2 / h2], axis=-1)
-    return warped, jac
+        return val, None
+    return val, np.stack([d1 / h1, d2 / h2], axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # derivatives
 
 
-def gradient_central(img: Image) -> np.ndarray:
-    """Per-axis derivative estimates, shape (m1, m2, 2).
+def gradient_central(data: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Per-axis derivatives (..., m1, m2, 2) of intensities (..., m1, m2).
 
     Central differences in the interior, one-sided at the boundary, scaled
-    by the grid spacing.
+    by the grid spacing; each image of the leading axes on its own.
     """
-    g1, g2 = np.gradient(img.data, img.grid.spacing[0], img.grid.spacing[1])
-    return np.stack([g1, g2], axis=-1)
+    if data.shape[-2:] != grid.dims:
+        raise GridError(f"expected shape (..., {grid.dims[0]}, {grid.dims[1]}), "
+                        f"got {data.shape}")
+    return np.stack(np.gradient(data, *grid.spacing, axis=(-2, -1)), axis=-1)
 
 
 def grad_axis_adjoint(v: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -270,7 +274,7 @@ def grad_axis_adjoint(v: np.ndarray, h: float, axis: int) -> np.ndarray:
 def gradient_central_adjoint(v: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Adjoint of ``gradient_central`` as a map intensities -> (m1, m2, 2).
 
-    Satisfies ``<gradient_central(T), v> = <T, gradient_central_adjoint(v)>``
+    Satisfies ``<gradient_central(T, grid), v> = <T, gradient_central_adjoint(v, grid)>``
     in the plain Euclidean inner products.  ``v`` may have leading axes,
     ``(..., m1, m2, 2)``; each of its images is pulled back on its own.
     """

@@ -48,7 +48,6 @@ from .features import (
     resolve_feature,
 )
 from .grids import (
-    Image,
     ImageStack,
     displacement_array,
     gradient_central,
@@ -198,16 +197,16 @@ def _logdet_coeffs(svd: ThinSvd, jitter: float):
 # pairwise cores (cotangents with respect to warped intensities)
 
 
-def _ssd_forward(grid, a: Image, b: Image):
+def _ssd_forward(grid, a: np.ndarray, b: np.ndarray):
     w = grid.cell_area
-    diff = b.data - a.data
+    diff = b - a
     value = 0.5 * w * float(np.sum(diff**2))
     return value, lambda: (-w * diff, w * diff)
 
 
-def _ngf_gradient(img: Image, eta_pt: float):
+def _ngf_gradient(grid, data: np.ndarray, eta_pt: float):
     """An image's NGF state: its gradient and the stabilized pointwise norm."""
-    g = gradient_central(img)
+    g = gradient_central(data, grid)
     return g, np.sqrt(np.sum(g**2, axis=-1) + eta_pt)
 
 
@@ -228,15 +227,15 @@ def _ngf_forward(grid, a, b):
     return value, backward
 
 
-def pair_state(kind, img: Image):
-    """One image's input to ``pair_chain``.
+def pair_state(kind, grid, data: np.ndarray):
+    """One image's input to ``pair_chain``, from its intensities (m1, m2).
 
-    The image itself for SSD; its ``_ngf_gradient`` (gradient and stabilized
+    ``data`` itself for SSD; its ``_ngf_gradient`` (gradient and stabilized
     pointwise norm) for NGF.
     """
     if isinstance(kind, SsdPair):
-        return img
-    return _ngf_gradient(img, kind.eta_pt)
+        return data
+    return _ngf_gradient(grid, data, kind.eta_pt)
 
 
 def pair_chain(kind, grid, states):
@@ -293,8 +292,8 @@ def measure_eval(stack: ImageStack, fields, kind: MeasureKind) -> MeasureEval:
 
     ``fields`` as in ``grids.displacement_array``.  Pairwise kinds run
     ``pair_chain`` over the warped stack (the sequential data term); groupwise
-    kinds go through the feature matrix.  ``CorrDev`` is negated here so that
-    smaller is always better.
+    kinds go through the feature matrix.  ``CorrDev``'s value and spectral
+    coefficients are negated so that smaller is always better.
     """
     u = displacement_array(stack, fields)
     if isinstance(kind, PAIRWISE_KINDS):
@@ -310,7 +309,7 @@ def _eval_pairwise(stack: ImageStack, u: np.ndarray, kind) -> MeasureEval:
     for idx, img in enumerate(stack):
         # an NGF state replaces its warped image, which is let go here
         warped, jacs[idx] = warp_with_jacobian(img, u[idx])
-        states.append(pair_state(kind, warped))
+        states.append(pair_state(kind, stack.grid, warped))
     value, cotangents = pair_chain(kind, stack.grid, states)
     # eager: a deferred backward would keep every pair's forward state alive
     # next to the regularizer's in ``optimize.objective_trial``, and that
@@ -325,20 +324,17 @@ def _eval_groupwise(stack: ImageStack, u: np.ndarray, kind) -> MeasureEval:
     kind = resolve_measure(kind, stack)
     fm, data, jacs = assemble_with_chain(stack, u, kind.feature)
     svd = thin_svd(fm)
-    negate = False
     flagged = False
     if isinstance(kind, SchattenQ):
         value, coeffs, flagged = _sqn_coeffs(svd, kind.q)
     elif isinstance(kind, CorrDev):
         value, coeffs = _corr_dev2_coeffs(svd)
-        value, negate = -value, True
+        value, coeffs = -value, -coeffs
     else:
         value, coeffs = _logdet_coeffs(svd, kind.jitter)
 
     def backward():
         grad_f = sigma_gradient(svd, coeffs)
-        if negate:
-            grad_f = -grad_f
         sens = feature_adjoint(kind.feature, stack.grid, data, grad_f)
         # the Jacobians are read once, so they take the gradients in place
         return np.multiply(sens[..., None], jacs, out=jacs)

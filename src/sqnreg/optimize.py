@@ -799,7 +799,7 @@ def _component_objective(spec, stack, x, idx):
     kind = spec.measure
     grid = stack.grid
     left, right = (
-        [pair_state(kind, warp_with_jacobian(stack[j], x[j], want_jac=False)[0])]
+        [pair_state(kind, grid, warp_with_jacobian(stack[j], x[j], want_jac=False)[0])]
         if 0 <= j < stack.k
         else []
         for j in (idx - 1, idx + 1)
@@ -808,7 +808,7 @@ def _component_objective(spec, stack, x, idx):
 
     def fun(z):
         warped, jac = warp_with_jacobian(stack[idx], z[0])
-        value, cotangents = pair_chain(kind, grid, left + [pair_state(kind, warped)] + right)
+        value, cotangents = pair_chain(kind, grid, left + [pair_state(kind, grid, warped)] + right)
         rv, reg_gradient = reg_eval(spec.regularizer, grid, z[0])
         value += rv
 

@@ -127,12 +127,14 @@ def synth_stack(seed: int, k: int, kind: str, magnitude, dims=(64, 64)):
     The truth field for image i satisfies ``T_i(x + u_i(x)) = scene(x)``
     wherever the motion stays inside the domain.  ``magnitude`` is in
     pixels for shifts, radians for rotations, and relative amplitude for
-    intensity perturbations.
+    intensity perturbations; only shifts also take a pair (see ``_shifts``).
     """
     if k < 2:
         raise GridError(f"a stack needs at least two images, got {k}")
     if kind not in KINDS:
         raise ConfigError(f"unknown synthetic kind {kind!r} (expected one of {KINDS})")
+    if kind != "shifted_disks" and isinstance(magnitude, (tuple, list)):
+        raise ConfigError(f"synthetic kind {kind!r} takes one number, got {magnitude!r}")
     grid = GridSpec(dims=tuple(dims))
     rng = rng_for_purpose(seed, f"synth:{kind}")
     pts = grid.cell_centers()

@@ -59,8 +59,16 @@ class TestSynthCommand:
             name = f"image_{i:03d}.pgm"
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_unknown_kind_fails_with_category(self, tmp_path, capsys):
-        code = main(["synth", "--out", str(tmp_path / "x"), "--kind", "nonsense"])
+    @pytest.mark.parametrize("args", [
+        ["--kind", "nonsense"],
+        ["--dims", "6ax64"],
+        ["--magnitude", "1,b"],
+        # the default magnitude "3,0" is a pair, which only shifts take
+        ["--kind", "rotated_shepp_like"],
+        ["--kind", "intensity_perturbed"],
+    ], ids=["kind", "dims", "magnitude", "rotated_pair", "intensity_pair"])
+    def test_unknown_kind_fails_with_category(self, tmp_path, capsys, args):
+        code = main(["synth", "--out", str(tmp_path / "x"), *args])
         assert code == 2
         assert "error[config]" in capsys.readouterr().err
 

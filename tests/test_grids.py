@@ -36,6 +36,12 @@ def test_gridspec_rejects_degenerate_dims():
         GridSpec((8, 8), spacing=(-1.0, 1.0))
     with pytest.raises(GridError):
         GridSpec((8, 8), origin=(np.nan, 0.0))
+    # non-integer dims are refused, not truncated; numpy integers pass
+    for dims in ((64.7, 8.2), (8.0, 8), (True, 8), (8, "8")):
+        with pytest.raises(GridError, match="must be integers"):
+            GridSpec(dims)
+    g = GridSpec((np.int64(8), np.int32(6)))
+    assert g.dims == (8, 6) and all(type(d) is int for d in g.dims)
 
 
 def test_image_shape_and_finiteness_checked():
@@ -97,7 +103,7 @@ def test_displacement_array_checks_count_grid_and_shape():
 def sample_at(img, points):
     """Warp ``img`` so that every cell samples the physical point ``points[i, j]``."""
     u = np.asarray(points, dtype=float) - img.grid.cell_centers()
-    return warp_with_jacobian(img, u, want_jac=False)[0].data
+    return warp_with_jacobian(img, u, want_jac=False)[0]
 
 
 def test_interp_center_of_2x2_square():
@@ -171,7 +177,7 @@ def test_gradient_matches_interpolant_difference_quotients():
     rng = rng_for(11)
     g = GridSpec((8, 8), origin=(0.2, -0.1), spacing=(0.125, 0.25))
     img = random_image(g, rng)
-    grad = gradient_central(img)
+    grad = gradient_central(img.data, img.grid)
     centers = g.cell_centers()
     for axis in range(2):
         delta = 0.5 * g.spacing[axis]
@@ -186,7 +192,7 @@ def test_gradient_exact_for_affine_images_including_boundary():
     g = GridSpec((6, 9), origin=(0.5, 0.25), spacing=(0.3, 0.15))
     c = g.cell_centers()
     img = Image(g, 1.5 + 2.0 * c[..., 0] - 0.75 * c[..., 1])
-    grad = gradient_central(img)
+    grad = gradient_central(img.data, img.grid)
     assert np.abs(grad[..., 0] - 2.0).max() <= 1e-12
     assert np.abs(grad[..., 1] + 0.75).max() <= 1e-12
 
@@ -199,9 +205,21 @@ def test_gradient_adjoint_identity(seed):
     t = rng.standard_normal(g.dims)
     v = rng.standard_normal((*g.dims, 2))
     img = Image(g, t)
-    lhs = np.sum(gradient_central(img) * v)
+    lhs = np.sum(gradient_central(img.data, img.grid) * v)
     rhs = np.sum(t * gradient_central_adjoint(v, g))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+def test_gradient_takes_leading_axes_bitexact():
+    rng = rng_for(4)
+    g = GridSpec((7, 6), spacing=(0.2, 0.4))
+    data = rng.standard_normal((2, 3, *g.dims))
+    out = gradient_central(data, g)
+    assert out.shape == (2, 3, *g.dims, 2)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(out[idx], gradient_central(data[idx], g))
+    with pytest.raises(GridError):
+        gradient_central(data[..., :1], g)
 
 
 def test_gradient_adjoint_takes_leading_axes_bitexact():
@@ -225,7 +243,7 @@ def test_warp_zero_displacement_is_bitexact_identity():
     g = GridSpec((9, 7), origin=(0.1, 0.2), spacing=(1.0 / 3, 1.0 / 7))
     img = random_image(g, rng)
     out, _ = warp_with_jacobian(img, np.zeros((*g.dims, 2)), want_jac=False)
-    assert np.array_equal(out.data, img.data)
+    assert np.array_equal(out, img.data)
 
 
 def test_warp_shifts_ramp_by_one_cell():
@@ -236,9 +254,9 @@ def test_warp_shifts_ramp_by_one_cell():
     u[..., 0] = g.spacing[0]
     out, _ = warp_with_jacobian(img, u, want_jac=False)
     expected = c[..., 0] + g.spacing[0]
-    assert np.abs(out.data[:-1, :] - expected[:-1, :]).max() <= 1e-12
+    assert np.abs(out[:-1, :] - expected[:-1, :]).max() <= 1e-12
     # last row samples outside the hull and clamps to the boundary value
-    assert np.abs(out.data[-1, :] - c[-1, :, 0]).max() <= 1e-12
+    assert np.abs(out[-1, :] - c[-1, :, 0]).max() <= 1e-12
 
 
 def test_warp_rejects_wrong_shape_and_nonfinite():
@@ -265,7 +283,7 @@ def test_warp_jacobian_matches_fd_oracle():
 
     def objective(u):
         w, _ = warp_with_jacobian(img, u, want_jac=False)
-        return float(np.sum(cvec * w.data))
+        return float(np.sum(cvec * w))
 
     fd = fd_gradient(objective, field.u.copy(), step=1e-5)
     assert relative_error(analytic, fd) <= 1e-8

@@ -304,13 +304,13 @@ def test_pair_grid_mismatch_rejected():
         )
 
 
-def pair_term(kind, a: Image, b: Image):
+def pair_term(kind, grid, a, b):
     """One pair term on its own: its value and cotangents ``(da, db)``."""
-    w = a.grid.cell_area
+    w = grid.cell_area
     if isinstance(kind, SsdPair):
-        diff = b.data - a.data
+        diff = b - a
         return 0.5 * w * float(np.sum(diff**2)), -w * diff, w * diff
-    ga, gb = gradient_central(a), gradient_central(b)
+    ga, gb = gradient_central(a, grid), gradient_central(b, grid)
     na = np.sqrt(np.sum(ga**2, axis=-1) + kind.eta_pt)
     nb = np.sqrt(np.sum(gb**2, axis=-1) + kind.eta_pt)
     r = np.sum(ga * gb, axis=-1) / (na * nb)
@@ -318,15 +318,15 @@ def pair_term(kind, a: Image, b: Image):
     shared = w * r[..., None]
     dga = -shared * (gb / (na * nb)[..., None] - (r / na**2)[..., None] * ga)
     dgb = -shared * (ga / (na * nb)[..., None] - (r / nb**2)[..., None] * gb)
-    return value, gradient_central_adjoint(dga, a.grid), gradient_central_adjoint(dgb, b.grid)
+    return value, gradient_central_adjoint(dga, grid), gradient_central_adjoint(dgb, grid)
 
 
-def per_pair_reference(kind, images):
+def per_pair_reference(kind, grid, images):
     """The chain written pair by pair: value from 0.0, cotangents from zeros."""
     value = 0.0
-    cots = [np.zeros(img.grid.dims) for img in images]
+    cots = [np.zeros(grid.dims) for _ in images]
     for idx in range(1, len(images)):
-        v, da, db = pair_term(kind, images[idx - 1], images[idx])
+        v, da, db = pair_term(kind, grid, images[idx - 1], images[idx])
         value += v
         cots[idx - 1] += da
         cots[idx] += db
@@ -338,8 +338,9 @@ def per_pair_reference(kind, images):
 def test_pair_chain_matches_per_pair_reference_bitexact(kind, k):
     stack, fields = fd_instance(20 + k, k=k)
     warped = [warp_with_jacobian(img, f.u, want_jac=False)[0] for img, f in zip(stack, fields)]
-    value, cotangents = pair_chain(kind, warped[0].grid, [pair_state(kind, w) for w in warped])
-    ref_value, ref_cots = per_pair_reference(kind, warped)
+    states = [pair_state(kind, stack.grid, w) for w in warped]
+    value, cotangents = pair_chain(kind, stack.grid, states)
+    ref_value, ref_cots = per_pair_reference(kind, stack.grid, warped)
     assert value == ref_value
     cots = cotangents()
     assert len(cots) == k
@@ -353,15 +354,15 @@ def test_ngf_chain_takes_each_image_gradient_once(k, monkeypatch):
 
     calls = []
 
-    def counted(img):
-        calls.append(img)
-        return gradient_central(img)
+    def counted(data, grid):
+        calls.append(data)
+        return gradient_central(data, grid)
 
     monkeypatch.setattr(measures, "gradient_central", counted)
     stack, fields = fd_instance(20 + k, k=k)
     warped = [warp_with_jacobian(img, f.u, want_jac=False)[0] for img, f in zip(stack, fields)]
     kind = NgfPair(eta_pt=3e-2)
-    pair_chain(kind, warped[0].grid, [pair_state(kind, w) for w in warped])[1]()
+    pair_chain(kind, stack.grid, [pair_state(kind, stack.grid, w) for w in warped])[1]()
     assert len(calls) == k
     assert all(got is img for got, img in zip(calls, warped))
 
@@ -435,7 +436,7 @@ def test_pairwise_stack_value_is_sum_of_consecutive_pairs():
     warped = [warp_with_jacobian(img, f.u, want_jac=False)[0] for img, f in zip(stack, fields)]
     w = stack.grid.cell_area
     expected = sum(
-        0.5 * w * float(np.sum((warped[i].data - warped[i - 1].data) ** 2))
+        0.5 * w * float(np.sum((warped[i] - warped[i - 1]) ** 2))
         for i in range(1, 4)
     )
     assert ev.value == pytest.approx(expected, rel=1e-12)

@@ -11,7 +11,8 @@ import pytest
 
 from sqnreg.accum import block_dot, sorted_sum
 from sqnreg.errors import ConfigError, GridError, MeasureError, OptimError
-from sqnreg.grids import DisplacementField, GridSpec, Image, ImageStack, zero_field
+from sqnreg.grids import (DisplacementField, GridSpec, Image, ImageStack, warp_with_jacobian,
+                          zero_field)
 from sqnreg.measures import CorrDev, LogDet, NgfPair, SchattenQ, SsdPair, measure_eval
 from sqnreg.features import IntensityFeature, NgfFeature
 from sqnreg.optimize import (
@@ -754,7 +755,7 @@ class TestValueFirstTrials:
         calls = []
         original = measures.gradient_central
         monkeypatch.setattr(
-            measures, "gradient_central", lambda img: calls.append(img) or original(img)
+            measures, "gradient_central", lambda d, g: calls.append(d) or original(d, g)
         )
         stack, fields = fd_instance(8, k=4)
         spec = ObjectiveSpec(NgfPair(eta_pt=1e-2), Diffusion(alpha=1e-2), mode="sequential")
@@ -766,6 +767,22 @@ class TestValueFirstTrials:
             _, gradient, _ = fun(x[2:3])
             gradient()
         assert len(calls) == 4
+
+    def test_evaluations_construct_no_image(self, monkeypatch):
+        # warped intensities stay plain arrays; an Image is built only for I/O
+        stack, fields = fd_instance(8, k=4)
+        x = np.stack([f.u for f in fields])
+        assert type(warp_with_jacobian(stack[1], x[1])[0]) is np.ndarray
+        made = []
+        original = Image.__post_init__
+        monkeypatch.setattr(Image, "__post_init__", lambda img: made.append(img) or original(img))
+        groupwise = ObjectiveSpec(SchattenQ(q=4.0), Diffusion(alpha=1e-2))
+        _, gradient, _ = objective_trial(groupwise, stack, x)
+        gradient()
+        sequential = ObjectiveSpec(NgfPair(eta_pt=1e-2), Diffusion(alpha=1e-2), mode="sequential")
+        _, gradient, _ = _component_objective(sequential, stack, x, 2)(x[2:3])
+        gradient()
+        assert made == []
 
     @pytest.mark.parametrize("measure", [SsdPair(), NgfPair(eta_pt=1e-2)])
     def test_component_at_the_chain_start_reads_its_own_cotangent(self, measure):

@@ -28,7 +28,7 @@ class TestSynthStack:
         stack, truths = synth_stack(2, 3, "shifted_disks", (2.0, 1.0), dims=(32, 32))
         warped, _ = warp_with_jacobian(stack[2], truths[2].u, want_jac=False)
         # outside the inflow band the warp must reproduce image 0 exactly
-        assert np.array_equal(warped.data[:-4, :-2], stack[0].data[:-4, :-2])
+        assert np.array_equal(warped[:-4, :-2], stack[0].data[:-4, :-2])
 
     def test_same_seed_bit_identical(self):
         for kind, mag in [
@@ -71,6 +71,10 @@ class TestSynthStack:
             synth_stack(0, 1, "shifted_disks", 1.0)
         with pytest.raises(ConfigError, match="unknown synthetic kind"):
             synth_stack(0, 2, "warped_checkers", 1.0)
+        # only shifts take a pair (a linear progression); the others take one number
+        for kind in ("rotated_shepp_like", "intensity_perturbed"):
+            with pytest.raises(ConfigError, match="takes one number"):
+                synth_stack(0, 2, kind, (3.0, 0.0), dims=(16, 16))
 
     def test_purpose_split_independent(self):
         a = rng_for_purpose(5, "one").standard_normal(4)
