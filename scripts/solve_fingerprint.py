@@ -3,9 +3,13 @@
 Solves each named workload of ``perfbench/workloads.py`` once and prints
 one line per workload: its evaluation counts, the final J as
 ``float.hex``, the SHA-1 of the final fields' bytes and the SHA-1 of the
-per-iteration J values.  Two checkouts whose lines agree took the same
-iterates bit for bit, so a change that is meant to keep the arithmetic can
-be checked with one solve per workload.
+per-iteration J values, and the RMS error of the recovered shifts against
+the truth (``rms_shift_px`` of ``perfbench/workloads.py``) as ``float.hex``.
+Two checkouts whose lines agree took the same iterates bit for bit, so a
+change that is meant to keep the arithmetic can be checked with one solve
+per workload.  A change that is meant to move the arithmetic shows in the
+``rms`` field how far the solution moved from the truth, which the
+evaluation counts alone do not tell.
 
 With no ``--workload``, every workload is solved, in the order of
 ``WORKLOADS``.  Example, from the root of a source checkout:
@@ -25,7 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from sqnreg import multilevel_solve  # noqa: E402
-from workloads import WORKLOADS, build_instance  # noqa: E402
+from workloads import WORKLOADS, build_instance, rms_shift_px  # noqa: E402
 
 
 def fingerprint(workload, seed: int) -> str:
@@ -38,7 +42,8 @@ def fingerprint(workload, seed: int) -> str:
         f"fevals={report.fevals} gevals={report.gevals} "
         f"J={float(report.final_value).hex()} "
         f"fields_sha1={hashlib.sha1(fields.tobytes()).hexdigest()} "
-        f"trace_sha1={hashlib.sha1(trace.tobytes()).hexdigest()}"
+        f"trace_sha1={hashlib.sha1(trace.tobytes()).hexdigest()} "
+        f"rms={rms_shift_px(inst, report.fields).hex()}"
     )
 
 

@@ -109,9 +109,11 @@ def _gain_field(grid, rng, amplitude):
 
 
 def _shifts(kind_rng, k, magnitude):
-    """Per-image pixel shifts: a tuple gives a linear progression, a scalar
+    """Per-image pixel shifts: a pair gives a linear progression, a scalar
     gives random shifts within +/- magnitude (first image unshifted)."""
     if isinstance(magnitude, (tuple, list)):
+        if len(magnitude) != 2:
+            raise ConfigError(f"a shift progression takes two numbers, got {magnitude!r}")
         d1, d2 = float(magnitude[0]), float(magnitude[1])
         return [(i * d1, i * d2) for i in range(k)]
     mag = float(magnitude)

@@ -686,6 +686,34 @@ class TestMetricSolve:
         for perm in ([3, 2, 1, 0], [1, 3, 0, 2]):
             assert np.array_equal(solve(q[perm]), z[perm])
 
+    def test_cosine_solve_runs_cg_on_one_plane_per_field(self, monkeypatch):
+        # a stack runs CG on the norm of the two components; one field (a
+        # sequential component) runs it on both components
+        import sqnreg.optimize as optimize
+
+        shapes = []
+
+        def recording_cg(apply_b, rhs, tol, maxiter):
+            shapes.append(rhs.shape)
+            return _cg_solve(apply_b, rhs, tol, maxiter)
+
+        monkeypatch.setattr(optimize, "_cg_solve", recording_cg)
+        reg = Diffusion(alpha=1e-2)
+        m1, m2 = METRIC_GRID.dims
+        solve = _make_metric_solve(reg, METRIC_GRID, SolveOptions().metric_eps_rel, _Counters())
+        q = rng_for(25).standard_normal((4, m1, m2, 2))
+        for k, want in ((4, (4, 1, m1, m2)), (1, (1, 2, m1, m2))):
+            shapes.clear()
+            solve(q[:k])
+            assert shapes == [want]
+        # a field with a zero right-hand side gets the zero field, with no
+        # division by its zero norm
+        q[2] = 0.0
+        with np.errstate(all="raise"):
+            z = solve(q)
+        assert np.array_equal(z[2], np.zeros(q[2].shape))
+        assert np.all(z[[0, 1, 3]] != 0.0)
+
     def test_cg_reports_iterations_and_residual(self):
         rng = rng_for(22)
         diag = rng.uniform(1.0, 3.0, size=(2, 6))

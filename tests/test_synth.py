@@ -75,6 +75,10 @@ class TestSynthStack:
         for kind in ("rotated_shepp_like", "intensity_perturbed"):
             with pytest.raises(ConfigError, match="takes one number"):
                 synth_stack(0, 2, kind, (3.0, 0.0), dims=(16, 16))
+        # a shift progression takes exactly two numbers
+        for magnitude in ((1.0,), [1.0], (1.0, 2.0, 3.0)):
+            with pytest.raises(ConfigError, match="takes two numbers"):
+                synth_stack(0, 3, "shifted_disks", magnitude, dims=(16, 16))
 
     def test_purpose_split_independent(self):
         a = rng_for_purpose(5, "one").standard_normal(4)
