@@ -4,12 +4,14 @@ Solves each named workload of ``perfbench/workloads.py`` once and prints
 one line per workload: its evaluation counts, the final J as
 ``float.hex``, the SHA-1 of the final fields' bytes and the SHA-1 of the
 per-iteration J values, and the RMS error of the recovered shifts against
-the truth (``rms_shift_px`` of ``perfbench/workloads.py``) as ``float.hex``.
+the truth (``rms_shift_px`` of ``perfbench/workloads.py``) as ``float.hex``,
+and the metric solves as ``solves/capped/CG iterations``.
 Two checkouts whose lines agree took the same iterates bit for bit, so a
 change that is meant to keep the arithmetic can be checked with one solve
 per workload.  A change that is meant to move the arithmetic shows in the
 ``rms`` field how far the solution moved from the truth, which the
-evaluation counts alone do not tell.
+evaluation counts alone do not tell, and the ``metric`` field shows
+whether a change to the metric solve changed what CG itself did.
 
 With no ``--workload``, every workload is solved, in the order of
 ``WORKLOADS``.  Example, from the root of a source checkout:
@@ -43,7 +45,8 @@ def fingerprint(workload, seed: int) -> str:
         f"J={float(report.final_value).hex()} "
         f"fields_sha1={hashlib.sha1(fields.tobytes()).hexdigest()} "
         f"trace_sha1={hashlib.sha1(trace.tobytes()).hexdigest()} "
-        f"rms={rms_shift_px(inst, report.fields).hex()}"
+        f"rms={rms_shift_px(inst, report.fields).hex()} "
+        f"metric={report.metric_solves}/{report.metric_solves_capped}/{report.metric_iterations}"
     )
 
 

@@ -36,19 +36,19 @@ so a metric solve transforms ``q`` once, ``C1 q C2^T`` per field component,
 runs CG with ``B`` one elementwise multiply by the eigenvalues plus
 ``eps``, and transforms the result back, ``C1^T z C2``.  The basis is
 orthogonal, so CG's scalars and iterates are those of the pixel-basis CG up
-to rounding.  ``B`` is the same diagonal for both components of a field,
-so CG's scalars read the transformed ``q`` only through the sum of the two
-components' squares per entry.  A stack of two or more fields therefore
-runs CG on one plane per field, the norm ``r`` of the two components, and
-scales both components by CG's result over ``r`` (0 where ``r = 0``): the
-two-component CG's result up to rounding, at half its work.  A one-field
-solve (every Gauss-Seidel component) runs CG on both components, because
-the sequential chain amplifies rounding: the component sum there moved
-``sequential64``'s RMS shift error from 1.125 to 1.548 px.  The transforms
-and the norm are taken per field, never across fields, which keeps solves
-bit-exactly permutation invariant.  ``Elastic`` is not diagonal in that
-basis; its CG runs in the pixel basis, with ``B`` the elastic kernel on
-CG's direction (``reg_hessian_apply``) plus ``eps`` times the direction.
+to rounding.  ``B`` is one diagonal shared by every field, so CG's
+scalars read the transformed ``q`` only through its sum of squares over
+fields per entry.  CG runs once per solve, on the norm ``r`` of that sum,
+a ``(1, 2, m1, m2)`` array for any K, and each field is ``q / r`` (0 where
+``r = 0``) times CG's result: the stacked CG's result up to rounding, at
+``1/K`` of its work.  The squares are sorted over fields before the sum,
+which keeps solves bit-exactly permutation invariant.  At one field (every
+Gauss-Seidel component) ``q / r`` is exactly +-1, so the result is the
+stacked CG's bit for bit; ``q`` times CG's result over ``r`` would move
+the last bits, which the sequential chain amplifies.  ``Elastic`` is not
+diagonal in that basis; its CG runs in the pixel basis, with ``B`` the
+elastic kernel on CG's direction (``reg_hessian_apply``) plus ``eps``
+times the direction.
 CG binds its two dots ``p·Bp`` and ``r·r`` once per solve
 (``accum.block_dot_plan``), so every CG iteration runs the same calls on
 the same buffers.
@@ -235,7 +235,7 @@ class SolveCounts:
     # line-search trials that raised in their forward pass or had a non-finite value
     rejected_trials: int = 0
     metric_solves: int = 0
-    # metric solves whose CG hit ``CG_MAXITER`` with the residual above ``CG_TOL``
+    # metric solves whose CG hit ``CG_MAXITER`` without a residual at or below ``CG_TOL``
     metric_solves_capped: int = 0
     # CG iterations summed over all metric solves
     metric_iterations: int = 0
@@ -257,8 +257,8 @@ class SolveReport(SolveCounts):
     def final_value(self) -> float:
         """The value of the last iteration record.
 
-        For a groupwise solve this is J at ``fields``, with one exception:
-        when the evaluation budget runs out before the finest level, that
+        For a groupwise solve this is J at ``fields`` bit for bit, except
+        when the evaluation budget runs out before the finest level: that
         level's ``lbfgs`` returns without a record, and this reads the last J
         of a coarser level (see "One meaning of ``SolveReport.final_value``"
         in ROADMAP.md).  For a sequential solve it is the one-field objective
@@ -403,7 +403,7 @@ def _make_metric_solve(reg_kind: RegKind, grid: GridSpec, eps_rel: float,
         z, iterations, residual = _cg_solve(apply_b, rhs, CG_TOL, CG_MAXITER)
         counters.metric_solves += 1
         counters.metric_iterations += iterations
-        if iterations == CG_MAXITER and residual > CG_TOL:
+        if iterations == CG_MAXITER and not residual <= CG_TOL:
             counters.metric_solves_capped += 1
         return z
 
@@ -415,19 +415,15 @@ def _make_metric_solve(reg_kind: RegKind, grid: GridSpec, eps_rel: float,
 
         def cosine_solve(q: np.ndarray) -> np.ndarray:
             # one (m1, m2) transform per field component, batched over
-            # (K, 2): no product mixes two fields, so the bits of a field do
-            # not depend on its place in the stack
+            # (K, 2): no product mixes two fields
             qt = np.ascontiguousarray(q.transpose(0, 3, 1, 2))
             np.matmul(np.matmul(c1, qt), c2.T, out=qt)
-            if len(qt) == 1:
-                zt = cg(apply_lam, qt)
-            else:
-                # both components see the same diagonal, so CG's scalars read
-                # ``qt`` only through ``qt_1**2 + qt_2**2`` per entry: CG runs
-                # on that entry's norm ``r`` and scales both components by x/r
-                r = np.sqrt(qt[:, :1] ** 2 + qt[:, 1:] ** 2)
-                scale = np.divide(cg(apply_lam, r), r, out=np.zeros(r.shape), where=r > 0)
-                zt = qt * scale
+            # one CG on the norm over fields; the squares are sorted so the
+            # sum does not depend on the fields' order, and ``unit`` (exactly
+            # +-1 at one field) goes first to keep the stacked CG's bits
+            r = np.sqrt(np.sort(qt**2, axis=0).sum(axis=0, keepdims=True))
+            unit = np.divide(qt, r, out=np.zeros(qt.shape), where=r > 0)
+            zt = unit * cg(apply_lam, r)
             z = np.matmul(np.matmul(c1.T, zt), c2)
             return np.ascontiguousarray(z.transpose(0, 2, 3, 1))
 
@@ -630,7 +626,9 @@ def lbfgs(
     a line-search trial that fails is a rejected step (see
     ``_strong_wolfe``).  The two-loop recursion always seeds with
     ``metric_solve``; there is no identity seed.  ``project_point`` maps the
-    start point and every accepted iterate back onto the gauge constraint.
+    start point onto the gauge constraint.  An accepted iterate is the
+    evaluated trial point itself, so a record's J is J at that iterate; it
+    keeps the constraint up to rounding, because the gradient is projected.
     The first trial of each line search is capped at
     ``first_step_scale / |p|_inf``, because the metric's near-null
     directions carry no natural scale; Wolfe expansion can still grow the
@@ -717,7 +715,7 @@ def lbfgs(
                 counters.line_search_failures += 1
             if ls.ev is None:
                 break
-        x_new = project_point(x + ls.ev.alpha * p)
+        x_new = x + ls.ev.alpha * p
         s = x_new - x
         y = ls.ev.grad - grad
         x = x_new

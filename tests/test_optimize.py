@@ -515,6 +515,16 @@ class TestSolvers:
         u = np.stack([f.u for f in report.fields])
         assert np.abs(u.mean(axis=0)).max() <= 1e-12
 
+    @pytest.mark.parametrize("seed,k", [(1, 3), (4, 5)])
+    def test_final_value_is_objective_at_the_fields_bitexact(self, seed, k):
+        # the zero-mean projection of the accepted trial point moved the last
+        # bits of the returned fields away from the point the record's J was
+        # evaluated at
+        stack, _ = synth_stack(seed, k, "shifted_disks", 1.5, dims=(16, 16))
+        spec = ObjectiveSpec(SchattenQ(q=4.0), Diffusion(alpha=1e-2))
+        report = multilevel_solve(spec, stack, SolveOptions(levels=1, maxiter=8))
+        assert report.final_value == objective(spec, stack, report.fields)[0]
+
     def test_fix_first_keeps_first_field_zero(self):
         stack = shifted_blob_stack((16, 16), [(0.0, 0.0), (0.05, 0.0)])
         spec = ObjectiveSpec(
@@ -686,9 +696,9 @@ class TestMetricSolve:
         for perm in ([3, 2, 1, 0], [1, 3, 0, 2]):
             assert np.array_equal(solve(q[perm]), z[perm])
 
-    def test_cosine_solve_runs_cg_on_one_plane_per_field(self, monkeypatch):
-        # a stack runs CG on the norm of the two components; one field (a
-        # sequential component) runs it on both components
+    def test_cosine_solve_runs_one_cg_for_the_stack(self, monkeypatch):
+        # CG runs once, on the norm over fields of the transformed right-hand
+        # side: one plane per displacement component, whatever the stack size
         import sqnreg.optimize as optimize
 
         shapes = []
@@ -702,10 +712,10 @@ class TestMetricSolve:
         m1, m2 = METRIC_GRID.dims
         solve = _make_metric_solve(reg, METRIC_GRID, SolveOptions().metric_eps_rel, _Counters())
         q = rng_for(25).standard_normal((4, m1, m2, 2))
-        for k, want in ((4, (4, 1, m1, m2)), (1, (1, 2, m1, m2))):
+        for k in (4, 1):
             shapes.clear()
             solve(q[:k])
-            assert shapes == [want]
+            assert shapes == [(1, 2, m1, m2)]
         # a field with a zero right-hand side gets the zero field, with no
         # division by its zero norm
         q[2] = 0.0
@@ -713,6 +723,41 @@ class TestMetricSolve:
             z = solve(q)
         assert np.array_equal(z[2], np.zeros(q[2].shape))
         assert np.all(z[[0, 1, 3]] != 0.0)
+
+    def test_one_field_cosine_solve_is_cg_on_both_components_bitexact(self):
+        # at one field CG's result is scaled by q_hat / |q_hat| = +-1 exactly;
+        # scaling q_hat by the result over the norm instead moves the last
+        # bits, which the sequential chain amplifies
+        reg = Diffusion(alpha=1e-2)
+        eps_rel = SolveOptions().metric_eps_rel
+        c1, c2, lam = _cosine_metric(reg, METRIC_GRID, eps_rel * reg.alpha)
+        q = rng_for(26).standard_normal((1, *METRIC_GRID.dims, 2))
+        # without a mean the mode of eigenvalue eps does not swamp the last
+        # bits of the others in the back-transform
+        q -= q.mean(axis=(1, 2), keepdims=True)
+        counters = _Counters()
+        got = _make_metric_solve(reg, METRIC_GRID, eps_rel, counters)(q)
+
+        def apply_lam(p, bp):
+            np.multiply(p, lam, out=bp)
+
+        qt = np.matmul(np.matmul(c1, np.ascontiguousarray(q.transpose(0, 3, 1, 2))), c2.T)
+        zt, iterations, _ = _cg_solve(apply_lam, qt, CG_TOL, CG_MAXITER)
+        want = np.matmul(np.matmul(c1.T, zt), c2).transpose(0, 2, 3, 1)
+        assert np.array_equal(got, want)
+        assert counters.metric_iterations == iterations
+
+    @pytest.mark.parametrize("reg", [Diffusion(alpha=1e-2), Elastic(mu=1.0, lam=0.5, alpha=1e-2)],
+                             ids=["diffusion", "elastic"])
+    def test_non_finite_solve_is_counted_as_capped(self, reg):
+        # a NaN residual is not above CG_TOL, yet CG ran to its cap
+        q = rng_for(27).standard_normal((3, *METRIC_GRID.dims, 2))
+        q[1, 2, 3, 0] = np.nan
+        counters = _Counters()
+        z = _make_metric_solve(reg, METRIC_GRID, SolveOptions().metric_eps_rel, counters)(q)
+        assert not np.all(np.isfinite(z))
+        assert (counters.metric_solves, counters.metric_solves_capped,
+                counters.metric_iterations) == (1, 1, CG_MAXITER)
 
     def test_cg_reports_iterations_and_residual(self):
         rng = rng_for(22)

@@ -33,7 +33,8 @@ def test_two_runs_print_the_same_line(script, name):
     assert first == script.fingerprint(workload, 2)
     assert re.fullmatch(
         r"fevals=\d+ gevals=\d+ J=-?0x1\.[0-9a-f]+p[+-]\d+ "
-        r"fields_sha1=[0-9a-f]{40} trace_sha1=[0-9a-f]{40} rms=0x[01]\.[0-9a-f]+p[+-]\d+",
+        r"fields_sha1=[0-9a-f]{40} trace_sha1=[0-9a-f]{40} rms=0x[01]\.[0-9a-f]+p[+-]\d+ "
+        r"metric=\d+/\d+/\d+",
         first,
     )
 
