@@ -70,12 +70,13 @@ def block_norm(a: np.ndarray) -> float:
 def field_sums(a: np.ndarray, field_ndim: int) -> np.ndarray:
     """Sums over the last ``field_ndim`` axes, one per field.
 
-    Every field's block is contiguous and summed on its own, so each sum
-    rounds exactly like ``np.sum`` on that field alone.
+    Every field's block is one contiguous row, and one ``sum`` over the rows'
+    axis rounds each row exactly like ``np.sum`` on that field alone: the
+    pairwise summation of a contiguous run.
     """
     lead = a.shape[: a.ndim - field_ndim]
     blocks = a.reshape(-1, math.prod(a.shape[a.ndim - field_ndim :]))
-    return np.array([np.sum(b) for b in blocks]).reshape(lead)
+    return blocks.sum(axis=1).reshape(lead)
 
 
 def mean_axis0(arr: np.ndarray) -> np.ndarray:

@@ -187,30 +187,35 @@ def _sample_core(data: np.ndarray, q1: np.ndarray, q2: np.ndarray, want_jac: boo
     Returns the sampled values and, if requested, the derivatives of the
     sample with respect to (q1, q2).  The derivative is set to zero wherever
     the unclamped coordinate lies outside the open interval (0, m-1); at the
-    clamp boundary this picks one valid subgradient.
+    clamp boundary this picks one valid subgradient.  The four corners are
+    gathered from the raveled image at the flat index of the lower one.
     """
     m1, m2 = data.shape[-2:]
-    qc1 = np.clip(q1, 0.0, m1 - 1.0)
-    qc2 = np.clip(q2, 0.0, m2 - 1.0)
+    qc1 = np.minimum(np.maximum(0.0, q1), m1 - 1.0)
+    qc2 = np.minimum(np.maximum(0.0, q2), m2 - 1.0)
     i0 = np.minimum(np.floor(qc1).astype(np.intp), m1 - 2)
     j0 = np.minimum(np.floor(qc2).astype(np.intp), m2 - 2)
     t1 = qc1 - i0
     t2 = qc2 - j0
-    f00 = data[..., i0, j0]
-    f10 = data[..., i0 + 1, j0]
-    f01 = data[..., i0, j0 + 1]
-    f11 = data[..., i0 + 1, j0 + 1]
-    w00 = (1.0 - t1) * (1.0 - t2)
-    w10 = t1 * (1.0 - t2)
-    w01 = (1.0 - t1) * t2
-    w11 = t1 * t2
-    val = w00 * f00 + w10 * f10 + w01 * f01 + w11 * f11
+    s1 = 1.0 - t1
+    s2 = 1.0 - t2
+    flat = data.reshape(*data.shape[:-2], m1 * m2)
+    lin = i0 * m2 + j0
+    f00 = flat.take(lin, axis=-1)
+    f10 = flat.take(lin + m2, axis=-1)
+    f01 = flat.take(lin + 1, axis=-1)
+    f11 = flat.take(lin + (m2 + 1), axis=-1)
+    # w00 f00 + w10 f10 + w01 f01 + w11 f11, summed in that order
+    val = (s1 * s2) * f00
+    val += (t1 * s2) * f10
+    val += (s1 * t2) * f01
+    val += (t1 * t2) * f11
     if not want_jac:
         return val, None, None
     in1 = (q1 > 0.0) & (q1 < m1 - 1.0)
     in2 = (q2 > 0.0) & (q2 < m2 - 1.0)
-    d1 = ((1.0 - t2) * (f10 - f00) + t2 * (f11 - f01)) * in1
-    d2 = ((1.0 - t1) * (f01 - f00) + t1 * (f11 - f10)) * in2
+    d1 = (s2 * (f10 - f00) + t2 * (f11 - f01)) * in1
+    d2 = (s1 * (f01 - f00) + t1 * (f11 - f10)) * in2
     return val, d1, d2
 
 
@@ -236,39 +241,60 @@ def warp_with_jacobian(img: Image, u: np.ndarray, want_jac: bool = True):
     val, d1, d2 = _sample_core(img.data, q1, q2, want_jac=want_jac)
     if not want_jac:
         return val, None
-    return val, np.stack([d1 / h1, d2 / h2], axis=-1)
+    jac = np.empty((m1, m2, 2))
+    np.divide(d1, h1, out=jac[..., 0])
+    np.divide(d2, h2, out=jac[..., 1])
+    return val, jac
 
 
 # ---------------------------------------------------------------------------
 # derivatives
 
 
+def _central_differences(f: np.ndarray, h: float, out: np.ndarray):
+    """``np.gradient(f, h, axis=0)`` written into ``out``: central
+    differences inside, one-sided at the two ends."""
+    np.subtract(f[2:], f[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * h
+    np.subtract(f[1], f[0], out=out[0])
+    out[0] /= h
+    np.subtract(f[-1], f[-2], out=out[-1])
+    out[-1] /= h
+
+
 def gradient_central(data: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Per-axis derivatives (..., m1, m2, 2) of intensities (..., m1, m2).
 
     Central differences in the interior, one-sided at the boundary, scaled
-    by the grid spacing; each image of the leading axes on its own.
+    by the grid spacing; each image of the leading axes on its own.  These
+    are ``np.gradient``'s expressions, written straight into the result.
     """
     if data.shape[-2:] != grid.dims:
         raise GridError(f"expected shape (..., {grid.dims[0]}, {grid.dims[1]}), "
                         f"got {data.shape}")
-    return np.stack(np.gradient(data, *grid.spacing, axis=(-2, -1)), axis=-1)
+    h1, h2 = grid.spacing
+    out = np.empty((*data.shape, 2))
+    # ``swapaxes`` is a plain view, without ``moveaxis``'s Python-level checks
+    _central_differences(data.swapaxes(-2, 0), h1, out[..., 0].swapaxes(-2, 0))
+    _central_differences(data.swapaxes(-1, 0), h2, out[..., 1].swapaxes(-1, 0))
+    return out
 
 
 def grad_axis_adjoint(v: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Adjoint of ``np.gradient(u, h, axis=axis)``: central differences
     inside, one-sided at the two ends; any other axes are batch axes."""
-    v = np.moveaxis(v, axis, 0)
+    v = v.swapaxes(axis, 0)
     m = v.shape[0]
     out = np.zeros_like(v)
     if m > 2:
-        out[2:] += v[1:-1] / (2.0 * h)
-        out[:-2] -= v[1:-1] / (2.0 * h)
+        mid = v[1:-1] / (2.0 * h)
+        out[2:] += mid
+        out[:-2] -= mid
     out[0] -= v[0] / h
     out[1] += v[0] / h
     out[-1] += v[-1] / h
     out[-2] -= v[-1] / h
-    return np.moveaxis(out, 0, axis)
+    return out.swapaxes(0, axis)
 
 
 def gradient_central_adjoint(v: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -201,7 +201,7 @@ def _ssd_forward(grid, a: np.ndarray, b: np.ndarray):
     w = grid.cell_area
     diff = b - a
     value = 0.5 * w * float(np.sum(diff**2))
-    return value, lambda: (-w * diff, w * diff)
+    return value, lambda side: w * diff if side else -w * diff
 
 
 def _ngf_gradient(grid, data: np.ndarray, eta_pt: float):
@@ -218,11 +218,11 @@ def _ngf_forward(grid, a, b):
     r = s / (na * nb)
     value = 0.5 * w * float(np.sum(1.0 - r**2))
 
-    def backward():
+    def backward(side):
+        own, n_own, other = (gb, nb, ga) if side else (ga, na, gb)
         shared = w * r[..., None]
-        dga = -shared * (gb / (na * nb)[..., None] - (r / na**2)[..., None] * ga)
-        dgb = -shared * (ga / (na * nb)[..., None] - (r / nb**2)[..., None] * gb)
-        return gradient_central_adjoint(dga, grid), gradient_central_adjoint(dgb, grid)
+        d = -shared * (other / (na * nb)[..., None] - (r / n_own**2)[..., None] * own)
+        return gradient_central_adjoint(d, grid)
 
     return value, backward
 
@@ -246,22 +246,32 @@ def pair_chain(kind, grid, states):
     Returns ``(value, cotangents)``.  The value is summed in chain order,
     starting from 0.0.  ``cotangents()`` returns one (m1, m2) array per image,
     the derivative with respect to its intensities, accumulated from zeros
-    with the earlier pair first.  Every pair keeps its forward state until
-    ``cotangents`` runs.
+    with the earlier pair first; ``cotangents(pos)`` returns the array of
+    image ``pos`` alone, and pulls back only the sides of its own pairs, so
+    a one-field gradient takes no adjoint of its neighbors.  Every pair
+    keeps its forward state until ``cotangents`` runs.
     """
     forward = _ssd_forward if isinstance(kind, SsdPair) else _ngf_forward
-    terms = [forward(grid, a, b) for a, b in zip(states, states[1:])]
+    # a pair's backward(side) is the cotangent of its first (0) or second (1) image
+    backwards = []
     value = 0.0
-    for v, _ in terms:
+    for a, b in zip(states, states[1:]):
+        v, backward = forward(grid, a, b)
         value += v
+        backwards.append(backward)
 
-    def cotangents():
-        cots = [np.zeros(grid.dims) for _ in states]
-        for idx, (_, backward) in enumerate(terms, start=1):
-            da, db = backward()
-            cots[idx - 1] += da
-            cots[idx] += db
-        return cots
+    def cotangent(pos: int) -> np.ndarray:
+        cot = np.zeros(grid.dims)
+        if pos > 0:
+            cot += backwards[pos - 1](1)
+        if pos < len(backwards):
+            cot += backwards[pos](0)
+        return cot
+
+    def cotangents(pos: int | None = None):
+        if pos is not None:
+            return cotangent(pos)
+        return [cotangent(i) for i in range(len(states))]
 
     return value, cotangents
 

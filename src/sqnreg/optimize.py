@@ -27,7 +27,7 @@ Hessian of the whole stack and ``eps = 1e-6 * alpha``.  CG is truncated, not
 converged: at 64x64 it stops at ``CG_MAXITER = 200`` with a relative
 residual of about 1.1, so the seed is a fixed polynomial in the metric
 rather than its inverse.  ``SolveReport.metric_solves_capped`` counts the
-solves that stopped at the cap, and ``SolveReport.metric_iterations`` sums
+solves that stopped at the cap (or at a non-finite residual), and ``SolveReport.metric_iterations`` sums
 the CG iterations.  There is no identity seed.
 
 For ``Diffusion`` CG runs in the cosine basis.  The forward-difference
@@ -51,7 +51,14 @@ elastic kernel on CG's direction (``reg_hessian_apply``) plus ``eps``
 times the direction.
 CG binds its two dots ``p·Bp`` and ``r·r`` once per solve
 (``accum.block_dot_plan``), so every CG iteration runs the same calls on
-the same buffers.
+the same buffers.  ``x`` and ``r`` are the two rows of one buffer, and so
+are ``p`` and ``Bp``: one multiply by ``[a, -a]`` and one add update ``x``
+and ``r`` together, with the bits of the two separate updates, since
+``r + (-a) Bp`` rounds like ``r - a Bp``.  The cosine basis's eigenvalues
+are stored once per level in CG's own ``(1, 2, m1, m2)`` shape, so ``B`` is
+a multiply without broadcasting.  CG stops at the first non-finite
+``r·r``, and a solve that ends without a residual at or below ``CG_TOL``
+counts as capped.
 
 The line search brackets a strong Wolfe step (``WOLFE_C1``, ``WOLFE_C2``)
 and zooms in with safeguarded quadratic interpolation (Nocedal & Wright,
@@ -235,7 +242,8 @@ class SolveCounts:
     # line-search trials that raised in their forward pass or had a non-finite value
     rejected_trials: int = 0
     metric_solves: int = 0
-    # metric solves whose CG hit ``CG_MAXITER`` without a residual at or below ``CG_TOL``
+    # metric solves whose CG ended without a residual at or below ``CG_TOL``:
+    # at ``CG_MAXITER`` iterations, or at a non-finite residual
     metric_solves_capped: int = 0
     # CG iterations summed over all metric solves
     metric_iterations: int = 0
@@ -337,19 +345,28 @@ def _cg_solve(apply_b, rhs: np.ndarray, tol: float, maxiter: int):
     direction and that direction's image on every iteration.  CG updates
     its vectors in place and binds its two dots, ``p·bp`` and ``r·r``, once
     per solve, so every iteration runs the same calls on the same buffers.
-    Returns ``(x, iterations, residual)``: the number of completed
-    CG updates and the final recursive residual norm relative to ``|rhs|``.
+    The iterate and the residual are the two rows of one buffer, and so are
+    the direction and its image, each row viewed in ``rhs.shape``: one
+    multiply by ``[a, -a]`` and one add update ``x += a p`` and
+    ``r -= a Bp`` together, with the bits of the two separate updates.  CG
+    stops early at a residual norm of at most ``tol`` times ``|rhs|``, or at
+    the first non-finite ``r·r``.  Returns ``(x, iterations, residual)``:
+    the number of completed CG updates and the final recursive residual norm
+    relative to ``|rhs|``.
     """
-    x = np.zeros(rhs.shape)
-    r = np.array(rhs, order="C")
+    xr = np.zeros((2, rhs.size))
+    x, r = (row.reshape(rhs.shape) for row in xr)
+    r[...] = rhs
     r_dot_r = block_dot_plan(r, r)
     rs = r_dot_r()
     rhs_norm = math.sqrt(max(rs, 0.0))
     if rhs_norm == 0.0:
         return x, 0, 0.0
-    p = r.copy()
-    bp = np.empty(rhs.shape)
-    tmp = np.empty(rhs.shape)
+    pbp = np.empty((2, rhs.size))
+    p, bp = (row.reshape(rhs.shape) for row in pbp)
+    p[...] = r
+    tmp = np.empty((2, rhs.size))
+    step = np.empty((2, 1))
     p_dot_bp = block_dot_plan(p, bp)
     iterations = 0
     while iterations < maxiter:
@@ -358,12 +375,13 @@ def _cg_solve(apply_b, rhs: np.ndarray, tol: float, maxiter: int):
         if denom <= 0.0:
             break
         a = rs / denom
-        x += np.multiply(p, a, out=tmp)
-        r -= np.multiply(bp, a, out=tmp)
+        # r - a Bp and r + (-a) Bp round alike
+        step[0], step[1] = a, -a
+        xr += np.multiply(pbp, step, out=tmp)
         iterations += 1
         rs_new = r_dot_r()
         rs_prev, rs = rs, rs_new
-        if math.sqrt(max(rs_new, 0.0)) <= tol * rhs_norm:
+        if not math.isfinite(rs_new) or math.sqrt(max(rs_new, 0.0)) <= tol * rhs_norm:
             break
         # p = r + beta * p, in place
         p *= rs_new / rs_prev
@@ -403,12 +421,14 @@ def _make_metric_solve(reg_kind: RegKind, grid: GridSpec, eps_rel: float,
         z, iterations, residual = _cg_solve(apply_b, rhs, CG_TOL, CG_MAXITER)
         counters.metric_solves += 1
         counters.metric_iterations += iterations
-        if iterations == CG_MAXITER and not residual <= CG_TOL:
+        if not residual <= CG_TOL:
             counters.metric_solves_capped += 1
         return z
 
     if isinstance(reg_kind, Diffusion):
         c1, c2, lam = _cosine_metric(reg_kind, grid, eps)
+        # in CG's own (1, 2, m1, m2) shape: a multiply without broadcasting
+        lam = np.ascontiguousarray(np.broadcast_to(lam, (1, 2, *lam.shape)))
 
         def apply_lam(p: np.ndarray, bp: np.ndarray):
             np.multiply(p, lam, out=bp)
@@ -807,7 +827,7 @@ def _component_objective(spec, stack, x, idx):
     The neighbors are warped by their current (frozen) fields and their
     ``pair_state`` is taken once; each evaluation runs ``pair_chain`` on
     ``[left] + [state of warped] + [right]`` and takes the gradient from the
-    cotangent of image ``idx``, so it matches the stack objective's gradient
+    cotangent of image ``idx`` alone, so it matches the stack objective's gradient
     for that field bit for bit.  Like ``objective_trial`` it returns the
     gradient as a zero-argument callable.
     """
@@ -831,7 +851,7 @@ def _component_objective(spec, stack, x, idx):
         value += rv
 
         def gradient():
-            cot = cotangents()[pos]
+            cot = cotangents(pos)
             return (cot[..., None] * jac + reg_gradient())[None, ...]
 
         return value, gradient, False

@@ -750,14 +750,15 @@ class TestMetricSolve:
     @pytest.mark.parametrize("reg", [Diffusion(alpha=1e-2), Elastic(mu=1.0, lam=0.5, alpha=1e-2)],
                              ids=["diffusion", "elastic"])
     def test_non_finite_solve_is_counted_as_capped(self, reg):
-        # a NaN residual is not above CG_TOL, yet CG ran to its cap
+        # CG stops at the first non-finite residual, short of its cap, and
+        # a solve that ends without a residual at or below CG_TOL is capped
         q = rng_for(27).standard_normal((3, *METRIC_GRID.dims, 2))
         q[1, 2, 3, 0] = np.nan
         counters = _Counters()
         z = _make_metric_solve(reg, METRIC_GRID, SolveOptions().metric_eps_rel, counters)(q)
         assert not np.all(np.isfinite(z))
-        assert (counters.metric_solves, counters.metric_solves_capped,
-                counters.metric_iterations) == (1, 1, CG_MAXITER)
+        assert (counters.metric_solves, counters.metric_solves_capped) == (1, 1)
+        assert counters.metric_iterations < CG_MAXITER
 
     def test_cg_reports_iterations_and_residual(self):
         rng = rng_for(22)
