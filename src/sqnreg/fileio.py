@@ -301,9 +301,15 @@ def load_config(path) -> RunConfig:
 # ---------------------------------------------------------------------------
 # metrics CSV
 
+def _parse_flag(val: str) -> bool:
+    if val not in ("0", "1"):
+        raise ValueError(val)
+    return val == "1"
+
+
 # one column per IterRecord field, in declaration order; a field's type
 # picks how it is written and parsed: (to text, from text)
-_CSV_CODECS = {int: (str, int), float: (repr, float), bool: (int, lambda v: bool(int(v)))}
+_CSV_CODECS = {int: (str, int), float: (repr, float), bool: (int, _parse_flag)}
 _CSV_TYPES = get_type_hints(IterRecord)
 _CSV_COLUMNS = [(f.name, *_CSV_CODECS[_CSV_TYPES[f.name]]) for f in dc_fields(IterRecord)]
 _CSV_HEADER = [name for name, _, _ in _CSV_COLUMNS]
@@ -332,7 +338,13 @@ def load_metrics_csv(path) -> list[IterRecord]:
         for row in reader:
             if len(row) != len(_CSV_HEADER):
                 raise FormatError(f"metrics CSV row has {len(row)} fields: {row!r}")
-            records.append(
-                IterRecord(**{name: parse(v) for (name, _, parse), v in zip(_CSV_COLUMNS, row)})
-            )
+            values = {}
+            for (name, _, parse), val in zip(_CSV_COLUMNS, row):
+                try:
+                    values[name] = parse(val)
+                except ValueError:
+                    raise FormatError(
+                        f"metrics CSV line {reader.line_num}, column {name}: bad value {val!r}"
+                    ) from None
+            records.append(IterRecord(**values))
     return records

@@ -117,18 +117,17 @@ GROUPWISE_KINDS = (SchattenQ, CorrDev, LogDet)
 class MeasureEval:
     """Value and per-field displacement gradients of a measure on a stack.
 
-    The value and the subgradient flag come from the forward pass.  The
-    gradients (K, m1, m2, 2) come from the backward pass.  For a groupwise
-    kind it runs on the first access of ``grads`` and reuses what the
-    forward pass kept (warped intensities, warp Jacobians, the spectrum); that
-    state is dropped once the gradients exist, and an evaluation whose
-    gradients are never read never pays for them.  A pairwise kind runs its
-    backward pass with the forward pass (see ``_eval_pairwise``).
+    The value comes from the forward pass, the gradients (K, m1, m2, 2)
+    from the backward pass.  For a groupwise kind the backward pass runs on
+    the first access of ``grads`` and reuses what the forward pass kept
+    (warped intensities, warp Jacobians, the spectrum); that state is
+    dropped once the gradients exist, and an evaluation whose gradients are
+    never read never pays for them.  A pairwise kind runs its backward pass
+    with the forward pass (see ``_eval_pairwise``).
     """
 
-    def __init__(self, value: float, backward, subgradient: bool = False):
+    def __init__(self, value: float, backward):
         self.value = value
-        self.subgradient = subgradient
         self._backward = backward
         self._grads = None
 
@@ -153,24 +152,18 @@ def _sqn_coeffs(svd: ThinSvd, q):
     k = svd.k
     sigma = svd.sigma
     if q == math.inf:
+        # at sigma_1 = 0 (all columns vanish, e.g. everything warped into a
+        # constant region) the value 0 is the measure's supremum; the mode
+        # is not ``u_valid``, so ``sigma_gradient`` gives the zero matrix
         value = -float(sigma[0])
         coeffs = np.zeros(k)
         coeffs[0] = -1.0
-        # at sigma_1 = 0 (all columns vanish, e.g. everything warped into a
-        # constant region) the value 0 is the measure's supremum and the zero
-        # matrix is a valid subgradient; flag it so solvers can reject the
-        # point instead of crashing
-        flagged = bool(svd.gap_flags[0]) or not bool(svd.u_valid[0])
-        return value, coeffs, flagged
+        return value, coeffs
     value = float(k) - float(np.sum(sigma**q))
+    # at q = 1 a vanishing singular value keeps unit weight; it is not
+    # ``u_valid``, so ``sigma_gradient`` drops its mode
     coeffs = -q * sigma ** (q - 1.0)
-    flagged = False
-    if q == 1.0:
-        # sigma -> sigma^0 keeps unit weight at vanishing singular values,
-        # where the derivative is only a subgradient; drop those modes
-        dropped = ~svd.u_valid
-        flagged = bool(dropped.any())
-    return value, coeffs, flagged
+    return value, coeffs
 
 
 def _corr_dev2_coeffs(svd: ThinSvd):
@@ -334,9 +327,8 @@ def _eval_groupwise(stack: ImageStack, u: np.ndarray, kind) -> MeasureEval:
     kind = resolve_measure(kind, stack)
     fm, data, jacs = assemble_with_chain(stack, u, kind.feature)
     svd = thin_svd(fm)
-    flagged = False
     if isinstance(kind, SchattenQ):
-        value, coeffs, flagged = _sqn_coeffs(svd, kind.q)
+        value, coeffs = _sqn_coeffs(svd, kind.q)
     elif isinstance(kind, CorrDev):
         value, coeffs = _corr_dev2_coeffs(svd)
         value, coeffs = -value, -coeffs
@@ -349,4 +341,4 @@ def _eval_groupwise(stack: ImageStack, u: np.ndarray, kind) -> MeasureEval:
         # the Jacobians are read once, so they take the gradients in place
         return np.multiply(sens[..., None], jacs, out=jacs)
 
-    return MeasureEval(float(value), backward, flagged)
+    return MeasureEval(float(value), backward)

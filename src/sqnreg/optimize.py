@@ -73,21 +73,22 @@ along ``-g`` with the L-BFGS memory cleared; at the zero field every sample
 sits on a grid node, where the gradient is a one-sided derivative and that
 direction can point uphill.
 
-Line-search trials are value first.  An evaluation is split into a forward
-pass (warp, features, Gram matrix and ``eigh``, regularizer value), which
-gives the value and the subgradient flag, and a deferred backward pass
-(spectral gradient, feature adjoint, chain rule, regularizer gradient,
-projection), which reuses the forward state and runs only when the line
-search reads the slope of a trial that passed sufficient decrease, or when
-L-BFGS falls back to the best trial.  The search keeps a forward state
-only while a rule can still read it: the trial just evaluated, and the
-best trial below the start value.  A trial with no decrease keeps none,
-and a superseded trial is released before the next forward pass, so at
-most two whole-stack states are alive at once.  ``fevals`` counts
-evaluations and ``gevals`` the gradients actually computed.  A trial whose
-forward pass raises a grid, feature, spectral or measure error, or whose
-value is not finite, is a rejected step: it counts as ``+inf`` and the
-line search shrinks the step (``SolveReport.rejected_trials``).
+Line-search trials are value first.  Every evaluation returns ``(value,
+gradient)``: a forward pass (warp, features, Gram matrix and ``eigh``,
+regularizer value) gives the value, and ``gradient`` is a zero-argument
+callable that runs the deferred backward pass (spectral gradient, feature
+adjoint, chain rule, regularizer gradient, projection).  That pass reuses
+the forward state and runs only when the line search reads the slope of a
+trial that passed sufficient decrease, or when L-BFGS falls back to the
+best trial.  The search keeps a forward state only while a rule can still
+read it: the trial just evaluated, and the best trial below the start
+value.  A trial with no decrease keeps none, and a superseded trial is
+released before the next forward pass, so at most two whole-stack states
+are alive at once.  ``fevals`` counts evaluations and ``gevals`` the
+gradients actually computed.  A trial whose forward pass raises a grid,
+feature, spectral or measure error, or whose value is not finite, is a
+rejected step: it counts as ``+inf`` and the line search shrinks the step
+(``SolveReport.rejected_trials``).
 
 Every count a solve reports, line-search failures included, is declared
 once, in ``SolveCounts``, and tallied in one ledger, ``_Counters``, shared by
@@ -183,7 +184,8 @@ class SolveOptions:
     seed solves ``(H_reg + eps I) z = q`` with ``eps = metric_eps_rel *
     alpha``, where ``metric_eps_rel`` is finite and positive.  The four
     counts are integers, not ``bool``: ``levels``, ``sweeps`` and
-    ``max_fevals`` at least 1 and ``maxiter`` at least 0.  The rest of the
+    ``max_fevals`` at least 1 and ``maxiter`` at least 0.  ``gtol`` and
+    ``metric_eps_rel`` are real numbers, not ``bool``.  The rest of the
     solver policy is the module constants.
     """
 
@@ -202,6 +204,10 @@ class SolveOptions:
             # ``bool`` is an ``Integral``, but ``levels=True`` is a mistake
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("gtol", "metric_eps_rel"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(self.gtol) and self.gtol >= 0):
             raise ConfigError(f"gtol must be finite and >= 0, got {self.gtol}")
         if not (math.isfinite(self.metric_eps_rel) and self.metric_eps_rel > 0):
@@ -217,7 +223,6 @@ class IterRecord:
     grad_norm: float
     step: float
     wolfe_ok: bool
-    subgradient: bool
     fevals: int
     gevals: int
     elapsed: float
@@ -304,11 +309,11 @@ def _project_point(x: np.ndarray, constraint: str) -> np.ndarray:
 def objective_trial(spec: ObjectiveSpec, stack: ImageStack, x: np.ndarray):
     """Forward pass of ``objective`` on the array ``x``: value now, gradients on demand.
 
-    Returns ``(value, gradient, subgradient_flag)``, where ``gradient`` is a
-    zero-argument callable that runs the backward pass from the state the
-    forward pass kept and returns what ``objective`` returns as ``grads``,
-    bit for bit.  It adds the regularizer gradient into the measure's
-    gradient array and projects that in place, so it is called at most once.
+    Returns ``(value, gradient)``, where ``gradient`` is a zero-argument
+    callable that runs the backward pass from the state the forward pass
+    kept and returns what ``objective`` returns as ``grads``, bit for bit.
+    It adds the regularizer gradient into the measure's gradient array and
+    projects that in place, so it is called at most once.
     """
     me = measure_eval(stack, x, spec.measure)
     # the first image is the anchor of the sequential chain; it carries no
@@ -321,17 +326,17 @@ def objective_trial(spec: ObjectiveSpec, stack: ImageStack, x: np.ndarray):
         grads[regularized] += reg_gradient()
         return _project_gradient(grads, spec.constraint)
 
-    return me.value + reg_value, gradient, me.subgradient
+    return me.value + reg_value, gradient
 
 
 def objective(spec: ObjectiveSpec, stack: ImageStack, fields):
     """Evaluate ``J`` and its per-field gradients under the chosen constraint.
 
     ``fields`` may be a list of ``DisplacementField`` or a raw array of shape
-    (K, m1, m2, 2).  Returns ``(value, grads, subgradient_flag)``.
+    (K, m1, m2, 2).  Returns ``(value, grads)``.
     """
-    value, gradient, subgradient = objective_trial(spec, stack, displacement_array(stack, fields))
-    return value, gradient(), subgradient
+    value, gradient = objective_trial(spec, stack, displacement_array(stack, fields))
+    return value, gradient()
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +486,10 @@ class _Eval:
     computed on first access; the slope drops the direction once it is read.
     """
 
-    def __init__(self, alpha: float, value: float, grad, subgradient: bool,
+    def __init__(self, alpha: float, value: float, grad,
                  direction: np.ndarray | None = None, slope: float | None = None):
         self.alpha = alpha
         self.value = value
-        self.subgradient = subgradient
         self._grad = grad
         self._direction = direction
         self._slope = slope
@@ -572,18 +576,18 @@ def _strong_wolfe(fun, x, p, f0, slope0, counters: _Counters, first_trial: float
             # never the fallback now, and its slope was read if a rule needs it
             current.release()
         try:
-            value, grad, sub = fun(x + alpha * p)
+            value, grad = fun(x + alpha * p)
         except TRIAL_ERRORS:
             value = math.nan
         if not math.isfinite(value):
             counters.rejected_trials += 1
-            value, grad, sub = math.inf, None, False
+            value, grad = math.inf, None
         # no fallback, and no rule reads its slope; both tests, because a
         # value at f0 passes sufficient decrease when c1 * alpha * slope0
         # is below f0's rounding
         if not value < f0 and value > f0 + c1 * alpha * slope0:
             grad = None
-        current = _Eval(alpha, value, grad, sub, direction=p)
+        current = _Eval(alpha, value, grad, direction=p)
         if value < f0 and (best is None or value < best.value):
             if best is not None:
                 best.release()
@@ -608,7 +612,7 @@ def _strong_wolfe(fun, x, p, f0, slope0, counters: _Counters, first_trial: float
                 lo = trial
         return fallback("zoom_cap")
 
-    prev = _Eval(0.0, f0, None, False, slope=slope0)
+    prev = _Eval(0.0, f0, None, slope=slope0)
     alpha = first_trial
     for i in range(LS_MAX_EXPAND):
         if counters.exhausted:
@@ -640,15 +644,17 @@ def lbfgs(
 ) -> tuple[np.ndarray, str]:
     """Limited-memory BFGS minimization of ``fun``, seeded by ``metric_solve``.
 
-    ``fun`` maps an array to ``(value, gradient, subgradient_flag)``, where
-    ``gradient`` is a zero-argument callable that the line search calls
-    only when it needs the slope.  Only the start point's errors propagate;
-    a line-search trial that fails is a rejected step (see
-    ``_strong_wolfe``).  The two-loop recursion always seeds with
-    ``metric_solve``; there is no identity seed.  ``project_point`` maps the
-    start point onto the gauge constraint.  An accepted iterate is the
-    evaluated trial point itself, so a record's J is J at that iterate; it
-    keeps the constraint up to rounding, because the gradient is projected.
+    ``fun`` maps an array to ``(value, gradient)``, where ``gradient`` is a
+    zero-argument callable that the line search calls only when it needs
+    the slope.  Only the start point's errors propagate; a line-search trial
+    that fails is a rejected step (see ``_strong_wolfe``).  The two-loop
+    recursion always seeds with ``metric_solve``; there is no identity
+    seed.  ``project_point`` maps the start point onto the gauge constraint.
+    ``x0`` is never written, and a run that accepts no step may return the
+    projection of ``x0``, which can be ``x0`` itself.  An accepted iterate
+    is the evaluated trial point itself, so a record's J is J at that
+    iterate; it keeps the constraint up to rounding, because the gradient
+    is projected.
     The first trial of each line search is capped at
     ``first_step_scale / |p|_inf``, because the metric's near-null
     directions carry no natural scale; Wolfe expansion can still grow the
@@ -664,18 +670,18 @@ def lbfgs(
 
     def charged(z):
         counters.fevals += 1
-        value, grad, sub = fun(z)
+        value, grad = fun(z)
 
         def gradient():
             counters.gevals += 1
             return grad()
 
-        return value, gradient, sub
+        return value, gradient
 
-    x = project_point(x0.copy())
+    x = project_point(x0)
     if counters.exhausted:
         return x, "budget"
-    value, grad, sub = charged(x)
+    value, grad = charged(x)
     grad = grad()
     gnorm = block_norm(grad)
     gnorm0 = gnorm
@@ -683,7 +689,7 @@ def lbfgs(
     y_list: list[np.ndarray] = []
     rho_list: list[float] = []
 
-    def record(iteration, step, wolfe_ok, subflag):
+    def record(iteration, step, wolfe_ok):
         trace.records.append(
             IterRecord(
                 level=level,
@@ -693,7 +699,6 @@ def lbfgs(
                 grad_norm=gnorm,
                 step=step,
                 wolfe_ok=wolfe_ok,
-                subgradient=subflag,
                 fevals=counters.fevals,
                 gevals=counters.gevals,
                 elapsed=time.perf_counter() - t0,
@@ -705,7 +710,7 @@ def lbfgs(
         first_trial = first_step_scale / pinf if pinf > first_step_scale else 1.0
         return _strong_wolfe(charged, x, p, value, slope, counters, first_trial)
 
-    record(0, 0.0, True, sub)
+    record(0, 0.0, True)
     termination = "maxiter"
     for iteration in range(1, opts.maxiter + 1):
         if gnorm <= opts.gtol * max(1.0, gnorm0):
@@ -751,7 +756,7 @@ def lbfgs(
                 s_list.pop(0)
                 y_list.pop(0)
                 rho_list.pop(0)
-        record(iteration, ls.ev.alpha, ls.ok, ls.ev.subgradient)
+        record(iteration, ls.ev.alpha, ls.ok)
         if not ls.ok:
             break
     if gnorm <= opts.gtol * max(1.0, gnorm0) and termination == "maxiter":
@@ -854,7 +859,7 @@ def _component_objective(spec, stack, x, idx):
             cot = cotangents(pos)
             return (cot[..., None] * jac + reg_gradient())[None, ...]
 
-        return value, gradient, False
+        return value, gradient
 
     return fun
 

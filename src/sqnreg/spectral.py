@@ -35,7 +35,6 @@ from .features import FeatureMatrix
 # factor EIG_RESOLUTION_C, i.e. sigma_k**2 > C * K * eps * sigma_1**2; below
 # it a derivative is refused.
 EIG_RESOLUTION_C = 100.0
-EPS_GAP_REL = 1e-8  # below this multiple of sigma_1 a gap flags a subgradient
 
 
 @dataclass(frozen=True)
@@ -43,9 +42,8 @@ class ThinSvd:
     """Singular values and right singular vectors of ``sqrt(w) * F``.
 
     Descending singular-value order.  ``u_valid`` marks the modes whose
-    singular value is large enough for a stable derivative, ``gap_flags``
-    the modes with a near-degenerate gap to a neighbor, and ``eigenvalues``
-    are the clamped Gram eigenvalues, i.e. ``sigma**2``.
+    singular value is large enough for a stable derivative, and
+    ``eigenvalues`` are the clamped Gram eigenvalues, i.e. ``sigma**2``.
 
     There are no left singular vectors.  The right singular vectors are the
     Gram eigenvectors ``ordered_v`` in canonical column order: row ``i``
@@ -59,7 +57,6 @@ class ThinSvd:
     sigma: np.ndarray
     u_valid: np.ndarray
     eigenvalues: np.ndarray
-    gap_flags: np.ndarray
     quad_weight: float
     ordered_entries: np.ndarray = field(repr=False)
     ordered_v: np.ndarray = field(repr=False)
@@ -130,17 +127,10 @@ def thin_svd(fm: FeatureMatrix) -> ThinSvd:
     lam = np.maximum(lam_asc[::-1], 0.0)
     sigma = np.sqrt(lam)
     u_valid = lam > EIG_RESOLUTION_C * k * np.finfo(float).eps * lam[0]
-    gaps = np.full(k, np.inf)
-    if k > 1:
-        d = np.abs(np.diff(sigma))
-        gaps[:-1] = np.minimum(gaps[:-1], d)
-        gaps[1:] = np.minimum(gaps[1:], d)
-    gap_flags = gaps < EPS_GAP_REL * sigma[0]
     return ThinSvd(
         sigma=sigma,
         u_valid=u_valid,
         eigenvalues=lam,
-        gap_flags=gap_flags,
         quad_weight=w,
         ordered_entries=fs,
         ordered_v=vs,

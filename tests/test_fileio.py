@@ -306,9 +306,9 @@ class TestConfig:
 class TestMetricsCsv:
     def make_report(self):
         records = [
-            IterRecord(0, -1, 0, 0.1 + 0.2, math.pi, 0.0, True, False, 1, 1, 0.0123),
-            IterRecord(0, -1, 1, -1.5e-17, 2.0 / 3.0, 1.0, True, True, 3, 3, 0.5),
-            IterRecord(1, 2, 0, 1e308, 5e-324, 0.25, False, False, 9, 9, 1.75),
+            IterRecord(0, -1, 0, 0.1 + 0.2, math.pi, 0.0, True, 1, 1, 0.0123),
+            IterRecord(0, -1, 1, -1.5e-17, 2.0 / 3.0, 1.0, True, 3, 3, 0.5),
+            IterRecord(1, 2, 0, 1e308, 5e-324, 0.25, False, 9, 9, 1.75),
         ]
         trace0 = LevelTrace(0, (8, 8), records=records[:2])
         trace1 = LevelTrace(1, (16, 16), records=records[2:])
@@ -330,17 +330,27 @@ class TestMetricsCsv:
         back = load_metrics_csv(path)
         assert back == list(report.all_records())
 
-    def test_header_checked(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b,c\n1,2,3\n",
+            # the header before the subgradient column was dropped
+            "level,component,iteration,value,grad_norm,step,wolfe_ok,subgradient,fevals,gevals,"
+            "elapsed\n0,-1,0,1.0,1.0,0.0,1,0,1,1,0.5\n",
+        ],
+        ids=["foreign", "old"],
+    )
+    def test_header_checked(self, tmp_path, text):
         path = tmp_path / "metrics.csv"
-        path.write_text("a,b,c\n1,2,3\n")
+        path.write_text(text)
         with pytest.raises(FormatError, match="unexpected metrics CSV header"):
             load_metrics_csv(path)
 
     GOLDEN = (
-        "level,component,iteration,value,grad_norm,step,wolfe_ok,subgradient,fevals,gevals,elapsed\r\n"
-        "0,-1,0,0.30000000000000004,3.141592653589793,0.0,1,0,1,1,0.0123\r\n"
-        "0,-1,1,-1.5e-17,0.6666666666666666,1.0,1,1,3,3,0.5\r\n"
-        "1,2,0,1e+308,5e-324,0.25,0,0,9,9,1.75\r\n"
+        "level,component,iteration,value,grad_norm,step,wolfe_ok,fevals,gevals,elapsed\r\n"
+        "0,-1,0,0.30000000000000004,3.141592653589793,0.0,1,1,1,0.0123\r\n"
+        "0,-1,1,-1.5e-17,0.6666666666666666,1.0,1,3,3,0.5\r\n"
+        "1,2,0,1e+308,5e-324,0.25,0,9,9,1.75\r\n"
     )
 
     def test_golden_bytes(self, tmp_path):
@@ -356,4 +366,22 @@ class TestMetricsCsv:
         path = tmp_path / "metrics.csv"
         path.write_text(self.GOLDEN.splitlines()[0] + "\n0,-1,0,1.0\n")
         with pytest.raises(FormatError, match="metrics CSV row has 4 fields"):
+            load_metrics_csv(path)
+
+    @pytest.mark.parametrize(
+        "row,column",
+        [
+            ("x,-1,0,1.0,1.0,0.0,1,1,1,0.5", "level"),
+            ("0,-1,0,one,1.0,0.0,1,1,1,0.5", "value"),
+            ("0,-1,0,1.0,1.0,0.0,7,1,1,0.5", "wolfe_ok"),
+            ("0,-1,0,1.0,1.0,0.0,true,1,1,0.5", "wolfe_ok"),
+            ("0,-1,0,1.0,1.0,0.0,1,1,1.5,0.5", "gevals"),
+        ],
+    )
+    def test_bad_cell_named(self, tmp_path, row, column):
+        # a cell that does not parse used to raise a bare ValueError, and
+        # any integer in a bool column loaded, 7 as True
+        path = tmp_path / "metrics.csv"
+        path.write_text(self.GOLDEN.splitlines()[0] + "\n" + row + "\n")
+        with pytest.raises(FormatError, match=f"metrics CSV line 2, column {column}: bad value"):
             load_metrics_csv(path)

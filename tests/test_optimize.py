@@ -50,7 +50,7 @@ from conftest import fd_instance, relative_error, rng_for, stack_of
 
 def quadratic_target(a):
     def fun(x):
-        return 0.5 * float(np.sum((x - a) ** 2)), lambda: x - a, False
+        return 0.5 * float(np.sum((x - a) ** 2)), lambda: x - a
 
     return fun
 
@@ -63,7 +63,7 @@ def rosenbrock(x):
             200.0 * (x[1] - x[0] ** 2),
         ]
     )
-    return float(v), lambda: g, False
+    return float(v), lambda: g
 
 
 def run_lbfgs(fun, x0, opts, metric_solve=lambda q: q, counters=None, trace=None):
@@ -140,14 +140,14 @@ class TestLbfgsGeneric:
 
         def fun(z):
             t = z[0]
-            return float(t**4 - 2 * t**2 + 0.5), lambda: np.array([4 * t**3 - 4 * t]), False
+            return float(t**4 - 2 * t**2 + 0.5), lambda: np.array([4 * t**3 - 4 * t])
 
-        f0, g0, _ = fun(x)
+        f0, g0 = fun(x)
         p = -g0()
         slope0 = float(g0() @ p)
         ls = _strong_wolfe(fun, x, p, f0, slope0, _Counters())
         assert ls.ok
-        fa, ga, _ = fun(x + ls.ev.alpha * p)
+        fa, ga = fun(x + ls.ev.alpha * p)
         assert fa <= f0 + WOLFE_C1 * ls.ev.alpha * slope0
         assert abs(float(ga() @ p)) <= WOLFE_C2 * abs(slope0)
 
@@ -167,7 +167,7 @@ def kinked(c):
     """``c |x_0| + x_1^2`` whose gradient at the kink is the right derivative."""
 
     def fun(x):
-        return c * abs(x[0]) + x[1] ** 2, lambda: np.array([c if x[0] >= 0 else -c, 2 * x[1]]), False
+        return c * abs(x[0]) + x[1] ** 2, lambda: np.array([c if x[0] >= 0 else -c, 2 * x[1]])
 
     return fun
 
@@ -257,7 +257,7 @@ def stateful_line(value_of, slope_of):
         def gradient(state=state):  # the closure holds the state
             return np.array([slope_of(t)])
 
-        return value_of(t), gradient, False
+        return value_of(t), gradient
 
     return fun, held_at_start
 
@@ -267,7 +267,7 @@ class TestZoomInterpolation:
         # phi(t) = (t - 1/4)^2: the first trial t = 1 fails sufficient
         # decrease, and the quadratic through phi(0), phi'(0) and phi(1) is
         # phi itself, so the next trial is its minimizer, exactly
-        fun, trials = recorded(lambda z: ((z[0] - 0.25) ** 2, lambda: 2.0 * (z - 0.25), False))
+        fun, trials = recorded(lambda z: ((z[0] - 0.25) ** 2, lambda: 2.0 * (z - 0.25)))
         ls = _strong_wolfe(fun, np.zeros(1), np.ones(1), 0.0625, -0.5, _Counters())
         assert ls.ok and ls.reason == "wolfe"
         assert trials == [1.0, 0.25]
@@ -278,29 +278,29 @@ class TestZoomInterpolation:
         # bracket [0.5, 2.5]; the inner 80 % is [0.7, 2.3]
         a, b = (2.5, 0.5) if reversed_bracket else (0.5, 2.5)
         downhill = -1.0 if b > a else 1.0  # phi decreases from lo towards hi
-        lo = _Eval(a, 0.0, None, False, slope=downhill)
-        steep = _Eval(b, 100.0, None, False)  # minimizer just past lo
-        flat = _Eval(b, -1.9, None, False)  # minimizer far beyond hi
+        lo = _Eval(a, 0.0, None, slope=downhill)
+        steep = _Eval(b, 100.0, None)  # minimizer just past lo
+        flat = _Eval(b, -1.9, None)  # minimizer far beyond hi
         near_lo, near_hi = (2.3, 0.7) if reversed_bracket else (0.7, 2.3)
         assert _zoom_trial(lo, steep) == pytest.approx(near_lo, abs=1e-15)
         assert _zoom_trial(lo, flat) == pytest.approx(near_hi, abs=1e-15)
         # inside the inner bracket the quadratic's minimizer is kept
-        inner = _Eval(b, 1.0, None, False)
+        inner = _Eval(b, 1.0, None)
         assert _zoom_trial(lo, inner) == pytest.approx(a + (b - a) / 3.0, abs=1e-15)
 
     @pytest.mark.parametrize("hi_value", [math.inf, -2.0, -3.0])
     def test_midpoint_without_a_convex_quadratic(self, hi_value):
         # +inf is a rejected trial; -2 and -3 give curvature 0 and < 0
-        lo = _Eval(0.0, 0.0, None, False, slope=-1.0)
-        assert _zoom_trial(lo, _Eval(2.0, hi_value, None, False)) == 1.0
-        lo_rev = _Eval(2.0, 0.0, None, False, slope=1.0)
-        assert _zoom_trial(lo_rev, _Eval(0.0, hi_value, None, False)) == 1.0
+        lo = _Eval(0.0, 0.0, None, slope=-1.0)
+        assert _zoom_trial(lo, _Eval(2.0, hi_value, None)) == 1.0
+        lo_rev = _Eval(2.0, 0.0, None, slope=1.0)
+        assert _zoom_trial(lo_rev, _Eval(0.0, hi_value, None)) == 1.0
 
     def test_rejected_first_trial_is_bisected(self):
         def fun(z):
             if z[0] > 0.6:
                 raise MeasureError("outside the valid region")
-            return (z[0] - 0.25) ** 2, lambda: 2.0 * (z - 0.25), False
+            return (z[0] - 0.25) ** 2, lambda: 2.0 * (z - 0.25)
 
         fun, trials = recorded(fun)
         counters = _Counters()
@@ -319,7 +319,7 @@ class TestObjective:
             SchattenQ(q=4.0, feature=IntensityFeature()), Diffusion(alpha=1e-2)
         )
         fields = [zero_field(unit_grid8) for _ in range(4)]
-        value, grads, sub = objective(spec, stack, fields)
+        value, grads = objective(spec, stack, fields)
         k = 4
         assert value == pytest.approx(k - k**2, abs=1e-9)
         assert np.linalg.norm(grads) <= 1e-8
@@ -340,9 +340,9 @@ class TestObjective:
         stack, fields = fd_instance(13, k=4)
         x = np.stack([f.u for f in fields])
         spec = ObjectiveSpec(measure, reg, mode=mode)
-        v_list, g_list, s_list = objective(spec, stack, fields)
-        v_arr, g_arr, s_arr = objective(spec, stack, x)
-        assert (v_list, s_list) == (v_arr, s_arr)
+        v_list, g_list = objective(spec, stack, fields)
+        v_arr, g_arr = objective(spec, stack, x)
+        assert v_list == v_arr
         assert np.array_equal(g_list, g_arr)
         me_list = measure_eval(stack, fields, measure)
         me_arr = measure_eval(stack, x, measure)
@@ -352,7 +352,7 @@ class TestObjective:
     def test_groupwise_value_is_measure_plus_reg(self):
         stack, fields = fd_instance(2, k=3)
         spec = ObjectiveSpec(SchattenQ(q=4.0), Diffusion(alpha=1e-2), constraint="none")
-        value, _, _ = objective(spec, stack, fields)
+        value, _ = objective(spec, stack, fields)
         from sqnreg.regularize import reg_glo
 
         me = measure_eval(stack, fields, spec.measure)
@@ -365,7 +365,7 @@ class TestObjective:
         # and gradient are the bits of ``reg_eval`` on that field alone
         stack, fields = fd_instance(9, k=4)
         spec = ObjectiveSpec(SsdPair(), reg, mode="sequential", constraint="none")
-        value, grads, _ = objective(spec, stack, fields)
+        value, grads = objective(spec, stack, fields)
         me = measure_eval(stack, fields, spec.measure)
         parts = [(v, g()) for v, g in (reg_eval(reg, f.grid, f.u) for f in fields[1:])]
         assert value == me.value + sorted_sum([v for v, _ in parts])
@@ -401,7 +401,7 @@ class TestObjective:
         stack, fields = fd_instance(5, k=3)
         spec = ObjectiveSpec(SsdPair(), Diffusion(alpha=1e-2), mode="sequential")
         assert spec.constraint == "fix_first"
-        _, grads, _ = objective(spec, stack, fields)
+        _, grads = objective(spec, stack, fields)
         assert np.all(grads[0] == 0.0)
         assert np.linalg.norm(grads[1]) > 0
 
@@ -409,7 +409,7 @@ class TestObjective:
         stack, fields = fd_instance(6, k=4)
         spec = ObjectiveSpec(SchattenQ(q=4.0), Diffusion(alpha=1e-2))
         assert spec.constraint == "zero_mean"
-        _, grads, _ = objective(spec, stack, fields)
+        _, grads = objective(spec, stack, fields)
         assert np.abs(grads.mean(axis=0)).max() <= 1e-15
 
     def test_spec_validation(self):
@@ -469,15 +469,16 @@ class TestSolveOptions:
         with pytest.raises(ConfigError, match=name):
             SolveOptions(**{name: value})
 
-    @pytest.mark.parametrize("gtol", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("gtol", [-1.0, math.nan, math.inf, "1e-5", True])
     def test_gtol_negative_or_not_finite_is_rejected(self, gtol):
         with pytest.raises(ConfigError, match="gtol"):
             SolveOptions(gtol=gtol)
 
-    @pytest.mark.parametrize("eps_rel", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("eps_rel", [-1.0, 0.0, math.nan, math.inf, None, True])
     def test_metric_eps_rel_not_positive_or_not_finite_is_rejected(self, eps_rel):
         # a negative shift makes CG break on p·Bp <= 0, and with NaN no CG
-        # iteration meets the tolerance, yet none is counted as capped
+        # iteration meets the tolerance, yet none is counted as capped; None
+        # and a string used to raise a TypeError, and True was accepted
         with pytest.raises(ConfigError, match="metric_eps_rel"):
             SolveOptions(metric_eps_rel=eps_rel)
 
@@ -561,6 +562,27 @@ class TestSolvers:
         assert d1 < d0
         assert np.all(x[0] == 0.0)
         assert minimizer.trace.terminations[0].startswith("level0:sweep0:field1:")
+
+    @pytest.mark.parametrize(
+        "measure,mode,constraint",
+        [(SchattenQ(q=4.0), "groupwise", "zero_mean"), (SchattenQ(q=4.0), "groupwise", "none"),
+         (SsdPair(), "sequential", "fix_first")],
+    )
+    def test_run_from_a_read_only_start(self, measure, mode, constraint):
+        # ``lbfgs`` projects its start point without copying it: the start
+        # is read, never written, so a read-only array serves
+        stack = shifted_blob_stack((16, 16), [(0.0, 0.0), (0.05, 0.0), (0.0, -0.05)])
+        spec = ObjectiveSpec(measure, Diffusion(alpha=1e-3), mode=mode, constraint=constraint)
+        minimizer = _LevelMinimizer(spec, stack.grid, SolveOptions(maxiter=5), _Counters(),
+                                    LevelTrace(0, stack.grid.dims), time.perf_counter())
+        x = np.zeros((stack.k, *stack.grid.dims, 2))
+        x.flags.writeable = False
+        if mode == "groupwise":
+            out = minimizer.run(lambda z: objective_trial(spec, stack, z), x)
+        else:
+            out = minimizer.run(_component_objective(spec, stack, x, 1), x[1:2], 1)
+        assert np.all(x == 0.0)
+        assert np.abs(out).max() > 0.0
 
     def test_multilevel_identical_images_stays_zero(self):
         rng = rng_for(7)
@@ -804,10 +826,9 @@ class TestValueFirstTrials:
     def test_trial_matches_objective_bitexact(self, mode, measure, reg):
         stack, fields = fd_instance(7, k=3)
         spec = ObjectiveSpec(measure, reg, mode=mode)
-        value, grads, sub = objective(spec, stack, fields)
-        t_value, gradient, t_sub = objective_trial(spec, stack, np.stack([f.u for f in fields]))
+        value, grads = objective(spec, stack, fields)
+        t_value, gradient = objective_trial(spec, stack, np.stack([f.u for f in fields]))
         assert t_value == value
-        assert t_sub == sub
         assert np.array_equal(gradient(), grads)
 
     @pytest.mark.parametrize("measure", [SsdPair(), NgfPair(eta_pt=1e-2)])
@@ -816,11 +837,11 @@ class TestValueFirstTrials:
         # gradient must be the full objective's gradient for that field
         stack, fields = fd_instance(8, k=4)
         spec = ObjectiveSpec(measure, Diffusion(alpha=1e-2), mode="sequential")
-        _, grads, _ = objective(spec, stack, fields)
+        _, grads = objective(spec, stack, fields)
         x = np.stack([f.u for f in fields])
         for idx in range(1, stack.k):
             fun = _component_objective(spec, stack, x, idx)
-            _, gradient, _ = fun(x[idx:idx + 1])
+            _, gradient = fun(x[idx:idx + 1])
             assert np.array_equal(gradient()[0], grads[idx])
 
     def test_interior_component_takes_neighbour_gradients_once(self, monkeypatch):
@@ -838,7 +859,7 @@ class TestValueFirstTrials:
         # the two frozen neighbours once per component, then one per evaluation
         assert len(calls) == 2
         for _ in range(2):
-            _, gradient, _ = fun(x[2:3])
+            _, gradient = fun(x[2:3])
             gradient()
         assert len(calls) == 4
 
@@ -851,10 +872,10 @@ class TestValueFirstTrials:
         original = Image.__post_init__
         monkeypatch.setattr(Image, "__post_init__", lambda img: made.append(img) or original(img))
         groupwise = ObjectiveSpec(SchattenQ(q=4.0), Diffusion(alpha=1e-2))
-        _, gradient, _ = objective_trial(groupwise, stack, x)
+        _, gradient = objective_trial(groupwise, stack, x)
         gradient()
         sequential = ObjectiveSpec(NgfPair(eta_pt=1e-2), Diffusion(alpha=1e-2), mode="sequential")
-        _, gradient, _ = _component_objective(sequential, stack, x, 2)(x[2:3])
+        _, gradient = _component_objective(sequential, stack, x, 2)(x[2:3])
         gradient()
         assert made == []
 
@@ -867,7 +888,7 @@ class TestValueFirstTrials:
         spec = ObjectiveSpec(measure, reg, mode="sequential")
         x = np.stack([f.u for f in fields])
         fun = _component_objective(spec, stack, x, 0)
-        _, gradient, _ = fun(x[0:1])
+        _, gradient = fun(x[0:1])
         expected = measure_eval(stack, fields, measure).grads[0] + reg_eval(reg, stack.grid, x[0])[1]()
         assert np.array_equal(gradient()[0], expected)
 
@@ -886,7 +907,7 @@ class TestValueFirstTrials:
                 graded.append(t)
                 return np.array([2.0 * (t - 0.3)])
 
-            return value_of(t), gradient, False
+            return value_of(t), gradient
 
         # x = 0 and p = 1, so each trial point is its step length exactly
         f0, slope0 = value_of(0.0), -0.6
@@ -917,7 +938,7 @@ class TestValueFirstTrials:
                 return np.array([2.0 * (t - 0.3)])
 
             value = 0.1 if t < 0.45 else f0 - 1e-5
-            return value, gradient, False
+            return value, gradient
 
         ls = _strong_wolfe(fun, np.zeros(1), np.ones(1), f0, slope0, _Counters(), 0.5)
         assert not ls.ok and ls.reason == "zoom_cap"
@@ -959,14 +980,14 @@ class TestValueFirstTrials:
         # a flat trial at f0 passes sufficient decrease and its slope is read
         f0, slope0 = 1.0, -1e-20
         assert f0 + WOLFE_C1 * slope0 == f0
-        ls = _strong_wolfe(lambda z: (f0, lambda: np.zeros(1), False),
+        ls = _strong_wolfe(lambda z: (f0, lambda: np.zeros(1)),
                            np.zeros(1), np.ones(1), f0, slope0, _Counters())
         assert ls.ok and ls.ev.alpha == 1.0 and ls.ev.slope == 0.0
 
     def test_accepted_trial_does_not_keep_the_direction_alive(self):
         p = np.ones(1)
         direction = weakref.ref(p)
-        ls = _strong_wolfe(lambda z: ((z[0] - 0.25) ** 2, lambda: 2.0 * (z - 0.25), False),
+        ls = _strong_wolfe(lambda z: ((z[0] - 0.25) ** 2, lambda: 2.0 * (z - 0.25)),
                            np.zeros(1), p, 0.0625, -0.5, _Counters())
         del p
         assert ls.ok and ls.ev.slope == 0.0
@@ -982,8 +1003,8 @@ class TestValueFirstTrials:
         calls = []
 
         def counted(x):
-            value, grad, sub = rosenbrock(x)
-            return value, lambda: calls.append(x) or grad(), sub
+            value, grad = rosenbrock(x)
+            return value, lambda: calls.append(x) or grad()
 
         counters = _Counters()
         run_lbfgs(counted, np.array([-1.2, 1.0]), SolveOptions(maxiter=30), counters=counters)
@@ -997,8 +1018,8 @@ class TestValueFirstTrials:
             if np.abs(x).max() > 1.0:
                 if failure == "raise":
                     raise MeasureError("outside the valid region")
-                return (math.nan if failure == "nan" else math.inf), None, False
-            return 0.5 * float(np.sum((x - a) ** 2)), lambda: x - a, False
+                return (math.nan if failure == "nan" else math.inf), None
+            return 0.5 * float(np.sum((x - a) ** 2)), lambda: x - a
 
         counters = _Counters()
         trace = LevelTrace(0, (0, 0))

@@ -1,4 +1,5 @@
-"""The package's public names, and what its modules import."""
+"""The package's public names, what its modules import, and that every
+module-level name is read by code other than the tests."""
 
 import ast
 import sys
@@ -66,3 +67,54 @@ def test_modules_use_every_name_they_import():
         for name in unused_imports(ast.parse(path.read_text(), filename=str(path)))
     }
     assert found == set()
+
+
+REPO = Path(__file__).resolve().parents[1]
+# the code a module-level name may be kept for: the package, the scripts and
+# the benchmark; a name only tests read is dead code
+READERS = ("src", "scripts", "perfbench")
+
+
+def defined_names(tree):
+    """The functions, classes and constants a module defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def read_names(tree):
+    """Every name ``tree`` reads: loaded names, attribute names, imported
+    names (so an ``__init__`` re-export counts) and string constants."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def parsed(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_every_module_level_name_is_read_outside_tests():
+    read = {
+        name
+        for folder in READERS
+        for path in sorted((REPO / folder).rglob("*.py"))
+        for name in read_names(parsed(path))
+    }
+    unread = {
+        (path.name, name)
+        for path in sorted((REPO / "src" / "sqnreg").glob("*.py"))
+        for name in defined_names(parsed(path))
+        if not (name.startswith("__") and name.endswith("__")) and name not in read
+    }
+    assert unread == set()
