@@ -52,9 +52,7 @@ def build_measure(cfg: RunConfig):
         return SchattenQ(q=cfg.q, feature=feature)
     if cfg.measure == "corr_dev":
         return CorrDev(feature=feature)
-    if cfg.jitter == "auto":
-        return LogDet(auto_jitter=True, feature=feature)
-    return LogDet(jitter=float(cfg.jitter), feature=feature)
+    return LogDet(jitter=cfg.jitter, feature=feature)
 
 
 def build_regularizer(cfg: RunConfig):
@@ -172,7 +170,7 @@ def _cmd_gradcheck(args) -> int:
     def fn(vec):
         return objective(spec, stack, vec.reshape(x.shape))[0]
 
-    analytic = objective(spec, stack, x)[1].ravel()
+    analytic = objective(spec, stack, x)[1]().ravel()
     numeric = fd_gradient(fn, x.ravel(), step=1e-5)
     err = float(
         np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-300)

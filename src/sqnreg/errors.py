@@ -6,6 +6,9 @@ report failures uniformly and map them to exit codes.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 
 class SqnregError(Exception):
     """Base class for all errors raised by this package."""
@@ -45,3 +48,12 @@ class FormatError(SqnregError):
 
 class ConfigError(SqnregError):
     category = "config"
+
+
+def check_real(value, error: type[SqnregError], what: str, low: float = 0.0,
+               closed: bool = False) -> None:
+    """Raise ``error`` naming ``what`` and ``value`` unless ``value`` is a
+    finite real, not ``bool``, above ``low`` (or at it when ``closed``)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or not (value >= low if closed else value > low)):
+        raise error(f"{what}, got {value!r}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .accum import field_sums, sorted_sum
-from .errors import FeatureError
+from .errors import FeatureError, check_real
 from .grids import (GridSpec, ImageStack, displacement_array, gradient_central,
                     gradient_central_adjoint, warp_with_jacobian)
 
@@ -48,8 +48,7 @@ class NgfFeature:
     relative: bool = True
 
     def __post_init__(self):
-        if not np.isfinite(self.eta) or self.eta <= 0:
-            raise FeatureError(f"stabilizer eta must be positive, got {self.eta}")
+        check_real(self.eta, FeatureError, "stabilizer eta must be positive")
 
 
 FeatureMap = IntensityFeature | NgfFeature

@@ -23,7 +23,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, GridError
 from .grids import DisplacementField, GridSpec, Image, ImageStack
 from .optimize import IterRecord
 
@@ -146,7 +146,9 @@ def load_field(path) -> DisplacementField:
     try:
         m1, m2 = int(tokens[2]), int(tokens[3])
         h1, h2, x0, y0 = (float(t) for t in tokens[4:8])
-    except ValueError:
+        # dims >= 2, finite origin, finite spacing > 0
+        grid = GridSpec(dims=(m1, m2), origin=(x0, y0), spacing=(h1, h2))
+    except (ValueError, GridError):
         raise FormatError(f"bad SQNFIELD header values {tokens[2:]!r}") from None
     payload = buf[nl + 1 :]
     need = m1 * m2 * 2 * 8
@@ -155,7 +157,6 @@ def load_field(path) -> DisplacementField:
             f"SQNFIELD payload size mismatch: expected {need} bytes, found {len(payload)}"
         )
     planes = np.frombuffer(payload, dtype="<f8").reshape(2, m1, m2)
-    grid = GridSpec(dims=(m1, m2), origin=(x0, y0), spacing=(h1, h2))
     return DisplacementField(grid, np.stack([planes[0], planes[1]], axis=-1))
 
 

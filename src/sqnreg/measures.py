@@ -35,11 +35,13 @@ Jacobians.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MeasureError
+from .errors import MeasureError, check_real
 from .features import (
     FeatureMap,
     NgfFeature,
@@ -54,6 +56,7 @@ from .grids import (
     gradient_central_adjoint,
     warp_with_jacobian,
 )
+from .regularize import once
 from .spectral import ThinSvd, sigma_gradient, thin_svd
 
 
@@ -69,8 +72,7 @@ class NgfPair:
     eta_pt: float = 1e-2
 
     def __post_init__(self):
-        if not np.isfinite(self.eta_pt) or self.eta_pt <= 0:
-            raise MeasureError(f"eta_pt must be positive, got {self.eta_pt}")
+        check_real(self.eta_pt, MeasureError, "eta_pt must be positive")
 
 
 @dataclass(frozen=True)
@@ -81,8 +83,9 @@ class SchattenQ:
     feature: FeatureMap = NgfFeature()
 
     def __post_init__(self):
-        if not (self.q == math.inf or (np.isfinite(self.q) and self.q >= 1.0)):
-            raise MeasureError(f"Schatten exponent must be >= 1 or inf, got {self.q}")
+        if self.q != math.inf:
+            check_real(self.q, MeasureError, "Schatten exponent must be >= 1 or inf", 1.0,
+                       closed=True)
 
 
 @dataclass(frozen=True)
@@ -97,15 +100,18 @@ class CorrDev:
 
 @dataclass(frozen=True)
 class LogDet:
-    """Log-determinant of the jittered correlation matrix (minimized)."""
+    """Log-determinant of the jittered correlation matrix (minimized).
 
-    jitter: float = 0.0
-    auto_jitter: bool = False
+    ``jitter`` is a number >= 0 or ``"auto"``, which ``resolve_measure``
+    replaces by 1e-8 times the mean eigenvalue at the zero fields."""
+
+    jitter: float | str = 0.0
     feature: FeatureMap = NgfFeature()
 
     def __post_init__(self):
-        if not np.isfinite(self.jitter) or self.jitter < 0:
-            raise MeasureError(f"jitter must be nonnegative, got {self.jitter}")
+        if self.jitter != "auto":
+            check_real(self.jitter, MeasureError, "jitter must be nonnegative or 'auto'",
+                       closed=True)
 
 
 MeasureKind = SsdPair | NgfPair | SchattenQ | CorrDev | LogDet
@@ -114,29 +120,20 @@ PAIRWISE_KINDS = (SsdPair, NgfPair)
 GROUPWISE_KINDS = (SchattenQ, CorrDev, LogDet)
 
 
-class MeasureEval:
-    """Value and per-field displacement gradients of a measure on a stack.
+class MeasureEval(NamedTuple):
+    """Value and deferred per-field displacement gradients of a measure.
 
-    The value comes from the forward pass, the gradients (K, m1, m2, 2)
-    from the backward pass.  For a groupwise kind the backward pass runs on
-    the first access of ``grads`` and reuses what the forward pass kept
-    (warped intensities, warp Jacobians, the spectrum); that state is
-    dropped once the gradients exist, and an evaluation whose gradients are
-    never read never pays for them.  A pairwise kind runs its backward pass
-    with the forward pass (see ``_eval_pairwise``).
+    ``gradient`` is a zero-argument callable behind ``regularize.once``: its
+    first call returns the (K, m1, m2, 2) gradients and every later call the
+    same array.  For a groupwise kind that first call runs the backward pass
+    from what the forward pass kept (warped intensities, warp Jacobians, the
+    spectrum), so an evaluation whose gradient is never read never pays for
+    it.  A pairwise kind runs its backward pass with the forward pass (see
+    ``_eval_pairwise``).
     """
 
-    def __init__(self, value: float, backward):
-        self.value = value
-        self._backward = backward
-        self._grads = None
-
-    @property
-    def grads(self) -> np.ndarray:
-        if self._grads is None:
-            self._grads = self._backward()
-            self._backward = None
-        return self._grads
+    value: float
+    gradient: Callable[[], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +171,6 @@ def _corr_dev2_coeffs(svd: ThinSvd):
 
 
 def _logdet_coeffs(svd: ThinSvd, jitter: float):
-    if not np.isfinite(jitter) or jitter < 0:
-        raise MeasureError(f"jitter must be nonnegative, got {jitter}")
     lam = svd.eigenvalues
     rank_tol = svd.k * np.finfo(float).eps * max(float(lam[0]), 0.0)
     shifted = lam + jitter
@@ -282,11 +277,11 @@ def resolve_measure(kind: MeasureKind, stack: ImageStack) -> MeasureKind:
     if isinstance(kind, GROUPWISE_KINDS):
         feature = resolve_feature(kind.feature, stack)
         kind = replace(kind, feature=feature)
-    if isinstance(kind, LogDet) and kind.auto_jitter:
+    if isinstance(kind, LogDet) and kind.jitter == "auto":
         zero = np.zeros((stack.k, *stack.grid.dims, 2))
         fm, _, _ = assemble_with_chain(stack, zero, kind.feature)
         trace = float(np.sum(thin_svd(fm).eigenvalues))
-        kind = replace(kind, jitter=1e-8 * trace / stack.k, auto_jitter=False)
+        kind = replace(kind, jitter=1e-8 * trace / stack.k)
     return kind
 
 
@@ -315,12 +310,12 @@ def _eval_pairwise(stack: ImageStack, u: np.ndarray, kind) -> MeasureEval:
         states.append(pair_state(kind, stack.grid, warped))
     value, cotangents = pair_chain(kind, stack.grid, states)
     # eager: a deferred backward would keep every pair's forward state alive
-    # next to the regularizer's in ``optimize.objective_trial``, and that
-    # raises the memory peak of ``objective`` above the solve's own.  The
+    # next to the regularizer's in ``optimize.objective``, and that raises
+    # the memory peak of ``objective`` above the solve's own.  The
     # Jacobians are read once, so they take the gradients in place.
     for jac, cot in zip(jacs, cotangents()):
         jac *= cot[..., None]
-    return MeasureEval(float(value), lambda: jacs)
+    return MeasureEval(float(value), once(lambda: jacs))
 
 
 def _eval_groupwise(stack: ImageStack, u: np.ndarray, kind) -> MeasureEval:
@@ -341,4 +336,4 @@ def _eval_groupwise(stack: ImageStack, u: np.ndarray, kind) -> MeasureEval:
         # the Jacobians are read once, so they take the gradients in place
         return np.multiply(sens[..., None], jacs, out=jacs)
 
-    return MeasureEval(float(value), backward)
+    return MeasureEval(float(value), once(backward))

@@ -73,18 +73,21 @@ along ``-g`` with the L-BFGS memory cleared; at the zero field every sample
 sits on a grid node, where the gradient is a one-sided derivative and that
 direction can point uphill.
 
-Line-search trials are value first.  Every evaluation returns ``(value,
-gradient)``: a forward pass (warp, features, Gram matrix and ``eigh``,
-regularizer value) gives the value, and ``gradient`` is a zero-argument
-callable that runs the deferred backward pass (spectral gradient, feature
-adjoint, chain rule, regularizer gradient, projection).  That pass reuses
+Line-search trials are value first.  Every evaluation, ``objective`` and
+the sequential one-field objective alike, returns ``(value, gradient)``: a
+forward pass (warp, features, Gram matrix and ``eigh``, regularizer value)
+gives the value, and ``gradient`` is a zero-argument callable behind
+``regularize.once`` that runs the deferred backward pass (spectral
+gradient, feature adjoint, chain rule, regularizer gradient, projection)
+on its first call and returns that array on every call.  The pass reuses
 the forward state and runs only when the line search reads the slope of a
 trial that passed sufficient decrease, or when L-BFGS falls back to the
-best trial.  The search keeps a forward state only while a rule can still
-read it: the trial just evaluated, and the best trial below the start
-value.  A trial with no decrease keeps none, and a superseded trial is
-released before the next forward pass, so at most two whole-stack states
-are alive at once.  ``fevals`` counts evaluations and ``gevals`` the
+best trial.  The search keeps a trial's gradient callable only while a
+rule can still read it: the trial just evaluated, and the best trial below
+the start value.  A trial with no decrease keeps none, and a superseded
+trial is released before the next forward pass, with its forward state or
+the gradient computed from it, so at most two whole-stack states are alive
+at once.  ``fevals`` counts evaluations and ``gevals`` the
 gradients actually computed.  A trial whose forward pass raises a grid,
 feature, spectral or measure error, or whose value is not finite, is a
 rejected step: it counts as ``+inf`` and the line search shrinks the step
@@ -126,7 +129,7 @@ from .measures import (
     pair_state,
     resolve_measure,
 )
-from .regularize import Diffusion, RegKind, reg_eval, reg_glo, reg_hessian_apply
+from .regularize import Diffusion, RegKind, once, reg_eval, reg_glo, reg_hessian_apply
 
 CONSTRAINTS = ("none", "fix_first", "zero_mean")
 
@@ -306,15 +309,17 @@ def _project_point(x: np.ndarray, constraint: str) -> np.ndarray:
     return x
 
 
-def objective_trial(spec: ObjectiveSpec, stack: ImageStack, x: np.ndarray):
-    """Forward pass of ``objective`` on the array ``x``: value now, gradients on demand.
+def objective(spec: ObjectiveSpec, stack: ImageStack, fields):
+    """Evaluate ``J``, and its per-field gradients under the constraint on demand.
 
-    Returns ``(value, gradient)``, where ``gradient`` is a zero-argument
-    callable that runs the backward pass from the state the forward pass
-    kept and returns what ``objective`` returns as ``grads``, bit for bit.
-    It adds the regularizer gradient into the measure's gradient array and
-    projects that in place, so it is called at most once.
+    ``fields`` may be a list of ``DisplacementField`` or a raw array of shape
+    (K, m1, m2, 2).  Returns ``(value, gradient)``: the forward pass's value,
+    and a zero-argument callable behind ``once`` that runs the backward pass
+    from the state the forward pass kept, not from ``fields``, and returns
+    the (K, m1, m2, 2) gradients.  For a groupwise spec, ``objective(...)[0]``
+    runs no backward pass.
     """
+    x = displacement_array(stack, fields)
     me = measure_eval(stack, x, spec.measure)
     # the first image is the anchor of the sequential chain; it carries no
     # regularization term of its own
@@ -322,21 +327,11 @@ def objective_trial(spec: ObjectiveSpec, stack: ImageStack, x: np.ndarray):
     reg_value, reg_gradient = reg_glo(spec.regularizer, stack.grid, x[regularized])
 
     def gradient():
-        grads = me.grads
+        grads = me.gradient()
         grads[regularized] += reg_gradient()
         return _project_gradient(grads, spec.constraint)
 
-    return me.value + reg_value, gradient
-
-
-def objective(spec: ObjectiveSpec, stack: ImageStack, fields):
-    """Evaluate ``J`` and its per-field gradients under the chosen constraint.
-
-    ``fields`` may be a list of ``DisplacementField`` or a raw array of shape
-    (K, m1, m2, 2).  Returns ``(value, grads)``.
-    """
-    value, gradient = objective_trial(spec, stack, displacement_array(stack, fields))
-    return value, gradient()
+    return me.value + reg_value, once(gradient)
 
 
 # ---------------------------------------------------------------------------
@@ -480,27 +475,26 @@ class _Counters(SolveCounts):
 class _Eval:
     """One point on the search line.
 
-    ``grad`` is a zero-argument callable that computes the gradient from the
-    trial's forward state, or None for a trial that keeps no state (rejected,
-    or no decrease).  The gradient and the slope along ``direction`` are
-    computed on first access; the slope drops the direction once it is read.
+    ``gradient`` is the trial's zero-argument gradient callable, held
+    behind ``once``, or None for a trial that keeps no state (rejected, or
+    no decrease).  The slope along ``direction`` is computed on first access
+    and drops the direction.  ``release`` drops the callable, and with it
+    the forward state or the gradient computed from it.
     """
 
-    def __init__(self, alpha: float, value: float, grad,
+    def __init__(self, alpha: float, value: float, gradient,
                  direction: np.ndarray | None = None, slope: float | None = None):
         self.alpha = alpha
         self.value = value
-        self._grad = grad
+        self._gradient = None if gradient is None else once(gradient)
         self._direction = direction
         self._slope = slope
 
     @property
     def grad(self) -> np.ndarray:
-        if callable(self._grad):
-            self._grad = self._grad()
-        if self._grad is None:
+        if self._gradient is None:
             raise OptimError("no gradient at a line-search trial that kept no forward state")
-        return self._grad
+        return self._gradient()
 
     @property
     def slope(self) -> float:
@@ -510,10 +504,10 @@ class _Eval:
         return self._slope
 
     def release(self):
-        """Drop the forward state of a gradient that was never computed; the
-        line search calls it once no rule can read this trial's gradient."""
-        if callable(self._grad):
-            self._grad = None
+        """Drop the gradient callable; the line search calls it once no rule
+        can read this trial's gradient.  Its value, step and a slope already
+        read stay."""
+        self._gradient = None
 
 
 # share of the bracket kept free at each end of an interpolated zoom trial
@@ -556,15 +550,18 @@ def _strong_wolfe(fun, x, p, f0, slope0, counters: _Counters, first_trial: float
     bracketing fails (``expansion_cap``) or zoom has spent ``LS_MAX_ZOOM``
     trials without an acceptable one (``zoom_cap``).  ``fun`` returns its
     gradient as a zero-argument callable, which is called only for trials
-    that pass sufficient decrease and for the returned fallback.
+    that pass sufficient decrease and for the returned fallback, and at most
+    once per trial (``_Eval`` holds it behind ``once``).
 
-    The forward state is kept only for the current trial and the best one,
+    A gradient callable is kept only for the current trial and the best one,
     and only while a rule can still read it.  The current trial's slope may
     be read next; the best trial below ``f0`` is the fallback.  A trial that
-    is neither below ``f0`` nor passes sufficient decrease keeps no state,
-    and the previous trial, unless it is the best, is released before the
-    next forward pass runs.  A trial that raises one of ``TRIAL_ERRORS`` or
-    has a non-finite value counts as ``+inf``.
+    is neither below ``f0`` nor passes sufficient decrease keeps none, and
+    the previous trial, unless it is the best, is released before the next
+    forward pass runs, whether or not its gradient was computed.  A released
+    trial is read only for its value, step and slope already read.  A trial
+    that raises one of ``TRIAL_ERRORS`` or has a non-finite value counts as
+    ``+inf``.
     """
     c1, c2 = WOLFE_C1, WOLFE_C2
     best: _Eval | None = None  # the lowest trial below f0
@@ -833,8 +830,8 @@ def _component_objective(spec, stack, x, idx):
     ``pair_state`` is taken once; each evaluation runs ``pair_chain`` on
     ``[left] + [state of warped] + [right]`` and takes the gradient from the
     cotangent of image ``idx`` alone, so it matches the stack objective's gradient
-    for that field bit for bit.  Like ``objective_trial`` it returns the
-    gradient as a zero-argument callable.
+    for that field bit for bit.  Like ``objective`` it returns the gradient
+    as a zero-argument callable behind ``once``.
     """
     # looked up in ``grids`` at call time, where perfbench's tracer wraps it
     from .grids import warp_with_jacobian
@@ -859,7 +856,7 @@ def _component_objective(spec, stack, x, idx):
             cot = cotangents(pos)
             return (cot[..., None] * jac + reg_gradient())[None, ...]
 
-        return value, gradient
+        return value, once(gradient)
 
     return fun
 
@@ -920,7 +917,7 @@ def multilevel_solve(spec: ObjectiveSpec, stack: ImageStack, opts: SolveOptions)
         minimizer = _LevelMinimizer(level_spec, grid, opts, counters, trace, t0)
         if spec.mode == "groupwise":
             x = _project_point(x, spec.constraint)
-            x = minimizer.run(partial(objective_trial, level_spec, level_stack), x)
+            x = minimizer.run(partial(objective, level_spec, level_stack), x)
         else:
             x = gauss_seidel_sweep(level_spec, level_stack, x, minimizer)
         if level + 1 < len(pyramid):

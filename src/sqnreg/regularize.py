@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accum import field_sums, sorted_sum
-from .errors import RegularizerError
+from .errors import RegularizerError, check_real
 from .grids import GridSpec, grad_axis_adjoint
 
 
@@ -39,8 +39,7 @@ class Diffusion:
     alpha: float = 1e-2
 
     def __post_init__(self):
-        if not np.isfinite(self.alpha) or self.alpha <= 0:
-            raise RegularizerError(f"alpha must be positive, got {self.alpha}")
+        check_real(self.alpha, RegularizerError, "alpha must be positive")
 
 
 @dataclass(frozen=True)
@@ -52,20 +51,18 @@ class Elastic:
     alpha: float = 1e-2
 
     def __post_init__(self):
-        if not np.isfinite(self.mu) or self.mu <= 0:
-            raise RegularizerError(f"mu must be positive, got {self.mu}")
-        if not np.isfinite(self.lam) or self.lam < 0:
-            raise RegularizerError(f"lam must be nonnegative, got {self.lam}")
-        if not np.isfinite(self.alpha) or self.alpha <= 0:
-            raise RegularizerError(f"alpha must be positive, got {self.alpha}")
+        check_real(self.mu, RegularizerError, "mu must be positive")
+        check_real(self.lam, RegularizerError, "lam must be nonnegative", closed=True)
+        check_real(self.alpha, RegularizerError, "alpha must be positive")
 
 
 RegKind = Diffusion | Elastic
 
 
-def _once(fn):
+def once(fn):
     """A zero-argument callable that runs ``fn`` on its first call, returns
-    that result on every call and then lets go of ``fn``'s state."""
+    that result on every call and then lets go of ``fn``'s state: the one
+    guard of every deferred gradient in the package."""
     result = None
 
     def call():
@@ -107,7 +104,7 @@ def _diffusion_value(grid: GridSpec, u: np.ndarray, alpha: float):
         np.add(_diff_adjoint(d1, -3, out), _diff_adjoint(d2, -2, part), out=out)
         return np.multiply(out, alpha * grid.cell_area, out=out)
 
-    return 0.5 * alpha * grid.cell_area * value, _once(grad)
+    return 0.5 * alpha * grid.cell_area * value, once(grad)
 
 
 def _elastic_strain(grid: GridSpec, u: np.ndarray):
@@ -134,7 +131,7 @@ def _elastic_value(grid: GridSpec, u: np.ndarray, mu: float, lam: float, alpha: 
     strain, tr = _elastic_strain(grid, u)
     density = mu * np.sum(strain**2, axis=(-2, -1)) + 0.5 * lam * tr**2
     value = alpha * grid.cell_area * field_sums(density, 2)
-    return value, _once(lambda: _elastic_grad(grid, strain, tr, mu, lam, alpha))
+    return value, once(lambda: _elastic_grad(grid, strain, tr, mu, lam, alpha))
 
 
 def _check_shape(grid: GridSpec, u: np.ndarray):

@@ -174,7 +174,7 @@ class TestGradientSuite:
                     flds = x_to_fields(grid, vec.reshape(shape))
                     return measure_eval(stack, flds, _k).value
 
-                err = relerr(base.grads.ravel(), fd_gradient(fn, x.ravel(), step))
+                err = relerr(base.gradient().ravel(), fd_gradient(fn, x.ravel(), step))
                 worst[name] = max(worst.get(name, 0.0), err)
 
             for name, reg in [
@@ -219,7 +219,7 @@ class TestGradientSuite:
                 def on(vec, _s=spec):
                     return objective(_s, stack, vec.reshape(shape))[0]
 
-                _, grads = objective(spec, stack, x)
+                grads = objective(spec, stack, x)[1]()
                 err = relerr(grads.ravel(), fd_gradient(on, x.ravel(), 1e-5))
                 worst[name] = max(worst.get(name, 0.0), err)
 

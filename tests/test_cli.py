@@ -6,6 +6,7 @@ import pytest
 from sqnreg import cli
 from sqnreg.cli import main
 from sqnreg.fileio import (
+    RunConfig,
     load_config,
     load_field,
     load_manifest,
@@ -274,3 +275,9 @@ class TestUnreadFlagsRejected:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jitter", ["auto", 1e-6])
+def test_logdet_config_passes_its_jitter_through(jitter):
+    measure = cli.build_measure(RunConfig(measure="logdet", jitter=jitter))
+    assert measure.jitter == jitter

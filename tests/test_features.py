@@ -178,7 +178,7 @@ def test_ngf_rows_are_a_copy_of_the_gradients_it_squares(grid, monkeypatch):
     assert np.array_equal(nrm, np.sqrt(grid.cell_area * field_sums(gradients**2, 3) + kind.eta))
 
 
-@pytest.mark.parametrize("eta", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("eta", [0.0, -1.0, np.inf, np.nan, True, "0.01"])
 def test_ngf_rejects_nonpositive_or_nonfinite_eta(eta):
     with pytest.raises(FeatureError, match="eta must be positive"):
         NgfFeature(eta=eta)

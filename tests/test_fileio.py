@@ -165,6 +165,21 @@ class TestSqnfield:
         with pytest.raises(FormatError, match="unsupported SQNFIELD version"):
             load_field(p)
 
+    @pytest.mark.parametrize("header, payload", [
+        (b"SQNFIELD v1 -3 -3 1 1 0 0", 144),  # reshapes to (2, 3, 3) by bytes alone
+        (b"SQNFIELD v1 1 4 1 1 0 0", 64),
+        (b"SQNFIELD v1 2 2 nan 1 0 0", 64),
+        (b"SQNFIELD v1 2 2 1 0 0 0", 64),
+        (b"SQNFIELD v1 2 2 1 1 inf 0", 64),
+    ])
+    def test_rejects_header_values_no_grid_has(self, tmp_path, header, payload):
+        # a library caller gets the format error that names the header, not
+        # an error from the payload's reshape or from the grid
+        p = tmp_path / "f.bin"
+        p.write_bytes(header + b"\n" + bytes(payload))
+        with pytest.raises(FormatError, match="bad SQNFIELD header values"):
+            load_field(p)
+
     def test_rejects_size_mismatch(self, tmp_path):
         p = tmp_path / "f.bin"
         p.write_bytes(b"SQNFIELD v1 2 2 1 1 0 0\n" + bytes(63))

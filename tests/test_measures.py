@@ -202,6 +202,17 @@ def test_sqn_validation():
         NgfPair(eta_pt=0.0)
     with pytest.raises(MeasureError):
         LogDet(jitter=-1.0)
+    with pytest.raises(MeasureError, match="jitter must be"):
+        LogDet(jitter="x")
+    # ``bool`` and strings other than the jitter's "auto" are refused too
+    for bad in (True, "4"):
+        with pytest.raises(MeasureError, match="Schatten exponent must be"):
+            SchattenQ(q=bad)
+        with pytest.raises(MeasureError, match="eta_pt must be"):
+            NgfPair(eta_pt=bad)
+        with pytest.raises(MeasureError, match="jitter must be"):
+            LogDet(jitter=bad)
+    assert LogDet(jitter="auto").jitter == "auto"
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +222,7 @@ def test_sqn_validation():
 def pair_eval(kind, ref: Image, moving: Image, field: DisplacementField):
     """A two-image chain: ``ref`` at the zero field, ``moving`` warped by ``field``.
 
-    The gradient with respect to ``field`` is ``.grads[1]``.
+    The gradient with respect to ``field`` is ``.gradient()[1]``.
     """
     return measure_eval(ImageStack((ref, moving)), [zero_field(field.grid), field], kind)
 
@@ -222,7 +233,7 @@ def test_ssd_zero_for_identical_images():
     data = rng.uniform(0.0, 1.0, size=g.dims)
     ev = pair_eval(SsdPair(), Image(g, data), Image(g, data), zero_field(g))
     assert ev.value == 0.0
-    assert np.all(ev.grads[1] == 0.0)
+    assert np.all(ev.gradient()[1] == 0.0)
 
 
 def test_ssd_constant_offset_value():
@@ -240,7 +251,7 @@ def test_ssd_pair_gradient_matches_fd():
     ref = stack[0]
     mov = stack[1]
     field = fields[1]
-    grad = pair_eval(SsdPair(), ref, mov, field).grads[1]
+    grad = pair_eval(SsdPair(), ref, mov, field).gradient()[1]
 
     def value_of(u):
         return pair_eval(SsdPair(), ref, mov, DisplacementField(field.grid, u)).value
@@ -284,7 +295,7 @@ def test_ngf_pair_gradient_matches_fd():
     assert fd_safe_instance(stack, fields)
     ref, mov, field = stack[0], stack[1], fields[1]
     kind = NgfPair(eta_pt=3e-2)
-    grad = pair_eval(kind, ref, mov, field).grads[1]
+    grad = pair_eval(kind, ref, mov, field).gradient()[1]
 
     def value_of(u):
         return pair_eval(kind, ref, mov, DisplacementField(field.grid, u)).value
@@ -379,7 +390,7 @@ def test_groupwise_eval_at_global_minimizer():
     fields = [zero_field(g) for _ in range(k)]
     ev = measure_eval(stack, fields, SchattenQ(q=4.0, feature=IntensityFeature()))
     assert ev.value == pytest.approx(k - k**2, abs=1e-12)
-    assert np.linalg.norm(ev.grads) <= 1e-8
+    assert np.linalg.norm(ev.gradient()) <= 1e-8
 
 
 @pytest.mark.slow
@@ -407,7 +418,7 @@ def test_measure_eval_gradients_match_fd(kind):
 
     flat0 = np.stack([f.u for f in fields]).copy()
     fd = fd_gradient(value_of, flat0, step=1e-5)
-    assert relative_error(ev.grads, fd) <= 1e-6
+    assert relative_error(ev.gradient(), fd) <= 1e-6
 
 
 @pytest.mark.slow
@@ -425,7 +436,7 @@ def test_pairwise_stack_eval_gradients_match_fd(kind):
 
     flat0 = np.stack([f.u for f in fields]).copy()
     fd = fd_gradient(value_of, flat0, step=1e-5)
-    assert relative_error(ev.grads, fd) <= 1e-6
+    assert relative_error(ev.gradient(), fd) <= 1e-6
 
 
 def test_pairwise_stack_value_is_sum_of_consecutive_pairs():
@@ -454,7 +465,7 @@ def test_groupwise_value_read_runs_no_backward(monkeypatch):
     ev = measure_eval(stack, fields, SchattenQ(q=4.0))
     assert math.isfinite(ev.value)
     assert calls == []
-    assert ev.grads.shape == (3, *stack.grid.dims, 2)
+    assert ev.gradient().shape == (3, *stack.grid.dims, 2)
     # one adjoint pulls back the cotangents of the whole stack
     assert len(calls) == 1
 
@@ -496,8 +507,8 @@ def test_resolve_measure_materializes_relative_eta_and_auto_jitter():
     stack, _ = fd_instance(10, k=3)
     kind = resolve_measure(SchattenQ(q=4.0, feature=NgfFeature(eta=1e-2, relative=True)), stack)
     assert not kind.feature.relative
-    ld = resolve_measure(LogDet(auto_jitter=True, feature=IntensityFeature()), stack)
-    assert not ld.auto_jitter
+    ld = resolve_measure(LogDet(jitter="auto", feature=IntensityFeature()), stack)
+    assert isinstance(ld.jitter, float)
     assert ld.jitter > 0.0
 
 

@@ -39,7 +39,6 @@ from sqnreg.optimize import (
     lbfgs,
     multilevel_solve,
     objective,
-    objective_trial,
 )
 from sqnreg.oracles import fd_gradient
 from sqnreg.regularize import Diffusion, Elastic, reg_eval, reg_hessian_apply
@@ -319,7 +318,8 @@ class TestObjective:
             SchattenQ(q=4.0, feature=IntensityFeature()), Diffusion(alpha=1e-2)
         )
         fields = [zero_field(unit_grid8) for _ in range(4)]
-        value, grads = objective(spec, stack, fields)
+        value, gradient = objective(spec, stack, fields)
+        grads = gradient()
         k = 4
         assert value == pytest.approx(k - k**2, abs=1e-9)
         assert np.linalg.norm(grads) <= 1e-8
@@ -343,11 +343,11 @@ class TestObjective:
         v_list, g_list = objective(spec, stack, fields)
         v_arr, g_arr = objective(spec, stack, x)
         assert v_list == v_arr
-        assert np.array_equal(g_list, g_arr)
+        assert np.array_equal(g_list(), g_arr())
         me_list = measure_eval(stack, fields, measure)
         me_arr = measure_eval(stack, x, measure)
         assert me_list.value == me_arr.value
-        assert np.array_equal(me_list.grads, me_arr.grads)
+        assert np.array_equal(me_list.gradient(), me_arr.gradient())
 
     def test_groupwise_value_is_measure_plus_reg(self):
         stack, fields = fd_instance(2, k=3)
@@ -365,13 +365,14 @@ class TestObjective:
         # and gradient are the bits of ``reg_eval`` on that field alone
         stack, fields = fd_instance(9, k=4)
         spec = ObjectiveSpec(SsdPair(), reg, mode="sequential", constraint="none")
-        value, grads = objective(spec, stack, fields)
+        value, gradient = objective(spec, stack, fields)
+        grads = gradient()
         me = measure_eval(stack, fields, spec.measure)
         parts = [(v, g()) for v, g in (reg_eval(reg, f.grid, f.u) for f in fields[1:])]
         assert value == me.value + sorted_sum([v for v, _ in parts])
-        assert np.array_equal(grads[0], me.grads[0])
+        assert np.array_equal(grads[0], me.gradient()[0])
         for k, (_, g) in enumerate(parts, start=1):
-            assert np.array_equal(grads[k], me.grads[k] + g)
+            assert np.array_equal(grads[k], me.gradient()[k] + g)
 
     @pytest.mark.slow
     @pytest.mark.parametrize(
@@ -392,7 +393,7 @@ class TestObjective:
         def fn(vec):
             return objective(spec, stack, vec.reshape(shape))[0]
 
-        analytic = objective(spec, stack, x)[1].ravel()
+        analytic = objective(spec, stack, x)[1]().ravel()
         numeric = fd_gradient(fn, x.ravel(), step=1e-5)
         err = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-300)
         assert err <= 1e-6
@@ -401,7 +402,7 @@ class TestObjective:
         stack, fields = fd_instance(5, k=3)
         spec = ObjectiveSpec(SsdPair(), Diffusion(alpha=1e-2), mode="sequential")
         assert spec.constraint == "fix_first"
-        _, grads = objective(spec, stack, fields)
+        grads = objective(spec, stack, fields)[1]()
         assert np.all(grads[0] == 0.0)
         assert np.linalg.norm(grads[1]) > 0
 
@@ -409,7 +410,7 @@ class TestObjective:
         stack, fields = fd_instance(6, k=4)
         spec = ObjectiveSpec(SchattenQ(q=4.0), Diffusion(alpha=1e-2))
         assert spec.constraint == "zero_mean"
-        _, grads = objective(spec, stack, fields)
+        grads = objective(spec, stack, fields)[1]()
         assert np.abs(grads.mean(axis=0)).max() <= 1e-15
 
     def test_spec_validation(self):
@@ -578,7 +579,7 @@ class TestSolvers:
         x = np.zeros((stack.k, *stack.grid.dims, 2))
         x.flags.writeable = False
         if mode == "groupwise":
-            out = minimizer.run(lambda z: objective_trial(spec, stack, z), x)
+            out = minimizer.run(lambda z: objective(spec, stack, z), x)
         else:
             out = minimizer.run(_component_objective(spec, stack, x, 1), x[1:2], 1)
         assert np.all(x == 0.0)
@@ -826,10 +827,56 @@ class TestValueFirstTrials:
     def test_trial_matches_objective_bitexact(self, mode, measure, reg):
         stack, fields = fd_instance(7, k=3)
         spec = ObjectiveSpec(measure, reg, mode=mode)
-        value, grads = objective(spec, stack, fields)
-        t_value, gradient = objective_trial(spec, stack, np.stack([f.u for f in fields]))
+        value, gradient = objective(spec, stack, fields)
+        t_value, t_gradient = objective(spec, stack, np.stack([f.u for f in fields]))
         assert t_value == value
-        assert np.array_equal(gradient(), grads)
+        assert np.array_equal(t_gradient(), gradient())
+
+    def test_value_read_runs_no_backward(self, monkeypatch):
+        import sqnreg.measures as measures
+        import sqnreg.regularize as regularize
+
+        calls = []
+        for module, name in [(measures, "feature_adjoint"), (regularize, "_diff_adjoint")]:
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+        stack, fields = fd_instance(9, k=3)
+        spec = ObjectiveSpec(SchattenQ(q=4.0), Diffusion(alpha=1e-2))
+        assert math.isfinite(objective(spec, stack, fields)[0])
+        assert calls == []
+        objective(spec, stack, fields)[1]()
+        assert set(calls) == {"feature_adjoint", "_diff_adjoint"}
+
+    @pytest.mark.parametrize(
+        "mode,measure",
+        [("groupwise", SchattenQ(q=4.0)), ("groupwise", LogDet()), ("sequential", SsdPair()),
+         ("sequential", NgfPair(eta_pt=1e-2))],
+    )
+    def test_gradient_called_twice_returns_the_same_array(self, mode, measure):
+        # the objective adds the regularizer gradient into the measure's
+        # array and projects it in place: a second call must not do it again
+        stack, fields = fd_instance(7, k=3)
+        spec = ObjectiveSpec(measure, Diffusion(alpha=1e-2), mode=mode)
+        for gradient in (objective(spec, stack, fields)[1],
+                         measure_eval(stack, fields, measure).gradient):
+            first = gradient()
+            snapshot = first.copy()
+            assert gradient() is first
+            assert np.array_equal(first, snapshot)
+
+    @pytest.mark.parametrize("mode,measure", [("groupwise", SchattenQ(q=4.0)),
+                                              ("sequential", NgfPair(eta_pt=1e-2))])
+    def test_gradient_does_not_read_the_callers_array(self, mode, measure):
+        # the backward pass runs from the forward state, so writing into the
+        # evaluated array before the gradient is read changes nothing
+        stack, fields = fd_instance(7, k=3)
+        spec = ObjectiveSpec(measure, Diffusion(alpha=1e-2), mode=mode)
+        x = np.stack([f.u for f in fields])
+        expected = objective(spec, stack, x.copy())[1]()
+        _, gradient = objective(spec, stack, x)
+        x += 0.1
+        assert np.array_equal(gradient(), expected)
 
     @pytest.mark.parametrize("measure", [SsdPair(), NgfPair(eta_pt=1e-2)])
     def test_component_gradient_equals_full_objective_bitexact(self, measure):
@@ -837,7 +884,7 @@ class TestValueFirstTrials:
         # gradient must be the full objective's gradient for that field
         stack, fields = fd_instance(8, k=4)
         spec = ObjectiveSpec(measure, Diffusion(alpha=1e-2), mode="sequential")
-        _, grads = objective(spec, stack, fields)
+        grads = objective(spec, stack, fields)[1]()
         x = np.stack([f.u for f in fields])
         for idx in range(1, stack.k):
             fun = _component_objective(spec, stack, x, idx)
@@ -872,7 +919,7 @@ class TestValueFirstTrials:
         original = Image.__post_init__
         monkeypatch.setattr(Image, "__post_init__", lambda img: made.append(img) or original(img))
         groupwise = ObjectiveSpec(SchattenQ(q=4.0), Diffusion(alpha=1e-2))
-        _, gradient = objective_trial(groupwise, stack, x)
+        _, gradient = objective(groupwise, stack, x)
         gradient()
         sequential = ObjectiveSpec(NgfPair(eta_pt=1e-2), Diffusion(alpha=1e-2), mode="sequential")
         _, gradient = _component_objective(sequential, stack, x, 2)(x[2:3])
@@ -889,7 +936,7 @@ class TestValueFirstTrials:
         x = np.stack([f.u for f in fields])
         fun = _component_objective(spec, stack, x, 0)
         _, gradient = fun(x[0:1])
-        expected = measure_eval(stack, fields, measure).grads[0] + reg_eval(reg, stack.grid, x[0])[1]()
+        expected = measure_eval(stack, fields, measure).gradient()[0] + reg_eval(reg, stack.grid, x[0])[1]()
         assert np.array_equal(gradient()[0], expected)
 
     def test_no_gradient_for_trials_failing_sufficient_decrease(self):
@@ -993,6 +1040,29 @@ class TestValueFirstTrials:
         assert ls.ok and ls.ev.slope == 0.0
         assert direction() is None
 
+    def test_released_trial_lets_go_of_its_computed_gradient(self):
+        # phi falls with slope -1 up to t = 1 and rises with slope 1 after it.
+        # Bracketing reads the slopes at t = 0.6 and t = 1.2; t = 1.2 is the
+        # new best, so t = 0.6 is released, though it stays the high end of
+        # the zoom bracket while the first zoom trial runs
+        computed = []  # (step, weak reference to the gradient array)
+        held_at_start = []
+
+        def fun(z):
+            t = float(z[0])
+            held_at_start.append([s for s, ref in computed if ref() is not None])
+
+            def gradient():
+                g = np.array([-1.0 if t <= 1.0 else 1.0])
+                computed.append((t, weakref.ref(g)))
+                return g
+
+            return (-t if t <= 1.0 else t - 2.0), gradient
+
+        _strong_wolfe(fun, np.zeros(1), np.ones(1), 0.0, -1.0, _Counters(), 0.6)
+        assert [s for s, _ in computed[:2]] == [0.6, 1.2]
+        assert held_at_start[:3] == [[], [0.6], [1.2]]
+
     def test_gevals_counts_computed_gradients(self):
         stack = shifted_blob_stack((16, 16), [(0.0, 0.0), (0.04, -0.02), (-0.03, 0.02)])
         spec = ObjectiveSpec(SchattenQ(q=4.0), Diffusion(alpha=1e-3))
@@ -1037,14 +1107,14 @@ class TestValueFirstTrials:
     def test_solve_report_counts_rejected_trials(self, monkeypatch):
         import sqnreg.optimize as optimize
 
-        trial = optimize.objective_trial
+        trial = optimize.objective
 
         def guarded(spec, stack, x):
             if np.abs(x).max() > 0.01:
                 raise GridError("displacement outside the trusted range")
             return trial(spec, stack, x)
 
-        monkeypatch.setattr(optimize, "objective_trial", guarded)
+        monkeypatch.setattr(optimize, "objective", guarded)
         stack = shifted_blob_stack((16, 16), [(0.0, 0.0), (0.05, 0.0), (0.0, -0.05)])
         spec = ObjectiveSpec(SchattenQ(q=4.0), Diffusion(alpha=1e-3))
         report = multilevel_solve(spec, stack, SolveOptions(maxiter=10))

@@ -160,6 +160,12 @@ def test_parameter_validation():
         Elastic(mu=0.0)
     with pytest.raises(RegularizerError):
         Elastic(mu=1.0, lam=-0.1)
+    # ``bool``, strings and None are refused with the kind's own error
+    for bad in (True, "0.1", None):
+        for kind, name in [(Diffusion, "alpha"), (Elastic, "mu"), (Elastic, "lam"),
+                           (Elastic, "alpha")]:
+            with pytest.raises(RegularizerError, match=f"{name} must be"):
+                kind(**{name: bad})
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,10 @@ def test_two_runs_print_the_same_line(script, name):
     workload = tiny(script.WORKLOADS[name])
     first = script.solve_peak(workload, 2)
     assert first == script.solve_peak(workload, 2)
-    match = re.fullmatch(r"peak_kib=(\d+) retained_kib=(\d+)", first)
+    match = re.fullmatch(r"peak_kib=(\d+) retained_kib=(\d+) check_kib=(\d+)", first)
     assert match and 0 < int(match[2]) <= int(match[1])
+    # the check runs with the report alive
+    assert int(match[2]) <= int(match[3])
 
 
 def test_several_workloads_print_one_line_each(script, monkeypatch, capsys):
