@@ -12,6 +12,10 @@ per workload.  A change that is meant to move the arithmetic shows in the
 ``rms`` field how far the solution moved from the truth, which the
 evaluation counts alone do not tell, and the ``metric`` field shows
 whether a change to the metric solve changed what CG itself did.
+``--seed`` picks the order in which a groupwise workload's images are
+handed to the solver.  The solve orders the stack by content first, so
+the seed changes only ``fields_sha1``, the fields in the caller's order.
+A sequential workload keeps its chain order for every seed.
 
 With no ``--workload``, every workload is solved, in the order of
 ``WORKLOADS``.  Example, from the root of a source checkout:

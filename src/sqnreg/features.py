@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .accum import field_sums, sorted_sum
+from .accum import field_sums
 from .errors import FeatureError, check_real
 from .grids import (GridSpec, ImageStack, displacement_array, gradient_central,
                     gradient_central_adjoint, warp_with_jacobian)
@@ -80,7 +80,7 @@ def stack_gradient_scale(stack: ImageStack) -> float:
     """Mean gradient magnitude over all images and cells of a stack."""
     data = np.stack([img.data for img in stack])
     parts = field_sums(np.linalg.norm(gradient_central(data, stack.grid), axis=-1), 2)
-    return sorted_sum(parts) / (stack.k * stack.grid.n_cells)
+    return float(np.sum(parts)) / (stack.k * stack.grid.n_cells)
 
 
 def resolve_feature(kind: FeatureMap, stack: ImageStack) -> FeatureMap:

@@ -331,7 +331,7 @@ def _eval_groupwise(stack: ImageStack, u: np.ndarray, kind) -> MeasureEval:
         value, coeffs = _logdet_coeffs(svd, kind.jitter)
 
     def backward():
-        grad_f = sigma_gradient(svd, coeffs)
+        grad_f = sigma_gradient(fm, svd, coeffs)
         sens = feature_adjoint(kind.feature, stack.grid, data, grad_f)
         # the Jacobians are read once, so they take the gradients in place
         return np.multiply(sens[..., None], jacs, out=jacs)

@@ -41,14 +41,12 @@ scalars read the transformed ``q`` only through its sum of squares over
 fields per entry.  CG runs once per solve, on the norm ``r`` of that sum,
 a ``(1, 2, m1, m2)`` array for any K, and each field is ``q / r`` (0 where
 ``r = 0``) times CG's result: the stacked CG's result up to rounding, at
-``1/K`` of its work.  The squares are sorted over fields before the sum,
-which keeps solves bit-exactly permutation invariant.  At one field (every
-Gauss-Seidel component) ``q / r`` is exactly +-1, so the result is the
-stacked CG's bit for bit; ``q`` times CG's result over ``r`` would move
-the last bits, which the sequential chain amplifies.  ``Elastic`` is not
-diagonal in that basis; its CG runs in the pixel basis, with ``B`` the
-elastic kernel on CG's direction (``reg_hessian_apply``) plus ``eps``
-times the direction.
+``1/K`` of its work.  At one field (every Gauss-Seidel component)
+``q / r`` is exactly +-1, so the result is the stacked CG's bit for bit;
+``q`` times CG's result over ``r`` would move the last bits, which the
+sequential chain amplifies.  ``Elastic`` is not diagonal in that basis;
+its CG runs in the pixel basis, with ``B`` the elastic kernel on CG's
+direction (``reg_hessian_apply``) plus ``eps`` times the direction.
 CG binds its two dots ``p·Bp`` and ``r·r`` once per solve
 (``accum.block_dot_plan``), so every CG iteration runs the same calls on
 the same buffers.  ``x`` and ``r`` are the two rows of one buffer, and so
@@ -97,9 +95,6 @@ Every count a solve reports, line-search failures included, is declared
 once, in ``SolveCounts``, and tallied in one ledger, ``_Counters``, shared by
 all levels and all runs of a solve; ``SolveReport`` copies it.
 
-All inner products run through order-canonical accumulation, so solves are
-exactly invariant under permutations of the input stack.
-
 The L-BFGS memory, the Wolfe constants, the line-search trial caps and the
 CG stopping rule are the module constants below, not options: every solve
 runs with the same policy.
@@ -116,8 +111,9 @@ from functools import partial
 
 import numpy as np
 
-from .accum import block_dot, block_dot_plan, block_norm, mean_axis0
-from .errors import ConfigError, FeatureError, GridError, MeasureError, OptimError, SpectralError
+from .accum import block_dot, block_dot_plan, block_norm
+from .errors import (ConfigError, FeatureError, GridError, MeasureError, OptimError, SpectralError,
+                     check_real)
 from .grids import (DisplacementField, GridSpec, ImageStack, displacement_array, prolong,
                     restrict_stack)
 from .measures import (
@@ -207,14 +203,8 @@ class SolveOptions:
             # ``bool`` is an ``Integral``, but ``levels=True`` is a mistake
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        for name in ("gtol", "metric_eps_rel"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
-        if not (math.isfinite(self.gtol) and self.gtol >= 0):
-            raise ConfigError(f"gtol must be finite and >= 0, got {self.gtol}")
-        if not (math.isfinite(self.metric_eps_rel) and self.metric_eps_rel > 0):
-            raise ConfigError(f"metric_eps_rel must be finite and > 0, got {self.metric_eps_rel}")
+        check_real(self.gtol, ConfigError, "gtol must be a finite real >= 0", closed=True)
+        check_real(self.metric_eps_rel, ConfigError, "metric_eps_rel must be a finite real > 0")
 
 
 @dataclass
@@ -299,27 +289,45 @@ def _project_gradient(grads: np.ndarray, constraint: str) -> np.ndarray:
     if constraint == "fix_first":
         grads[0] = 0.0
     elif constraint == "zero_mean":
-        grads -= mean_axis0(grads)[None, ...]
+        grads -= grads.mean(axis=0)
     return grads
 
 
 def _project_point(x: np.ndarray, constraint: str) -> np.ndarray:
     if constraint == "zero_mean":
-        return x - mean_axis0(x)[None, ...]
+        return x - x.mean(axis=0)
     return x
 
 
-def objective(spec: ObjectiveSpec, stack: ImageStack, fields):
-    """Evaluate ``J``, and its per-field gradients under the constraint on demand.
+def _canonical_order(stack: ImageStack, constraint: str) -> np.ndarray:
+    """The order in which a groupwise solve sees the images of ``stack``.
 
-    ``fields`` may be a list of ``DisplacementField`` or a raw array of shape
-    (K, m1, m2, 2).  Returns ``(value, gradient)``: the forward pass's value,
-    and a zero-argument callable behind ``once`` that runs the backward pass
-    from the state the forward pass kept, not from ``fields``, and returns
-    the (K, m1, m2, 2) gradients.  For a groupwise spec, ``objective(...)[0]``
-    runs no backward pass.
+    Images are ordered by their dot product with a fixed random direction,
+    and images with equal keys lexicographically by their pixels, so the
+    order depends only on the images' content, not on their input order.
+    Under ``fix_first`` image 0 stays first and only the rest are ordered.
     """
-    x = displacement_array(stack, fields)
+    first = 1 if constraint == "fix_first" else 0
+    rows = [img.data.ravel() for img in stack.images[first:]]
+    n = stack.grid.n_cells
+    probe = np.random.default_rng(np.random.SeedSequence([0x5EED, n])).standard_normal(n)
+    keys = np.array([np.dot(probe, row) for row in rows])
+    order = np.argsort(keys, kind="stable")
+    # refine groups of equal probe keys by full lexicographic comparison
+    pos = 0
+    while pos < len(order):
+        end = pos + 1
+        while end < len(order) and keys[order[end]] == keys[order[pos]]:
+            end += 1
+        if end - pos > 1:
+            group = order[pos:end]
+            order[pos:end] = group[np.lexsort(np.array([rows[i] for i in group]).T[::-1])]
+        pos = end
+    return np.concatenate([np.arange(first), order + first])
+
+
+def _objective(spec: ObjectiveSpec, stack: ImageStack, x: np.ndarray):
+    """``objective`` on the array ``x``, with the images in the order given."""
     me = measure_eval(stack, x, spec.measure)
     # the first image is the anchor of the sequential chain; it carries no
     # regularization term of its own
@@ -332,6 +340,33 @@ def objective(spec: ObjectiveSpec, stack: ImageStack, fields):
         return _project_gradient(grads, spec.constraint)
 
     return me.value + reg_value, once(gradient)
+
+
+def objective(spec: ObjectiveSpec, stack: ImageStack, fields):
+    """Evaluate ``J``, and its per-field gradients under the constraint on demand.
+
+    ``fields`` may be a list of ``DisplacementField`` or a raw array of shape
+    (K, m1, m2, 2).  Returns ``(value, gradient)``: the forward pass's value,
+    and a zero-argument callable behind ``once`` that runs the backward pass
+    from the state the forward pass kept, not from ``fields``, and returns
+    the (K, m1, m2, 2) gradients.  For a groupwise spec, ``objective(...)[0]``
+    runs no backward pass.  A groupwise J is evaluated in
+    ``_canonical_order``, as ``multilevel_solve`` evaluates it, and the
+    gradients come back in the caller's order.
+    """
+    x = displacement_array(stack, fields)
+    if spec.mode == "sequential":
+        return _objective(spec, stack, x)
+    order = _canonical_order(stack, spec.constraint)
+    value, ordered_gradient = _objective(spec, stack.permuted(order), x[order])
+
+    def gradient():
+        grads = ordered_gradient()
+        out = np.empty_like(grads)
+        out[order] = grads
+        return out
+
+    return value, once(gradient)
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +473,9 @@ def _make_metric_solve(reg_kind: RegKind, grid: GridSpec, eps_rel: float,
             # (K, 2): no product mixes two fields
             qt = np.ascontiguousarray(q.transpose(0, 3, 1, 2))
             np.matmul(np.matmul(c1, qt), c2.T, out=qt)
-            # one CG on the norm over fields; the squares are sorted so the
-            # sum does not depend on the fields' order, and ``unit`` (exactly
-            # +-1 at one field) goes first to keep the stacked CG's bits
-            r = np.sqrt(np.sort(qt**2, axis=0).sum(axis=0, keepdims=True))
+            # one CG on the norm over fields; ``unit`` (exactly +-1 at one
+            # field) goes first to keep the stacked CG's bits
+            r = np.sqrt((qt**2).sum(axis=0, keepdims=True))
             unit = np.divide(qt, r, out=np.zeros(qt.shape), where=r > 0)
             zt = unit * cg(apply_lam, r)
             z = np.matmul(np.matmul(c1.T, zt), c2)
@@ -903,9 +937,19 @@ def multilevel_solve(spec: ObjectiveSpec, stack: ImageStack, opts: SolveOptions)
     ``_LevelMinimizer``: as a whole in groupwise mode, by
     ``gauss_seidel_sweep`` in sequential mode.  It is prolonged to the next
     level in one ``prolong`` call; only the report wraps its fields.
+
+    A groupwise solve is exactly invariant under permutations of the input
+    stack, by construction: the stack is put into ``_canonical_order``, which
+    depends only on the images' content, once, before the pyramid is built;
+    every level is solved in that order with plain floating-point reductions,
+    and the fields are returned in the caller's order.  So a permuted stack
+    gives the same iterates, bit for bit, and the fields permuted with it.  A
+    sequential solve keeps the input order, which is its chain.
     """
     t0 = time.perf_counter()
-    pyramid = build_pyramid(stack, opts.levels)
+    order = (_canonical_order(stack, spec.constraint) if spec.mode == "groupwise"
+             else np.arange(stack.k))
+    pyramid = build_pyramid(stack.permuted(order), opts.levels)
     counters = _Counters(budget=opts.max_fevals)
     traces: list[LevelTrace] = []
     x = np.zeros((stack.k, *pyramid[0].grid.dims, 2))
@@ -917,16 +961,18 @@ def multilevel_solve(spec: ObjectiveSpec, stack: ImageStack, opts: SolveOptions)
         minimizer = _LevelMinimizer(level_spec, grid, opts, counters, trace, t0)
         if spec.mode == "groupwise":
             x = _project_point(x, spec.constraint)
-            x = minimizer.run(partial(objective, level_spec, level_stack), x)
+            x = minimizer.run(partial(_objective, level_spec, level_stack), x)
         else:
             x = gauss_seidel_sweep(level_spec, level_stack, x, minimizer)
         if level + 1 < len(pyramid):
             x = prolong(x, grid, pyramid[level + 1].grid)
+    fields = np.empty_like(x)
+    fields[order] = x
     return SolveReport(
         spec=spec,
         options=opts,
         traces=traces,
-        fields=[DisplacementField(pyramid[-1].grid, u) for u in x],
+        fields=[DisplacementField(pyramid[-1].grid, u) for u in fields],
         elapsed=time.perf_counter() - t0,
         **counters.counts(),
     )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accum import field_sums, sorted_sum
+from .accum import field_sums
 from .errors import RegularizerError, check_real
 from .grids import GridSpec, grad_axis_adjoint
 
@@ -166,11 +166,9 @@ def reg_glo(kind: RegKind, grid: GridSpec, u: np.ndarray):
 
     Returns ``(value, gradient)``, where ``gradient`` is a zero-argument
     callable that computes the (K, m1, m2, 2) gradients on its first call.
-    The value is accumulated order-canonically, so it is exactly invariant
-    under permutations of the stack.
     """
     values, grads = _stack_value_deferred(kind, grid, u)
-    return sorted_sum(values), grads
+    return float(np.sum(values)), grads
 
 
 def reg_hessian_apply(kind: RegKind, grid: GridSpec, u: np.ndarray, out=None) -> np.ndarray:

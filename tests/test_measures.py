@@ -97,7 +97,7 @@ def test_sqn_inf_all_zero_columns_is_supremum_with_zero_gradient():
     fm = FeatureMatrix(np.zeros((8, 3)), quad_weight=0.25)
     svd = thin_svd(fm)
     value, coeffs = _sqn_coeffs(svd, math.inf)
-    grad = sigma_gradient(svd, coeffs)
+    grad = sigma_gradient(fm, svd, coeffs)
     assert value == 0.0
     assert np.array_equal(grad, np.zeros((8, 3)))
     assert not svd.u_valid[0]
@@ -156,7 +156,7 @@ def test_sqn_gradients_match_fd_on_entries(q):
         svd = thin_svd(fm)
         assert np.min(np.abs(np.diff(svd.sigma))) > 1e-3
         _, coeffs = _sqn_coeffs(svd, q)
-        grad = sigma_gradient(svd, coeffs)
+        grad = sigma_gradient(fm, svd, coeffs)
 
         def value_of(entries):
             return sqn_value(FeatureMatrix(entries, quad_weight=w), q)
@@ -171,7 +171,7 @@ def test_logdet_gradient_matches_fd_on_entries():
     fm = unit_columns_fm(rng, n=12, k=4, w=w)
     svd = thin_svd(fm)
     for jitter in (0.0, 1e-3):
-        grad = sigma_gradient(svd, _logdet_coeffs(svd, jitter)[1])
+        grad = sigma_gradient(fm, svd, _logdet_coeffs(svd, jitter)[1])
 
         def value_of(entries, jitter=jitter):
             return _logdet_coeffs(thin_svd(FeatureMatrix(entries, quad_weight=w)), jitter)[0]

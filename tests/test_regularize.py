@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqnreg.accum import sorted_sum
 from sqnreg.errors import RegularizerError
 from sqnreg.grids import GridSpec, gradient_central_adjoint
 from sqnreg.oracles import fd_gradient
@@ -139,7 +138,9 @@ def test_reg_glo_sums_fields_and_is_permutation_invariant():
     assert grads.shape == (5, 16, 16, 2)
     perm = [4, 2, 0, 3, 1]
     value_p, gradient_p = reg_glo(kind, g, u[perm])
-    assert value_p == value  # exactly, thanks to canonical accumulation
+    # the sum over fields rounds in the stack's order; each field's
+    # gradient is its own
+    assert value_p == pytest.approx(value, rel=1e-15)
     assert np.array_equal(gradient_p(), grads[perm])
 
 
@@ -257,7 +258,6 @@ def test_stack_kernel_matches_per_field_reference_bitexact(kind, g):
         assert np.array_equal(g_one(), g_ref)
     value, grads_glo = reg_glo(kind, g, u)
     assert np.array_equal(grads_glo(), grads)
-    assert value == reg_glo(kind, g, u[::-1])[0]
     # a non-contiguous stack (reversed along grid axis 1, or in Fortran
     # order) gives the bits of the reference on its fields
     for v in (u[:, :, ::-1], np.asfortranarray(u)):
@@ -336,7 +336,7 @@ def test_gradient_callable_runs_once_bitexact(kind):
     u = random_stack(10, g, k=4)
     values, grads = stack_value_grad(kind, g, u)
     value, gradient = reg_glo(kind, g, u)
-    assert value == sorted_sum(values)
+    assert value == values.sum()
     first = gradient()
     assert np.array_equal(first, grads)
     # a second call returns the same gradients, not a recomputation from

@@ -57,3 +57,14 @@ def test_no_workload_fingerprints_every_workload(script, monkeypatch, capsys):
     script.main(["--seed", "3"])
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"{n} seed=3 k={w.k}" for n, w in script.WORKLOADS.items()]
+
+
+def test_a_groupwise_seed_changes_only_the_fields(script):
+    # the seed only reorders the stack, which a groupwise solve orders by
+    # content first: J and the trace keep their bits, and only the fields'
+    # order, hence their SHA-1, follows the seed
+    workload = tiny(script.WORKLOADS["recovery64"])
+    one, two = (dict(item.split("=", 1) for item in script.fingerprint(workload, seed).split())
+                for seed in (1, 2))
+    assert one["J"] == two["J"] and one["trace_sha1"] == two["trace_sha1"]
+    assert one["fields_sha1"] != two["fields_sha1"]

@@ -46,9 +46,8 @@ def test_gram_is_weighted_cross_products():
     rng = rng_for(0)
     fm = fm_random(rng, n=10, k=3, w=0.25)
     svd = thin_svd(fm)
-    rebuilt = svd.ordered_v @ np.diag(svd.eigenvalues) @ svd.ordered_v.T
-    ordered = fm.entries[:, svd.order]
-    expected = 0.25 * ordered.T @ ordered
+    rebuilt = svd.v @ np.diag(svd.eigenvalues) @ svd.v.T
+    expected = 0.25 * fm.entries.T @ fm.entries
     assert np.abs(rebuilt - expected).max() <= 1e-12
 
 
@@ -103,25 +102,9 @@ def test_thin_svd_matches_direct_lapack_svd(w):
 def test_right_vectors_orthonormal_and_no_left_vectors():
     rng = rng_for(8)
     svd = thin_svd(fm_random(rng, n=15, k=4, w=0.2))
-    gram_v = svd.ordered_v.T @ svd.ordered_v
+    gram_v = svd.v.T @ svd.v
     assert np.abs(gram_v - np.eye(4)).max() <= 1e-12
     assert not hasattr(svd, "u")
-
-
-def test_sigma_invariant_and_v_equivariant_under_permutation():
-    rng = rng_for(21)
-    fm = fm_random(rng, n=18, k=6, w=0.04)
-    svd = thin_svd(fm)
-    perm = rng.permutation(6)
-    fm_p = FeatureMatrix(fm.entries[:, perm], quad_weight=fm.quad_weight)
-    svd_p = thin_svd(fm_p)
-    assert np.array_equal(svd.sigma, svd_p.sigma)
-    # the same canonical columns, so the same eigenvectors, bit for bit
-    assert np.array_equal(perm[svd_p.order], svd.order)
-    assert np.array_equal(svd_p.ordered_v, svd.ordered_v)
-    for k in range(6):
-        grad = sigma_gradient(svd, unit_coeffs(svd, k))
-        assert np.array_equal(sigma_gradient(svd_p, unit_coeffs(svd_p, k)), grad[:, perm])
 
 
 def test_rank_deficiency_is_visible_in_spectrum():
@@ -175,7 +158,7 @@ def test_sigma_gradient_matches_lapack_left_vectors(measure, make_fm):
     modes = s**2 > EIG_RESOLUTION_C * fm.k * np.finfo(float).eps * s[0] ** 2
     assert np.array_equal(modes, svd.u_valid)
     expected = np.sqrt(fm.quad_weight) * (u[:, modes] * coeffs[modes]) @ vt[modes, :]
-    got = sigma_gradient(svd, coeffs)
+    got = sigma_gradient(fm, svd, coeffs)
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -189,15 +172,21 @@ def test_rank_deficient_fixture_has_vanishing_modes():
 
 @pytest.mark.parametrize("measure", sorted(MEASURE_COEFFS))
 @pytest.mark.parametrize("make_fm", [full_rank_fm, rank_deficient_fm])
-def test_sigma_gradient_columns_permute_bitexact(measure, make_fm):
+def test_sigma_gradient_columns_permute(measure, make_fm):
+    # up to rounding: the bit-exact invariance is the solve's, which orders
+    # the stack once (``test_optimize.py``)
     fm = make_fm()
     svd = thin_svd(fm)
-    grad = sigma_gradient(svd, MEASURE_COEFFS[measure](svd))
+    grad = sigma_gradient(fm, svd, MEASURE_COEFFS[measure](svd))
     for seed in range(3):
         perm = rng_for(40 + seed).permutation(fm.k)
-        svd_p = thin_svd(FeatureMatrix(fm.entries[:, perm], quad_weight=fm.quad_weight))
-        grad_p = sigma_gradient(svd_p, MEASURE_COEFFS[measure](svd_p))
-        assert np.array_equal(grad_p, grad[:, perm])
+        fm_p = FeatureMatrix(fm.entries[:, perm], quad_weight=fm.quad_weight)
+        svd_p = thin_svd(fm_p)
+        assert np.array_equal(svd_p.u_valid, svd.u_valid)
+        stable = svd.u_valid
+        assert np.allclose(svd_p.sigma[stable], svd.sigma[stable], rtol=1e-13, atol=0.0)
+        grad_p = sigma_gradient(fm_p, svd_p, MEASURE_COEFFS[measure](svd_p))
+        assert np.linalg.norm(grad_p - grad[:, perm]) <= 1e-12 * np.linalg.norm(grad)
 
 
 def test_sigma_gradient_skips_invalid_and_zero_modes():
@@ -205,9 +194,10 @@ def test_sigma_gradient_skips_invalid_and_zero_modes():
     entries[0, 0] = 1.0
     entries[0, 1] = 1.0
     entries[1, 2] = 1.0
-    svd = thin_svd(FeatureMatrix(entries))
-    assert np.all(sigma_gradient(svd, np.array([0.0, 0.0, 5.0])) == 0.0)
-    assert sigma_gradient(svd, np.zeros(3)).shape == (6, 3)
+    fm = FeatureMatrix(entries)
+    svd = thin_svd(fm)
+    assert np.all(sigma_gradient(fm, svd, np.array([0.0, 0.0, 5.0])) == 0.0)
+    assert sigma_gradient(fm, svd, np.zeros(3)).shape == (6, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +206,9 @@ def test_sigma_gradient_skips_invalid_and_zero_modes():
 
 def test_sigma_derivative_frozen_diag_example():
     entries = np.diag([3.0, 1.0])
-    svd = thin_svd(FeatureMatrix(entries))
-    mat = sigma_gradient(svd, unit_coeffs(svd, 0))
+    fm = FeatureMatrix(entries)
+    svd = thin_svd(fm)
+    mat = sigma_gradient(fm, svd, unit_coeffs(svd, 0))
     assert np.abs(mat - np.array([[1.0, 0.0], [0.0, 0.0]])).max() <= 1e-12
 
 
@@ -227,7 +218,7 @@ def test_sigma_derivative_is_rank_one_with_weighted_unit_norm():
         fm = fm_random(rng, n=12, k=4, w=w)
         svd = thin_svd(fm)
         for k in range(4):
-            mat = sigma_gradient(svd, unit_coeffs(svd, k))
+            mat = sigma_gradient(fm, svd, unit_coeffs(svd, k))
             s = np.linalg.svd(mat, compute_uv=False)
             assert s[0] == pytest.approx(np.sqrt(w), rel=1e-10)
             assert s[1] <= 1e-12 * s[0]
@@ -238,7 +229,7 @@ def test_sigma_derivative_euler_identity():
     fm = fm_random(rng, n=12, k=4, w=0.3)
     svd = thin_svd(fm)
     for k in range(4):
-        mat = sigma_gradient(svd, unit_coeffs(svd, k))
+        mat = sigma_gradient(fm, svd, unit_coeffs(svd, k))
         assert np.sum(mat * fm.entries) == pytest.approx(svd.sigma[k], rel=1e-10)
 
 
@@ -250,7 +241,7 @@ def test_sigma_derivative_matches_fd_oracle(w):
         svd = thin_svd(fm)
         assert np.min(np.diff(svd.sigma[::-1])) > 1e-3  # healthy gaps only
         for k in range(4):
-            mat = sigma_gradient(svd, unit_coeffs(svd, k))
+            mat = sigma_gradient(fm, svd, unit_coeffs(svd, k))
 
             def sigma_k(entries, k=k):
                 return float(thin_svd(FeatureMatrix(entries, quad_weight=w)).sigma[k])
@@ -261,7 +252,8 @@ def test_sigma_derivative_matches_fd_oracle(w):
 
 def test_equal_singular_values_give_a_unit_spectral_norm_derivative():
     entries = np.eye(4, 3)  # orthonormal columns, all sigma equal to 1
-    svd = thin_svd(FeatureMatrix(entries))
+    fm = FeatureMatrix(entries)
+    svd = thin_svd(fm)
     assert svd.sigma == pytest.approx(np.ones(3), rel=1e-12)
-    mat = sigma_gradient(svd, unit_coeffs(svd, 0))
+    mat = sigma_gradient(fm, svd, unit_coeffs(svd, 0))
     assert np.linalg.svd(mat, compute_uv=False)[0] == pytest.approx(1.0, rel=1e-10)
