@@ -7,31 +7,15 @@ import math
 import numpy as np
 
 
-def block_dot_plan(a: np.ndarray, b: np.ndarray):
-    """``block_dot(a, b)`` bound once to the operands' buffers.
-
-    Returns a zero-argument callable that computes the dot of the current
-    entries of ``a`` and ``b``, so an iterative solver that updates them in
-    place binds its dots once.  The raveled views are taken here, so the
-    operands must be C-contiguous; a reshape would otherwise copy them once
-    and the plan would not see later updates.
-    """
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch in block_dot: {a.shape} vs {b.shape}")
-    if not (a.flags.c_contiguous and b.flags.c_contiguous):
-        raise ValueError("block_dot_plan needs C-contiguous operands")
-    flat_a, flat_b = a.reshape(-1), b.reshape(-1)
-    # ``+ 0.0`` turns -0.0 into 0.0
-    return lambda: float(np.dot(flat_a, flat_b)) + 0.0
-
-
 def block_dot(a: np.ndarray, b: np.ndarray) -> float:
     """Dot product of two arrays of one shape, as one ``np.dot`` of the
-    raveled operands: ``block_dot_plan`` bound once and run once, on
-    C-contiguous copies of operands that are not."""
+    raveled operands, on C-contiguous copies of operands that are not."""
     a = np.ascontiguousarray(a, dtype=float)
     b = np.ascontiguousarray(b, dtype=float)
-    return block_dot_plan(a, b)()
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch in block_dot: {a.shape} vs {b.shape}")
+    # ``+ 0.0`` turns -0.0 into 0.0
+    return float(np.dot(a.reshape(-1), b.reshape(-1))) + 0.0
 
 
 def block_norm(a: np.ndarray) -> float:

@@ -47,16 +47,12 @@ a ``(1, 2, m1, m2)`` array for any K, and each field is ``q / r`` (0 where
 sequential chain amplifies.  ``Elastic`` is not diagonal in that basis;
 its CG runs in the pixel basis, with ``B`` the elastic kernel on CG's
 direction (``reg_hessian_apply``) plus ``eps`` times the direction.
-CG binds its two dots ``p·Bp`` and ``r·r`` once per solve
-(``accum.block_dot_plan``), so every CG iteration runs the same calls on
-the same buffers.  ``x`` and ``r`` are the two rows of one buffer, and so
-are ``p`` and ``Bp``: one multiply by ``[a, -a]`` and one add update ``x``
-and ``r`` together, with the bits of the two separate updates, since
-``r + (-a) Bp`` rounds like ``r - a Bp``.  The cosine basis's eigenvalues
-are stored once per level in CG's own ``(1, 2, m1, m2)`` shape, so ``B`` is
-a multiply without broadcasting.  CG stops at the first non-finite
-``r·r``, and a solve that ends without a residual at or below ``CG_TOL``
-counts as capped.
+CG is the textbook one (Nocedal & Wright, Alg. 5.2) on four plain arrays,
+with its two dots ``p·Bp`` and ``r·r`` on flat views bound once per
+solve.  The cosine basis's eigenvalues are stored once per level in CG's
+own ``(1, 2, m1, m2)`` shape, so ``B`` is a multiply without broadcasting.
+CG stops at the first non-finite ``r·r``, and a solve that ends without a
+residual at or below ``CG_TOL`` counts as capped.
 
 The line search brackets a strong Wolfe step (``WOLFE_C1``, ``WOLFE_C2``)
 and zooms in with safeguarded quadratic interpolation (Nocedal & Wright,
@@ -105,13 +101,14 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 from dataclasses import fields as dc_fields
 from functools import partial
 
 import numpy as np
 
-from .accum import block_dot, block_dot_plan, block_norm
+from .accum import block_dot, block_norm
 from .errors import (ConfigError, FeatureError, GridError, MeasureError, OptimError, SpectralError,
                      check_real)
 from .grids import (DisplacementField, GridSpec, ImageStack, displacement_array, prolong,
@@ -224,7 +221,6 @@ class IterRecord:
 @dataclass
 class LevelTrace:
     level: int
-    dims: tuple[int, int]
     records: list[IterRecord] = field(default_factory=list)
     terminations: list[str] = field(default_factory=list)
 
@@ -253,27 +249,22 @@ class SolveCounts:
 
 @dataclass
 class SolveReport(SolveCounts):
-    spec: ObjectiveSpec
-    options: SolveOptions
     traces: list[LevelTrace]
     fields: list[DisplacementField]
     elapsed: float
 
     @property
     def final_value(self) -> float:
-        """The value of the last iteration record.
+        """The value of the finest level's last iteration record.
 
-        For a groupwise solve this is J at ``fields`` bit for bit, except
-        when the evaluation budget runs out before the finest level: that
-        level's ``lbfgs`` returns without a record, and this reads the last J
-        of a coarser level (see "One meaning of ``SolveReport.final_value``"
-        in ROADMAP.md).  For a sequential solve it is the one-field objective
-        of the last component solved, not the stack J.
+        For a groupwise solve this is J at ``fields`` bit for bit.  It is NaN
+        when the finest level has no record, as when the evaluation budget
+        runs out before that level: a coarser level's J is not J at
+        ``fields``.  For a sequential solve it is the one-field objective of
+        the last component solved, not the stack J.
         """
-        for trace in reversed(self.traces):
-            if trace.records:
-                return trace.records[-1].value
-        return math.nan
+        records = self.traces[-1].records
+        return records[-1].value if records else math.nan
 
     def all_records(self):
         for trace in self.traces:
@@ -374,47 +365,38 @@ def objective(spec: ObjectiveSpec, stack: ImageStack, fields):
 
 
 def _cg_solve(apply_b, rhs: np.ndarray, tol: float, maxiter: int):
-    """Conjugate gradients for ``B x = rhs`` from ``x = 0``.
+    """Conjugate gradients for ``B x = rhs`` from ``x = 0`` (Nocedal & Wright,
+    Alg. 5.2).
 
     ``apply_b(p, bp)`` writes ``B p`` into ``bp``; CG calls it on its
     direction and that direction's image on every iteration.  CG updates
-    its vectors in place and binds its two dots, ``p·bp`` and ``r·r``, once
-    per solve, so every iteration runs the same calls on the same buffers.
-    The iterate and the residual are the two rows of one buffer, and so are
-    the direction and its image, each row viewed in ``rhs.shape``: one
-    multiply by ``[a, -a]`` and one add update ``x += a p`` and
-    ``r -= a Bp`` together, with the bits of the two separate updates.  CG
-    stops early at a residual norm of at most ``tol`` times ``|rhs|``, or at
-    the first non-finite ``r·r``.  Returns ``(x, iterations, residual)``:
-    the number of completed CG updates and the final recursive residual norm
-    relative to ``|rhs|``.
+    its four vectors of ``rhs.shape`` in place, and its two dots, ``p·bp``
+    and ``r·r``, are one ``np.dot`` each of flat views bound once per solve.
+    CG stops early at a residual norm of at most ``tol`` times ``|rhs|``,
+    or at the first non-finite ``r·r``.  Returns ``(x, iterations,
+    residual)``: the number of completed CG updates and the final recursive
+    residual norm relative to ``|rhs|``.
     """
-    xr = np.zeros((2, rhs.size))
-    x, r = (row.reshape(rhs.shape) for row in xr)
-    r[...] = rhs
-    r_dot_r = block_dot_plan(r, r)
-    rs = r_dot_r()
+    x = np.zeros(rhs.shape)
+    r = np.array(rhs, dtype=float, order="C")
+    p = r.copy()
+    bp = np.empty(rhs.shape)
+    rf, pf, bpf = r.reshape(-1), p.reshape(-1), bp.reshape(-1)
+    rs = float(np.dot(rf, rf))
     rhs_norm = math.sqrt(max(rs, 0.0))
     if rhs_norm == 0.0:
         return x, 0, 0.0
-    pbp = np.empty((2, rhs.size))
-    p, bp = (row.reshape(rhs.shape) for row in pbp)
-    p[...] = r
-    tmp = np.empty((2, rhs.size))
-    step = np.empty((2, 1))
-    p_dot_bp = block_dot_plan(p, bp)
     iterations = 0
     while iterations < maxiter:
         apply_b(p, bp)
-        denom = p_dot_bp()
+        denom = float(np.dot(pf, bpf))
         if denom <= 0.0:
             break
         a = rs / denom
-        # r - a Bp and r + (-a) Bp round alike
-        step[0], step[1] = a, -a
-        xr += np.multiply(pbp, step, out=tmp)
+        x += a * p
+        r -= a * bp
         iterations += 1
-        rs_new = r_dot_r()
+        rs_new = float(np.dot(rf, rf))
         rs_prev, rs = rs, rs_new
         if not math.isfinite(rs_new) or math.sqrt(max(rs_new, 0.0)) <= tol * rhs_norm:
             break
@@ -716,9 +698,7 @@ def lbfgs(
     grad = grad()
     gnorm = block_norm(grad)
     gnorm0 = gnorm
-    s_list: list[np.ndarray] = []
-    y_list: list[np.ndarray] = []
-    rho_list: list[float] = []
+    memory = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1 / s·y), oldest first
 
     def record(iteration, step, wolfe_ok):
         trace.records.append(
@@ -750,7 +730,7 @@ def lbfgs(
         if counters.exhausted:
             termination = "budget"
             break
-        p = -_two_loop(grad, s_list, y_list, rho_list, metric_solve)
+        p = -_two_loop(grad, memory, metric_solve)
         slope = block_dot(grad, p)
         steepest = not (np.isfinite(slope) and slope < 0.0)
         if steepest:
@@ -760,9 +740,7 @@ def lbfgs(
             # no decrease along the quasi-Newton direction, e.g. where the
             # gradient is a one-sided derivative at a kink of the
             # interpolant: drop the memory and retry once along -g
-            s_list.clear()
-            y_list.clear()
-            rho_list.clear()
+            memory.clear()
             p, slope = -grad, -(gnorm**2)
             ls = search(p, slope)
         if not ls.ok:
@@ -780,13 +758,7 @@ def lbfgs(
         gnorm = block_norm(grad)
         sy = block_dot(s, y)
         if sy > 1e-10 * block_norm(s) * block_norm(y):
-            s_list.append(s)
-            y_list.append(y)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > LBFGS_MEMORY:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
+            memory.append((s, y, 1.0 / sy))
         record(iteration, ls.ev.alpha, ls.ok)
         if not ls.ok:
             break
@@ -795,15 +767,20 @@ def lbfgs(
     return x, termination
 
 
-def _two_loop(grad, s_list, y_list, rho_list, metric_solve):
+def _two_loop(grad, memory, metric_solve):
+    """``H g`` by the two-loop recursion (Nocedal & Wright, Alg. 7.4).
+
+    ``memory`` holds the ``(s, y, 1 / s·y)`` pairs, oldest first, and
+    ``metric_solve`` applies the seed ``H_0``.
+    """
     q = grad.copy()
     alphas = []
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+    for s, y, rho in reversed(memory):
         a = rho * block_dot(s, q)
         alphas.append(a)
         q -= a * y
     r = metric_solve(q)
-    for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+    for (s, y, rho), a in zip(memory, reversed(alphas)):
         b = rho * block_dot(y, r)
         r += (a - b) * s
     return r
@@ -955,7 +932,7 @@ def multilevel_solve(spec: ObjectiveSpec, stack: ImageStack, opts: SolveOptions)
     x = np.zeros((stack.k, *pyramid[0].grid.dims, 2))
     for level, level_stack in enumerate(pyramid):
         grid = level_stack.grid
-        trace = LevelTrace(level, grid.dims)
+        trace = LevelTrace(level)
         traces.append(trace)
         level_spec = replace(spec, measure=resolve_measure(spec.measure, level_stack))
         minimizer = _LevelMinimizer(level_spec, grid, opts, counters, trace, t0)
@@ -969,8 +946,6 @@ def multilevel_solve(spec: ObjectiveSpec, stack: ImageStack, opts: SolveOptions)
     fields = np.empty_like(x)
     fields[order] = x
     return SolveReport(
-        spec=spec,
-        options=opts,
         traces=traces,
         fields=[DisplacementField(pyramid[-1].grid, u) for u in fields],
         elapsed=time.perf_counter() - t0,

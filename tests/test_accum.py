@@ -1,9 +1,9 @@
-"""Bit-level checks of the block dot and its plan."""
+"""Bit-level checks of the block dot."""
 
 import numpy as np
 import pytest
 
-from sqnreg.accum import block_dot, block_dot_plan
+from sqnreg.accum import block_dot
 
 from conftest import rng_for
 
@@ -60,27 +60,3 @@ class TestBlockDot:
         with pytest.raises(ValueError, match="shape mismatch"):
             block_dot(np.zeros((2, 3)), np.zeros((3, 2)))
 
-
-class TestBlockDotPlan:
-    @pytest.mark.parametrize("n", [1, 8])
-    def test_gives_block_dot_bits_after_in_place_updates(self, n):
-        rng = rng_for(80 + n)
-        a = rng.standard_normal((n, 9, 7, 2))
-        b = rng.standard_normal((n, 9, 7, 2))
-        both = block_dot_plan(a, b)
-        same = block_dot_plan(a, a)
-        for scale in (1.0, -1e-3, 1e5):
-            assert_same_bits(both(), block_dot(a, b))
-            assert_same_bits(same(), block_dot(a, a))
-            # the plan reads the operands' current entries
-            a *= scale
-            b[...] = rng.standard_normal(b.shape)
-            a[0, 0, 0, 0] = -0.0
-
-    def test_rejects_operands_it_cannot_view(self):
-        rng = rng_for(91)
-        a = rng.standard_normal((3, 100, 2))
-        with pytest.raises(ValueError, match="C-contiguous"):
-            block_dot_plan(np.asfortranarray(a), a)
-        with pytest.raises(ValueError, match="shape mismatch"):
-            block_dot_plan(a, a[:2])

@@ -325,11 +325,9 @@ class TestMetricsCsv:
             IterRecord(0, -1, 1, -1.5e-17, 2.0 / 3.0, 1.0, True, 3, 3, 0.5),
             IterRecord(1, 2, 0, 1e308, 5e-324, 0.25, False, 9, 9, 1.75),
         ]
-        trace0 = LevelTrace(0, (8, 8), records=records[:2])
-        trace1 = LevelTrace(1, (16, 16), records=records[2:])
+        trace0 = LevelTrace(0, records=records[:2])
+        trace1 = LevelTrace(1, records=records[2:])
         return SolveReport(
-            spec=None,
-            options=None,
             traces=[trace0, trace1],
             fields=[],
             fevals=9,

@@ -3,10 +3,11 @@
 Each reference below is the straightforward form of a kernel that the
 package writes for speed: ``np.clip`` and 2-d fancy indexing in the
 bilinear sampler, ``np.gradient`` plus ``np.stack`` for central
-differences, one ``np.sum`` per field, separate CG updates of the iterate
-and the residual, and a pair chain that pulls back both sides of every
-pair.  The fast kernels must give the same bits, alone and inside whole
-solves.
+differences, one ``np.sum`` per field, and a pair chain that pulls back
+both sides of every pair.  The fast kernels must give the same bits, alone
+and inside whole solves.  CG's reference takes its dots afresh from the
+raveled operands on every iteration, where the solver binds flat views
+once per solve.
 """
 
 import dataclasses
@@ -22,7 +23,7 @@ import sqnreg.grids as grids
 import sqnreg.measures as measures
 import sqnreg.optimize as optimize
 import sqnreg.regularize as regularize
-from sqnreg.accum import block_dot_plan, field_sums
+from sqnreg.accum import field_sums
 from sqnreg.errors import GridError
 from sqnreg.grids import GridSpec, gradient_central, gradient_central_adjoint, prolong
 from sqnreg.measures import NgfPair, SsdPair, pair_chain, pair_state
@@ -111,26 +112,24 @@ def ref_field_sums(a, field_ndim):
 def ref_cg_solve(apply_b, rhs, tol, maxiter):
     x = np.zeros(rhs.shape)
     r = np.array(rhs, order="C")
-    r_dot_r = block_dot_plan(r, r)
-    rs = r_dot_r()
+    rs = float(np.dot(r.ravel(), r.ravel()))
     rhs_norm = math.sqrt(max(rs, 0.0))
     if rhs_norm == 0.0:
         return x, 0, 0.0
     p = r.copy()
     bp = np.empty(rhs.shape)
     tmp = np.empty(rhs.shape)
-    p_dot_bp = block_dot_plan(p, bp)
     iterations = 0
     while iterations < maxiter:
         apply_b(p, bp)
-        denom = p_dot_bp()
+        denom = float(np.dot(p.ravel(), bp.ravel()))
         if denom <= 0.0:
             break
         a = rs / denom
         x += np.multiply(p, a, out=tmp)
         r -= np.multiply(bp, a, out=tmp)
         iterations += 1
-        rs_new = r_dot_r()
+        rs_new = float(np.dot(r.ravel(), r.ravel()))
         rs_prev, rs = rs, rs_new
         if math.sqrt(max(rs_new, 0.0)) <= tol * rhs_norm:
             break

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import time
 import weakref
+from collections import deque
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from sqnreg.features import IntensityFeature, NgfFeature
 from sqnreg.optimize import (
     CG_MAXITER,
     CG_TOL,
+    LBFGS_MEMORY,
     LS_MAX_EXPAND,
     LS_MAX_ZOOM,
     WOLFE_C1,
@@ -33,6 +35,7 @@ from sqnreg.optimize import (
     _cosine_metric,
     _make_metric_solve,
     _strong_wolfe,
+    _two_loop,
     _zoom_trial,
     build_pyramid,
     gauss_seidel_sweep,
@@ -75,7 +78,7 @@ def run_lbfgs(fun, x0, opts, metric_solve=lambda q: q, counters=None, trace=None
         project_point=lambda x: x,
         first_step_scale=math.inf,
         counters=counters if counters is not None else _Counters(),
-        trace=trace if trace is not None else LevelTrace(0, (0, 0)),
+        trace=trace if trace is not None else LevelTrace(0),
         level=0,
         component=-1,
         t0=time.perf_counter(),
@@ -111,7 +114,7 @@ class TestLbfgsGeneric:
         from sqnreg.optimize import LevelTrace
 
         a = np.array([3.0, -1.0, 0.25])
-        trace = LevelTrace(0, (0, 0))
+        trace = LevelTrace(0)
         run_lbfgs(quadratic_target(a), np.zeros(3), SolveOptions(gtol=1e-12), trace=trace)
         # record 0 is the starting point; one step lands on the minimizer
         assert len(trace.records) <= 3
@@ -125,7 +128,7 @@ class TestLbfgsGeneric:
     def test_values_strictly_decrease_within_run(self):
         from sqnreg.optimize import LevelTrace
 
-        trace = LevelTrace(0, (0, 0))
+        trace = LevelTrace(0)
         run_lbfgs(
             rosenbrock, np.array([-1.2, 1.0]), SolveOptions(maxiter=200, gtol=1e-9), trace=trace
         )
@@ -160,6 +163,37 @@ class TestLbfgsGeneric:
         )
         assert counters.fevals <= 5
         assert termination == "budget"
+
+
+class TestTwoLoop:
+    @pytest.mark.parametrize("pairs", range(1, LBFGS_MEMORY + 1))
+    def test_applies_the_dense_inverse_bfgs_matrix(self, pairs):
+        # H from H0 by the inverse BFGS update over the pairs, oldest first
+        # (Nocedal & Wright, eq. 6.17); the recursion must apply exactly H
+        rng = rng_for(130 + pairs)
+        shape = (2, 3, 2)
+        n = math.prod(shape)
+        root = rng.standard_normal((n, n))
+        h0 = np.eye(n) + 0.1 * root @ root.T
+        curv = rng.standard_normal((n, n))
+        a = np.eye(n) + 0.5 * curv @ curv.T / n
+        memory = deque(maxlen=LBFGS_MEMORY)
+        h = h0
+        for _ in range(pairs):
+            s = rng.standard_normal(n)
+            y = a @ s
+            sy = float(s @ y)
+            assert sy > 0.0
+            memory.append((s.reshape(shape), y.reshape(shape), 1.0 / sy))
+            left = np.eye(n) - np.outer(s, y) / sy
+            h = left @ h @ left.T + np.outer(s, s) / sy
+        g = rng.standard_normal(shape)
+        g0 = g.copy()
+        got = _two_loop(g, memory, lambda q: (h0 @ q.ravel()).reshape(q.shape))
+        assert got.shape == shape
+        assert relative_error(got, h @ g0.ravel()) <= 1e-12
+        # the gradient is read, not written
+        assert np.array_equal(g, g0)
 
 
 def kinked(c):
@@ -547,6 +581,17 @@ class TestSolvers:
         report = multilevel_solve(spec, stack, SolveOptions(levels=1, maxiter=8))
         assert report.final_value == objective(spec, stack, report.fields)[0]
 
+    def test_final_value_is_nan_when_the_budget_ends_before_the_finest_level(self):
+        # the coarse level spends the whole budget, so the finest level has
+        # no record; the coarse level's J (-5.196 here) is not J at the
+        # returned fields (-4.049)
+        stack, _ = synth_stack(3, 3, "shifted_disks", 2.0, dims=(16, 16))
+        spec = ObjectiveSpec(SchattenQ(q=4.0), Diffusion(alpha=1e-2))
+        report = multilevel_solve(spec, stack, SolveOptions(levels=2, maxiter=5, max_fevals=4))
+        assert report.traces[0].records and not report.traces[-1].records
+        assert report.traces[-1].terminations[-1] == "level1:budget"
+        assert math.isnan(report.final_value)
+
     def test_fix_first_keeps_first_field_zero(self):
         stack = shifted_blob_stack((16, 16), [(0.0, 0.0), (0.05, 0.0)])
         spec = ObjectiveSpec(
@@ -571,7 +616,7 @@ class TestSolvers:
             stack.grid,
             SolveOptions(maxiter=25, gtol=1e-8),
             _Counters(),
-            LevelTrace(0, stack.grid.dims),
+            LevelTrace(0),
             time.perf_counter(),
         )
         # the sweep writes each solved field into the level array in place
@@ -595,7 +640,7 @@ class TestSolvers:
         stack = shifted_blob_stack((16, 16), [(0.0, 0.0), (0.05, 0.0), (0.0, -0.05)])
         spec = ObjectiveSpec(measure, Diffusion(alpha=1e-3), mode=mode, constraint=constraint)
         minimizer = _LevelMinimizer(spec, stack.grid, SolveOptions(maxiter=5), _Counters(),
-                                    LevelTrace(0, stack.grid.dims), time.perf_counter())
+                                    LevelTrace(0), time.perf_counter())
         x = np.zeros((stack.k, *stack.grid.dims, 2))
         x.flags.writeable = False
         if mode == "groupwise":
@@ -1115,7 +1160,7 @@ class TestValueFirstTrials:
             return 0.5 * float(np.sum((x - a) ** 2)), lambda: x - a
 
         counters = _Counters()
-        trace = LevelTrace(0, (0, 0))
+        trace = LevelTrace(0)
         x, _ = run_lbfgs(fun, np.zeros(2), SolveOptions(maxiter=20), counters=counters, trace=trace)
         values = [r.value for r in trace.records]
         assert len(values) > 2
